@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the packed-state exploration core: packed
 //! class keys vs materializing canonicalisation, arena interning vs
 //! `HashMap<Configuration, _>` interning, and the memoized move oracle
-//! vs raw per-robot computation. The `bench_explore` binary distills
-//! the same measurements (plus the full-classification headline) into
-//! `BENCH_explore.json` for CI.
+//! vs raw per-robot computation. End-to-end cell timings, layer by
+//! layer, come from the sweep-path benchmark in `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gathering::SevenGather;

@@ -11,8 +11,8 @@
 //! * [`AdversaryVerdict::Refuted`] — some schedule provably does not;
 //!   the verdict carries a minimal activation schedule replayable
 //!   through [`sched::run_scheduled`] (see [`replay`]),
-//! * [`AdversaryVerdict::Undecided`] — the class graph is cyclic but no
-//!   fair counterexample cycle was found within the search depth.
+//! * [`AdversaryVerdict::Undecided`] — a search budget tripped before
+//!   either verdict was certified (see [`UndecidedReason`]).
 //!
 //! Since the crash-fault subsystem landed, the BFS / fair-cycle /
 //! stabilizer-dedup machinery lives in [`crate::explore`]; this module
@@ -38,11 +38,13 @@
 //! fixpoint refutes outright. If the reachable graph — quotiented by
 //! the algorithm's symmetry group, see below — is acyclic, every fair
 //! schedule reaches a terminal, and all terminals are gathered: proof.
-//! Otherwise the checker hunts for a cycle that can be pumped *fairly*:
-//! tracking robots through one traversal yields a permutation of roles,
-//! and the pumped execution is fair iff every permutation orbit
-//! contains a robot that either moves or is observed deciding to stay
-//! (such a robot can be activated for free) during the traversal.
+//! Otherwise the checker decides whether some cycle can be pumped
+//! *fairly*. Each edge inside a strongly connected component moves
+//! robots between row-major slots and serves some of them: they move,
+//! or are observed deciding to stay (such a robot can be activated for
+//! free). A product automaton that tracks which robot sits in which
+//! slot either finds a closed walk serving every robot — a lasso
+//! refutation — or proves none exists (Phase D, DESIGN.md §15).
 //!
 //! # Symmetry reduction
 //!
@@ -74,12 +76,14 @@ pub struct AdversaryOptions {
     pub max_classes: usize,
     /// Cap on expanded edges per check.
     pub max_edges: usize,
-    /// Depth bound for the fair-cycle search: maximal simple-cycle
-    /// length and maximal number of cycle compositions tried.
+    /// Ignored: the fair-cycle decision is complete and takes no depth
+    /// bound. Kept so `adversary:D` cells and existing callers keep
+    /// compiling.
     pub fair_depth: usize,
 }
 
-/// Default fair-cycle search depth (the `D` of `--sched adversary:D`).
+/// The `D` of `--sched adversary:D` when none is given. `D` only names
+/// the cell (`adversary-d5`); it changes no verdict.
 pub const DEFAULT_FAIR_DEPTH: usize = 12;
 
 impl Default for AdversaryOptions {
@@ -98,13 +102,6 @@ impl AdversaryOptions {
     /// count), so a cap at least the connected-class count can never
     /// trip. n = 8 has 16689 connected classes with at most `2^8 - 1`
     /// activation edges each, hence 32768 classes / 16M edges.
-    ///
-    /// The fair-cycle depth stays at the historical 12 for every `n`:
-    /// it only bounds the Phase C *heuristic* (raising it to 48 was
-    /// measured to decide zero additional n = 8 classes), and the
-    /// complete product-automaton decision (Phase D, DESIGN.md §15)
-    /// settles whatever the heuristic leaves behind regardless of this
-    /// knob.
     #[must_use]
     pub fn for_robots(n: usize) -> Self {
         let defaults = Self::default();
@@ -122,7 +119,6 @@ impl From<AdversaryOptions> for ExploreOptions {
         ExploreOptions {
             max_states: opts.max_classes,
             max_edges: opts.max_edges,
-            fair_depth: opts.fair_depth,
             ..ExploreOptions::default()
         }
     }
@@ -148,11 +144,8 @@ pub enum AdversaryVerdict {
     },
     /// Neither verdict was certified within the search budgets.
     Undecided {
-        /// The fair-cycle search depth that was exhausted (or would
-        /// have applied, for BFS-budget trips).
-        depth: usize,
         /// Which budget tripped: the class cap, the edge cap, or the
-        /// fair-cycle depth.
+        /// Phase D product cap.
         #[serde(default)]
         reason: UndecidedReason,
     },
@@ -357,9 +350,7 @@ impl<'a, A: Algorithm + ?Sized> Checker<'a, A> {
         let report = self.explorer.check(initial);
         let verdict = match report.verdict {
             ExploreVerdict::Proof => AdversaryVerdict::Proof,
-            ExploreVerdict::Undecided { depth, reason } => {
-                AdversaryVerdict::Undecided { depth, reason }
-            }
+            ExploreVerdict::Undecided { reason } => AdversaryVerdict::Undecided { reason },
             ExploreVerdict::Refuted { schedule, outcome } => AdversaryVerdict::Refuted {
                 schedule: schedule
                     .iter()
@@ -562,7 +553,7 @@ mod tests {
         assert!(replay(
             &h,
             &StayAlgorithm,
-            &AdversaryVerdict::Undecided { depth: 3, reason: UndecidedReason::FairDepth }
+            &AdversaryVerdict::Undecided { reason: UndecidedReason::FairDepth }
         )
         .is_none());
     }

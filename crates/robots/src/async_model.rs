@@ -20,21 +20,22 @@
 //! transition system into [`robots::explore`](crate::explore), and
 //! [`AsyncChecker`] classifies an initial class as **async-proof**
 //! (every fair phase interleaving gathers), **refuted** (with a minimal
-//! replayable tick schedule) or **undecided** at the fair-cycle search
-//! depth. States are `(canonical class, packed pending vector)` — see
+//! replayable tick schedule) or **undecided** (a search budget
+//! tripped). States are `(canonical class, packed pending vector)` — see
 //! [`PackedPending`] — actions are single-robot phase advances, and
 //! every walk (the explorer's, [`run_async`]'s, and the replayer's)
 //! steps through the one [`advance_phase`] successor function.
 //!
 //! Fairness in ASYNC means every robot's phase advances infinitely
 //! often (every robot completes infinitely many LCM cycles); the
-//! fair-cycle certificates of the explorer encode exactly that, with
-//! idle robots that are observed deciding to stay satisfiable for free.
+//! per-edge certificates behind the explorer's fair-cycle decision
+//! (Phase D) encode exactly that, with idle robots that are observed
+//! deciding to stay satisfiable for free.
 
 use crate::config::{PackedClass, PackedPending};
 use crate::engine::{self, Execution, Limits, Outcome, RoundCollision};
 use crate::explore::{
-    canonical_action, ClassInfo, CycleCert, ExploreOptions, Explorer, NodeKind, Search, Semantics,
+    canonical_action, ClassInfo, EdgeCert, ExploreOptions, Explorer, NodeKind, Search, Semantics,
 };
 use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration, View};
@@ -246,7 +247,7 @@ pub fn run_async<A: Algorithm + ?Sized, S: AsyncScheduler>(
 ///
 /// Idle robots whose fresh decision is *stay* offer no action — their
 /// full LCM cycle is a no-effect self-loop, excluded from expansion
-/// and granted to fairness for free in the cycle certificates, exactly
+/// and granted to fairness for free in the edge certificates, exactly
 /// as the SSYNC checker treats observed-stay activations.
 pub struct AsyncSemantics {
     /// Whether a terminal (all idle, nobody would move) counts as
@@ -405,46 +406,36 @@ impl Semantics for AsyncSemantics {
         None
     }
 
-    /// Traverses a closed state walk once. A role satisfies fairness
-    /// when its phase advanced at least once during the traversal
-    /// (finitely many phases ⇒ infinitely many completed cycles in the
-    /// pumped run) or when it was idle at a state whose fresh decision
-    /// for it is *stay* (it can run full no-effect cycles at will).
+    /// Certifies one phase advance. A robot satisfies fairness on the
+    /// edge when its phase advances (finitely many phases ⇒ infinitely
+    /// many completed cycles in a pumped run) or when it is idle at a
+    /// state whose fresh decision for it is *stay* (it can run full
+    /// no-effect cycles at will).
     fn traverse<A: Algorithm + ?Sized>(
         &self,
         search: &Search<'_, '_, A, Self>,
-        start: usize,
-        cycle: &[(CrashRound, usize)],
-    ) -> CycleCert {
-        search.traverse_roles(
-            start,
-            cycle,
-            |_| {},
-            |cur, action, walk| {
-                debug_assert_eq!(action.crash, 0, "ASYNC actions never inject crashes");
-                let slot = action.activate.trailing_zeros() as usize;
-                let (cur_class, cur_aux, _) = search.state(cur);
-                let info = search.info(cur_class);
-                // Idle robots observed deciding to stay: fairness for free.
-                for i in 0..walk.role_at.len() {
-                    if cur_aux.get(i).is_none() && info.decision(i).is_none() {
-                        walk.flags[walk.role_at[i]] = true;
-                    }
+        from: usize,
+        action: CrashRound,
+        to: usize,
+    ) -> EdgeCert {
+        debug_assert_eq!(action.crash, 0, "ASYNC actions never inject crashes");
+        let slot = action.activate.trailing_zeros() as usize;
+        let (class, pending, _) = search.state(from);
+        let info = search.info(class);
+        search.traverse_roles(from, to, |pos| {
+            let mut flags = 1 << slot;
+            for i in 0..pos.len() {
+                if pending.get(i).is_none() && info.decision(i).is_none() {
+                    flags |= 1 << i;
                 }
-                match cur_aux.get(slot) {
-                    None => {
-                        // Look: the configuration (and slot order) is
-                        // unchanged; the robot's phase advanced.
-                        walk.flags[walk.role_at[slot]] = true;
-                    }
-                    Some(dir) => {
-                        let role = walk.role_at[slot];
-                        walk.pos[role] = walk.pos[role].step(dir);
-                        walk.flags[role] = true;
-                    }
-                }
-            },
-        )
+            }
+            // A look leaves the configuration (and slot order)
+            // unchanged; a pending robot executes its move.
+            if let Some(dir) = pending.get(slot) {
+                pos[slot] = pos[slot].step(dir);
+            }
+            flags
+        })
     }
 }
 
@@ -462,10 +453,12 @@ impl Default for AsyncOptions {
 }
 
 impl AsyncOptions {
-    /// Options with the given fair-cycle search depth.
+    /// The default options. The depth is ignored — the fair-cycle
+    /// decision is complete and takes no depth bound — and stays only
+    /// so `lcm-async:D` cells and existing callers keep compiling.
     #[must_use]
-    pub fn new(fair_depth: usize) -> Self {
-        AsyncOptions { explore: ExploreOptions { fair_depth, ..ExploreOptions::lcm_async() } }
+    pub fn new(_depth: usize) -> Self {
+        AsyncOptions::default()
     }
 }
 
@@ -903,7 +896,7 @@ mod tests {
         assert!(replay(
             &h,
             &StayAlgorithm,
-            &AsyncVerdict::Undecided { depth: 4, reason: Default::default() }
+            &AsyncVerdict::Undecided { reason: Default::default() }
         )
         .is_none());
     }

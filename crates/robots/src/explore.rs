@@ -15,11 +15,19 @@
 //!    the ASYNC model's
 //!    [`AsyncSemantics`](crate::async_model::AsyncSemantics)).
 //!
-//! The search machinery — BFS to the first bad terminal, packed
-//! quotient-acyclicity proofs, SCC-based fair-cycle refutations with
-//! composable certificates, and stabilizer-subset dedup — is shared by
-//! every semantics; only expansion, terminal classification and the
-//! certificate traversal are instantiation-specific.
+//! The search machinery is shared by every semantics:
+//!
+//! * Phase A — BFS to the first bad terminal (a minimal refutation);
+//! * Phase B — packed quotient acyclicity (a proof);
+//! * Phase D — the complete fair-cycle decision on a role-tracking
+//!   product automaton per cyclic SCC (a stitched lasso refutation or
+//!   a proof, DESIGN.md §15);
+//!
+//! plus stabilizer-subset dedup throughout. Only expansion, terminal
+//! classification and the per-edge fairness certificate
+//! ([`Semantics::traverse`]) are instantiation-specific. (There is no
+//! Phase C: the letters match the telemetry counters
+//! `explore.phase_{a,b,d}_ns`.)
 //!
 //! The SSYNC adversary checker is the crash semantics with budget **0**
 //! and goal `Configuration::is_gathered` — every crash branch below is
@@ -37,8 +45,8 @@
 //! for the crash semantics are:
 //!
 //! * crash injections strictly grow the crash mask, so no cycle of the
-//!   state graph contains one — fair-cycle certificates never cross a
-//!   crash level;
+//!   state graph contains one — no SCC-internal edge, and hence no
+//!   edge certificate, ever carries an injection;
 //! * deferring an injection past rounds in which the crashed robot is
 //!   idle anyway yields the same execution, so combining "inject, then
 //!   activate" into one transition loses no adversary behaviour;
@@ -80,9 +88,6 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// Cap on expanded transitions per check.
     pub max_edges: usize,
-    /// Depth bound for the fair-cycle search: maximal simple-cycle
-    /// length and maximal number of cycle compositions tried.
-    pub fair_depth: usize,
     /// Worker threads for the within-class BFS frontier fan-out
     /// (1 = serial). Verdicts, statistics and schedules are
     /// byte-identical at every thread count: workers only run the
@@ -128,7 +133,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             max_states: 4096,
             max_edges: 2_000_000,
-            fair_depth: 12,
             threads: 1,
             par_frontier: DEFAULT_PAR_FRONTIER,
             class_timeout: None,
@@ -180,10 +184,12 @@ pub enum UndecidedReason {
     States,
     /// [`ExploreOptions::max_edges`] tripped during the BFS.
     Edges,
-    /// The BFS closed, but the fair-cycle search exhausted
-    /// [`ExploreOptions::fair_depth`] without a certificate either way.
-    /// The default: verdicts serialized before the reason field existed
-    /// could only arise here at the historical budgets.
+    /// The BFS closed, but the Phase D product outgrew its cap, or
+    /// coverage held only through stabilizer relabelings (DESIGN.md
+    /// §15). The variant and its wire string `fair_depth` predate
+    /// Phase D and are kept so old records still parse. The default:
+    /// verdicts serialized before the reason field existed could only
+    /// arise here at the historical budgets.
     #[default]
     FairDepth,
     /// [`ExploreOptions::class_timeout`] expired before any phase
@@ -247,9 +253,6 @@ pub enum ExploreVerdict {
     },
     /// Neither verdict was certified within the search budgets.
     Undecided {
-        /// The fair-cycle search depth that was exhausted (or would
-        /// have applied, for BFS-budget trips).
-        depth: usize,
         /// Which budget tripped.
         #[serde(default)]
         reason: UndecidedReason,
@@ -423,8 +426,9 @@ type StepBuf<Aux> = Vec<(CrashRound, PureStep<Aux>)>;
 
 /// A **semantics** of the exploration layer: what a state's auxiliary
 /// key is (packed alongside the interned translation class), which
-/// adversary actions a state offers, what their successors are, and how
-/// a closed walk is traversed for the fairness certificate.
+/// adversary actions a state offers, what their successors are, and
+/// which robots one edge moves and serves fairly (the certificate the
+/// Phase D product consumes).
 ///
 /// Implementations in this crate: [`CrashSemantics`] (SSYNC activation
 /// subsets plus permanent crash injections — the budget-0 case is the
@@ -500,15 +504,17 @@ pub trait Semantics: Sync + Sized {
         unreachable!("expand_pure requires Semantics::PARALLEL");
     }
 
-    /// Concretely traverses the closed state walk `cycle` (starting and
-    /// ending at `start`) once, tracking robot roles and fairness
-    /// flags, and returns the certificate.
+    /// Concretely traverses the explored edge `from --action--> to`
+    /// once and returns its certificate: where each robot lands and
+    /// which robots satisfy fairness on the edge. Implementations
+    /// build it through `Search::traverse_roles`.
     fn traverse<A: Algorithm + ?Sized>(
         &self,
         search: &Search<'_, '_, A, Self>,
-        start: usize,
-        cycle: &[(CrashRound, usize)],
-    ) -> CycleCert;
+        from: usize,
+        action: CrashRound,
+        to: usize,
+    ) -> EdgeCert;
 }
 
 /// The crash-fault semantics (and, at budget 0, the plain SSYNC
@@ -749,8 +755,8 @@ impl<Aux> SearchScratch<Aux> {
 
 /// One expanded edge in 8 bytes: the action packed as
 /// `crash << 16 | activate` plus the successor's dense state id. The
-/// graph phases (quotient acyclicity, Tarjan, cycle DFS, the product
-/// decision) walk millions of these, so halving the former
+/// graph phases (quotient acyclicity, Tarjan, the product decision)
+/// walk millions of these, so halving the former
 /// `(CrashRound, usize)` layout directly halves the resident graph.
 #[derive(Clone, Copy)]
 struct PackedEdge {
@@ -768,70 +774,19 @@ fn unpack_action(bits: u32) -> CrashRound {
     CrashRound { crash: (bits >> 16) as u16, activate: bits as u16 }
 }
 
-/// The mutable role-tracking state of a certificate traversal
-/// ([`Search::traverse_roles`]): `pos[r]` is the current coordinate of
-/// the robot that began in row-major slot `r`, `role_at[i]` is which
-/// role sits in slot `i`, and `flags[r]` records whether role `r` has
-/// satisfied fairness so far.
-pub(crate) struct RoleWalk {
-    pub(crate) pos: Vec<Coord>,
-    pub(crate) role_at: Vec<usize>,
-    pub(crate) flags: Vec<bool>,
-}
-
-/// A fair-cycle certificate: one traversal of a closed state walk.
-/// Crash injections strictly grow the crash mask, so every crash
-/// action on a cycle has `crash == 0` — and ASYNC actions never carry
-/// one at all.
-#[derive(Clone)]
-pub struct CycleCert {
-    /// The actions of the traversal.
-    pub(crate) masks: Vec<CrashRound>,
-    /// Role permutation: the robot in row-major slot `r` at the start
-    /// occupies slot `perm[r]` after the traversal.
-    pub(crate) perm: Vec<usize>,
-    /// Whether role `r` satisfied fairness during the traversal (it
-    /// moved / advanced a phase, was seen deciding to stay — and is
-    /// thus activatable for free — or is crashed and exempt).
-    pub(crate) flags: Vec<bool>,
-}
-
-impl CycleCert {
-    /// Whether pumping this traversal forever is fair: every orbit of
-    /// the role permutation must contain a flagged role.
-    fn is_fair(&self) -> bool {
-        let n = self.perm.len();
-        let mut seen = vec![false; n];
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            let mut ok = false;
-            let mut r = start;
-            loop {
-                seen[r] = true;
-                ok |= self.flags[r];
-                r = self.perm[r];
-                if r == start {
-                    break;
-                }
-            }
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Sequential composition: this traversal followed by `next` (both
-    /// starting from the same state).
-    fn compose(&self, next: &CycleCert) -> CycleCert {
-        let mut masks = self.masks.clone();
-        masks.extend_from_slice(&next.masks);
-        let perm = self.perm.iter().map(|&p| next.perm[p]).collect();
-        let flags = self.flags.iter().zip(&self.perm).map(|(&f, &p)| f || next.flags[p]).collect();
-        CycleCert { masks, perm, flags }
-    }
+/// The fairness certificate of one explored edge — a pure function of
+/// the edge, consumed by the Phase D product. Crash injections
+/// strictly grow the crash mask, so no edge inside an SCC carries one,
+/// and ASYNC actions never do.
+#[derive(Clone, Copy)]
+pub struct EdgeCert {
+    /// Induced slot permutation: the robot in row-major slot `s` of the
+    /// source state occupies slot `perm[s]` of the successor.
+    pub(crate) perm: [u8; PackedClass::MAX_ROBOTS],
+    /// Source slots whose robot satisfies fairness on the edge: it
+    /// moves / advances a phase, is seen deciding to stay (and is thus
+    /// activatable for free), or is crashed and exempt.
+    pub(crate) flags: u16,
 }
 
 /// Lock-free observability tallies for one [`Explorer`], accumulated
@@ -869,8 +824,6 @@ pub(crate) struct ExploreMetrics {
     pub(crate) phase_a_ns: telemetry::Counter,
     /// Wall time in Phase B (quotient acyclicity), nanoseconds.
     pub(crate) phase_b_ns: telemetry::Counter,
-    /// Wall time in Phase C (fair-cycle heuristic), nanoseconds.
-    pub(crate) phase_c_ns: telemetry::Counter,
     /// Wall time in Phase D (fair-product decision), nanoseconds.
     pub(crate) phase_d_ns: telemetry::Counter,
     /// Checks that ended in [`ExploreVerdict::Proof`].
@@ -883,8 +836,9 @@ pub(crate) struct ExploreMetrics {
     pub(crate) undecided_states: telemetry::Counter,
     /// Undecided verdicts attributed to the edge cap.
     pub(crate) undecided_edges: telemetry::Counter,
-    /// Undecided verdicts attributed to the fair-depth cap.
-    pub(crate) undecided_fair_depth: telemetry::Counter,
+    /// Undecided verdicts attributed to the Phase D product
+    /// ([`UndecidedReason::FairDepth`]).
+    pub(crate) undecided_product: telemetry::Counter,
     /// Undecided verdicts attributed to the per-class deadline.
     pub(crate) undecided_timeout: telemetry::Counter,
     /// Undecided verdicts attributed to the byte budget.
@@ -926,14 +880,13 @@ impl ExploreMetrics {
         s.add_counter("explore.levels_parallel", self.levels_parallel.get());
         s.add_counter("explore.phase_a_ns", self.phase_a_ns.get());
         s.add_counter("explore.phase_b_ns", self.phase_b_ns.get());
-        s.add_counter("explore.phase_c_ns", self.phase_c_ns.get());
         s.add_counter("explore.phase_d_ns", self.phase_d_ns.get());
         s.add_counter("explore.verdict.proof", self.verdict_proof.get());
         s.add_counter("explore.verdict.refuted", self.verdict_refuted.get());
         s.add_counter("explore.verdict.undecided", self.verdict_undecided.get());
         s.add_counter("explore.undecided.states", self.undecided_states.get());
         s.add_counter("explore.undecided.edges", self.undecided_edges.get());
-        s.add_counter("explore.undecided.fair_depth", self.undecided_fair_depth.get());
+        s.add_counter("explore.undecided.fair_depth", self.undecided_product.get());
         s.add_counter("explore.undecided.timeout", self.undecided_timeout.get());
         s.add_counter("explore.undecided.mem_budget", self.undecided_mem_budget.get());
         s.add_counter("explore.undecided.panicked", self.undecided_panicked.get());
@@ -1193,7 +1146,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
 
     /// The bit-parallel round table of the class `cfg` canonically
     /// represents, through the cell-global cache (see
-    /// [`Self::class_info`] for the keying and race discipline).
+    /// [`Self::class_entry`] for the keying and race discipline).
     pub(crate) fn round_table(
         &self,
         key: PackedClass,
@@ -1289,7 +1242,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
                 match reason {
                     UndecidedReason::States => m.undecided_states.inc(),
                     UndecidedReason::Edges => m.undecided_edges.inc(),
-                    UndecidedReason::FairDepth => m.undecided_fair_depth.inc(),
+                    UndecidedReason::FairDepth => m.undecided_product.inc(),
                     UndecidedReason::Timeout => m.undecided_timeout.inc(),
                     UndecidedReason::MemBudget => m.undecided_mem_budget.inc(),
                     UndecidedReason::Panicked => m.undecided_panicked.inc(),
@@ -1487,7 +1440,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         } else {
             UndecidedReason::MemBudget
         };
-        ExploreVerdict::Undecided { depth: self.explorer.opts.fair_depth, reason }
+        ExploreVerdict::Undecided { reason }
     }
 
     /// Whether the armed wall-clock deadline has passed, polling the
@@ -1512,10 +1465,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
 
     /// The undecided verdict for an expired per-class deadline.
     pub(crate) fn timeout_undecided(&self) -> ExploreVerdict {
-        ExploreVerdict::Undecided {
-            depth: self.explorer.opts.fair_depth,
-            reason: UndecidedReason::Timeout,
-        }
+        ExploreVerdict::Undecided { reason: UndecidedReason::Timeout }
     }
 
     /// Records the expanded edge `(action, succ)` on state `id`. Edges
@@ -1705,55 +1655,36 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         }
     }
 
-    /// Shared scaffolding of a certificate traversal
-    /// ([`Semantics::traverse`]): role tracking through a closed state
-    /// walk, row-major re-sorting after every action, the
-    /// walk-divergence assert, and the final role permutation. `seed`
-    /// pre-flags roles exempt from fairness (role-indexed, which at
-    /// the start state equals slot-indexed); `step` applies one
-    /// action's semantics-specific effect — moving roles and setting
-    /// fairness flags — given the current state id.
+    /// Shared scaffolding of an edge certificate
+    /// ([`Semantics::traverse`]) for the edge `from → to`: `step`
+    /// receives the source state's positions (slot-indexed), applies
+    /// the action's semantics-specific effect to them and returns the
+    /// slots that satisfy fairness; re-sorting the moved positions into
+    /// row-major order then yields the slot permutation (the identity
+    /// when no robot moved).
     pub(crate) fn traverse_roles(
         &self,
-        start: usize,
-        cycle: &[(CrashRound, usize)],
-        seed: impl FnOnce(&mut [bool]),
-        mut step: impl FnMut(usize, CrashRound, &mut RoleWalk),
-    ) -> CycleCert {
-        let (start_class, _, _) = self.state(start);
-        let start_cfg = self.class_cfg(start_class);
-        let n = start_cfg.len();
-        // pos[r] = current coordinate of the robot that began in
-        // row-major slot r; role_at[i] = which role sits in slot i.
-        let mut walk = RoleWalk {
-            pos: start_cfg.positions().to_vec(),
-            role_at: (0..n).collect(),
-            flags: vec![false; n],
-        };
-        seed(&mut walk.flags);
-        let mut masks = Vec::with_capacity(cycle.len());
-        let mut cur = start;
-        for &(action, next) in cycle {
-            step(cur, action, &mut walk);
-            // Re-derive the slot ordering of the new configuration
-            // (the identity re-sort when no robot moved).
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&r| polyhex::key(walk.pos[r]));
-            walk.role_at = order;
-            masks.push(action);
-            cur = next;
-            debug_assert_eq!(
-                &Configuration::new(walk.pos.iter().copied()).canonical(),
-                self.class_cfg(self.state(cur).0),
-                "certificate walk diverged from the state graph"
-            );
+        from: usize,
+        to: usize,
+        step: impl FnOnce(&mut [Coord]) -> u16,
+    ) -> EdgeCert {
+        let cfg = self.class_cfg(self.state(from).0);
+        let n = cfg.len();
+        let mut pos = [ORIGIN; PackedClass::MAX_ROBOTS];
+        pos[..n].copy_from_slice(cfg.positions());
+        let flags = step(&mut pos[..n]);
+        let mut order: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
+        order[..n].sort_unstable_by_key(|&s| polyhex::key(pos[s]));
+        let mut perm = [0u8; PackedClass::MAX_ROBOTS];
+        for (slot, &s) in order[..n].iter().enumerate() {
+            perm[s] = slot as u8;
         }
-        // The walk returned to the start state, translated by delta.
-        let mut perm = vec![0usize; n];
-        for (slot, &role) in walk.role_at.iter().enumerate() {
-            perm[role] = slot;
-        }
-        CycleCert { masks, perm, flags: walk.flags }
+        debug_assert_eq!(
+            &Configuration::new(pos[..n].iter().copied()).canonical(),
+            self.class_cfg(self.state(to).0),
+            "edge certificate diverged from the state graph"
+        );
+        EdgeCert { perm, flags }
     }
 
     /// Actions from the initial state to `id`, via BFS parents.
@@ -1865,21 +1796,10 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             return self.timeout_undecided();
         }
 
-        // Phase C: hunt for a fairly-pumpable cycle with the bounded
-        // certificate-composition heuristic. This runs first because
-        // its refutation schedules are the golden-pinned ones.
-        let watch = telemetry::Stopwatch::started();
-        let cycle = self.find_fair_cycle();
-        watch.flush(&metrics.phase_c_ns);
-        if let Some(verdict) = cycle {
-            return verdict;
-        }
-
-        // Phase D: the heuristic is incomplete (bounded simple cycles
-        // through one start node, bounded compositions), so decide
-        // exactly on the role-tracking product automaton — a proof or a
-        // stitched refutation lasso, undecided only if the product
-        // itself overflows its cap (DESIGN.md §15).
+        // Phase D: decide fair pumps exactly on the role-tracking
+        // product automaton — a proof or a stitched refutation lasso,
+        // undecided only if the product itself overflows its cap
+        // (DESIGN.md §15).
         let watch = telemetry::Stopwatch::started();
         let verdict = self.decide_fair_product();
         watch.flush(&metrics.phase_d_ns);
@@ -2058,139 +1978,12 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         true
     }
 
-    /// Searches strongly connected components of the explored graph for
-    /// a cycle whose pumped execution is fair; returns the refutation
-    /// lasso if one is found.
-    fn find_fair_cycle(&self) -> Option<ExploreVerdict> {
-        let sccs = self.tarjan_sccs();
-        for scc in sccs {
-            let has_cycle =
-                scc.len() > 1 || self.edges_of(scc[0]).iter().any(|e| e.to as usize == scc[0]);
-            if !has_cycle {
-                continue;
-            }
-            let in_scc: std::collections::HashSet<usize> = scc.iter().copied().collect();
-            for &start in &scc {
-                if self.deadline_passed_now() {
-                    return Some(self.timeout_undecided());
-                }
-                let cycles = self.collect_cycles(start, &in_scc);
-                if cycles.is_empty() {
-                    continue;
-                }
-                let certs: Vec<CycleCert> = cycles
-                    .iter()
-                    .map(|c| self.explorer.semantics.traverse(self, start, c))
-                    .collect();
-                for cert in &certs {
-                    if cert.is_fair() {
-                        return Some(self.lasso(start, cert));
-                    }
-                }
-                // Single cycles may starve a parked robot that another
-                // cycle through the same state activates: compose them.
-                let mut acc = certs[0].clone();
-                for round in 1..=self.explorer.opts.fair_depth {
-                    acc = acc.compose(&certs[round % certs.len()]);
-                    if acc.is_fair() {
-                        return Some(self.lasso(start, &acc));
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Simple cycles through `start` inside its SCC, as action/state
-    /// sequences, found by bounded DFS (deterministic budgets).
-    fn collect_cycles(
-        &self,
-        start: usize,
-        in_scc: &std::collections::HashSet<usize>,
-    ) -> Vec<Vec<(CrashRound, usize)>> {
-        const MAX_CYCLES: usize = 32;
-        const NODE_BUDGET: usize = 20_000;
-        let depth_cap = self.explorer.opts.fair_depth;
-        let mut cycles = Vec::new();
-        let mut budget = NODE_BUDGET;
-        let mut on_path = vec![false; self.scratch.states.len()];
-        let mut path: Vec<(CrashRound, usize)> = Vec::new();
-        self.dfs_cycles(
-            start,
-            start,
-            in_scc,
-            depth_cap,
-            &mut budget,
-            &mut on_path,
-            &mut path,
-            &mut cycles,
-            MAX_CYCLES,
-        );
-        cycles
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs_cycles(
-        &self,
-        node: usize,
-        start: usize,
-        in_scc: &std::collections::HashSet<usize>,
-        depth_left: usize,
-        budget: &mut usize,
-        on_path: &mut [bool],
-        path: &mut Vec<(CrashRound, usize)>,
-        cycles: &mut Vec<Vec<(CrashRound, usize)>>,
-        max_cycles: usize,
-    ) {
-        if depth_left == 0 || cycles.len() >= max_cycles || *budget == 0 {
-            return;
-        }
-        *budget -= 1;
-        on_path[node] = true;
-        for &PackedEdge { action, to } in self.edges_of(node) {
-            let (action, to) = (unpack_action(action), to as usize);
-            if to == start {
-                let mut cycle = path.clone();
-                cycle.push((action, to));
-                cycles.push(cycle);
-                if cycles.len() >= max_cycles {
-                    break;
-                }
-                continue;
-            }
-            if !in_scc.contains(&to) || on_path[to] {
-                continue;
-            }
-            path.push((action, to));
-            self.dfs_cycles(
-                to,
-                start,
-                in_scc,
-                depth_left - 1,
-                budget,
-                on_path,
-                path,
-                cycles,
-                max_cycles,
-            );
-            path.pop();
-        }
-        on_path[node] = false;
-    }
-
-    /// Builds the lasso refutation: BFS prefix to `start`, then the
-    /// certificate's actions; replaying it runs to the step limit
-    /// without settling at a goal.
-    fn lasso(&self, start: usize, cert: &CycleCert) -> ExploreVerdict {
-        let mut schedule = self.path_to(start);
-        schedule.extend_from_slice(&cert.masks);
-        let rounds = movement_rounds(&schedule);
-        ExploreVerdict::Refuted { schedule, outcome: Outcome::StepLimit { rounds } }
-    }
-
-    /// Tarjan's SCC algorithm (iterative), components in deterministic
-    /// order.
-    fn tarjan_sccs(&self) -> Vec<Vec<usize>> {
+    /// The strongly connected components that contain a cycle — more
+    /// than one state, or a self-loop — each sorted, in the completion
+    /// order of Tarjan's algorithm (iterative, deterministic). Acyclic
+    /// singletons, nearly every state of a search, are never
+    /// materialized.
+    fn cyclic_sccs(&self) -> Vec<Vec<usize>> {
         let n = self.scratch.states.len();
         let mut index = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
@@ -2222,16 +2015,21 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                     }
                 } else {
                     if low[v] == index[v] {
-                        let mut comp = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
+                        if stack.last() == Some(&v) && !es.iter().any(|e| e.to as usize == v) {
+                            stack.pop();
+                            on_stack[v] = false;
+                        } else {
+                            let mut comp = Vec::new();
+                            while let Some(w) = stack.pop() {
+                                on_stack[w] = false;
+                                comp.push(w);
+                                if w == v {
+                                    break;
+                                }
                             }
+                            comp.sort_unstable();
+                            sccs.push(comp);
                         }
-                        comp.sort_unstable();
-                        sccs.push(comp);
                     }
                     call.pop();
                     if let Some(&mut (parent, _)) = call.last_mut() {
@@ -2243,11 +2041,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         sccs
     }
 
-    /// Phase D: the *complete* fair-cycle decision. Phase C's heuristic
-    /// (bounded simple cycles through one start node, bounded
-    /// compositions) can miss fair pumps whose witness needs a longer
-    /// or non-simple closed walk; this phase decides each cyclic SCC
-    /// exactly on the role-tracking product automaton (DESIGN.md §15):
+    /// Phase D: the complete fair-cycle decision. Each cyclic SCC is
+    /// decided exactly on the role-tracking product automaton
+    /// (DESIGN.md §15):
     ///
     /// * a reachable product structure covering every role yields a
     ///   stitched refutation lasso;
@@ -2258,14 +2054,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// * only a product overflow (or the symmetric corner case noted in
     ///   [`Search::product_fair_cycle`]) stays undecided.
     fn decide_fair_product(&self) -> ExploreVerdict {
-        for scc in self.tarjan_sccs() {
+        for scc in self.cyclic_sccs() {
             if self.deadline_passed_now() {
                 return self.timeout_undecided();
-            }
-            let has_cycle =
-                scc.len() > 1 || self.edges_of(scc[0]).iter().any(|e| e.to as usize == scc[0]);
-            if !has_cycle {
-                continue;
             }
             match self.product_fair_cycle(&scc) {
                 ProductOutcome::Refuted(verdict) => return verdict,
@@ -2273,14 +2064,11 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                 ProductOutcome::Undecided => {
                     // An expired deadline surfaces here as an aborted
                     // product sweep; attribute it honestly instead of
-                    // blaming the fair-depth cap.
+                    // blaming the product cap.
                     if self.deadline_passed_now() {
                         return self.timeout_undecided();
                     }
-                    return ExploreVerdict::Undecided {
-                        depth: self.explorer.opts.fair_depth,
-                        reason: UndecidedReason::FairDepth,
-                    };
+                    return ExploreVerdict::Undecided { reason: UndecidedReason::FairDepth };
                 }
             }
         }
@@ -2290,15 +2078,16 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// Decides one cyclic SCC on the product automaton over
     /// `(state, slot → role assignment)` pairs.
     ///
-    /// Every SCC-internal edge gets a one-traversal certificate (a pure
-    /// function of the edge): the induced slot permutation plus the
+    /// Every SCC-internal edge gets its certificate
+    /// ([`Semantics::traverse`]): the induced slot permutation plus the
     /// slots whose occupant satisfies fairness on that edge. The
     /// reachable product from `(scc[0], identity)` is strongly
     /// connected — closed walks at a state induce a sub*group* of slot
     /// permutations, so every reachable assignment can be walked back —
     /// which reduces generalized-Büchi acceptance to one reachability
     /// sweep: a fair pump exists iff the union of reachable product
-    /// edges' covered-role masks is complete.
+    /// edges' covered-role masks is complete. The union only grows, so
+    /// the sweep stops at the first node that completes it.
     ///
     /// A second sweep folds in the stabilizer permutations as
     /// flag-free ε-edges: executions of the *full* (un-deduped) system
@@ -2311,51 +2100,38 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         let n = self.info(self.scratch.states.class[scc[0]]).robots();
         let all_roles: u16 = (1u16 << n) - 1;
         let semantics = self.explorer.semantics();
-        let mut edges_of: Vec<Vec<ProductEdge>> = Vec::with_capacity(scc.len());
-        for &u in scc {
-            let mut list = Vec::new();
-            for e in self.edges_of(u) {
-                let to = e.to as usize;
-                let Ok(tidx) = scc.binary_search(&to) else { continue };
-                let action = unpack_action(e.action);
-                let cert = semantics.traverse(self, u, &[(action, to)]);
-                let mut perm = [0u8; PackedClass::MAX_ROBOTS];
-                let mut flags = 0u16;
-                for (r, p) in perm.iter_mut().enumerate().take(n) {
-                    *p = cert.perm[r] as u8;
-                    if cert.flags[r] {
-                        flags |= 1 << r;
-                    }
-                }
-                list.push(ProductEdge {
-                    action: pack_action(action),
-                    to: tidx as u32,
-                    perm,
-                    flags,
-                });
-            }
-            edges_of.push(list);
-        }
+        let edges: Vec<Vec<ProductEdge>> = scc
+            .iter()
+            .map(|&u| {
+                self.edges_of(u)
+                    .iter()
+                    .filter_map(|e| {
+                        let to = e.to as usize;
+                        let tidx = scc.binary_search(&to).ok()?;
+                        let cert = semantics.traverse(self, u, unpack_action(e.action), to);
+                        Some(ProductEdge { action: e.action, to: tidx as u32, cert })
+                    })
+                    .collect()
+            })
+            .collect();
 
         // Pass 1: edge permutations only — coverage here stitches into
         // a concrete (deduped-action-free) refutation schedule.
-        let Some((padj, covered)) = self.product_reach(&edges_of, None, n) else {
-            return ProductOutcome::Undecided;
-        };
-        if covered == all_roles {
-            match self.stitch_product_cycle(scc[0], &padj, all_roles) {
-                Some(verdict) => return ProductOutcome::Refuted(verdict),
-                None => {
-                    debug_assert!(false, "full product coverage must stitch a lasso");
-                    return ProductOutcome::Undecided;
-                }
+        let mut product = Product::new(&edges, None, n);
+        match product.sweep(all_roles, || self.deadline_tripped()) {
+            None => return ProductOutcome::Undecided,
+            Some(true) => {
+                return self
+                    .stitch_product_cycle(scc[0], &mut product, all_roles)
+                    .map_or(ProductOutcome::Undecided, ProductOutcome::Refuted);
             }
+            Some(false) => {}
         }
 
         // Pass 2: widen with stabilizer ε-edges before claiming a
         // proof. When no SCC state has a nontrivial stabilizer the
         // products coincide and the sweep is skipped.
-        let eps_of: Vec<Vec<[u8; PackedClass::MAX_ROBOTS]>> = scc
+        let eps: Vec<Vec<[u8; PackedClass::MAX_ROBOTS]>> = scc
             .iter()
             .map(|&u| {
                 let (class, aux, _) = self.state(u);
@@ -2372,124 +2148,31 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                     .collect()
             })
             .collect();
-        if eps_of.iter().all(Vec::is_empty) {
+        if eps.iter().all(Vec::is_empty) {
             return ProductOutcome::NoFairCycle;
         }
-        let Some((_, covered_ext)) = self.product_reach(&edges_of, Some(&eps_of), n) else {
-            return ProductOutcome::Undecided;
-        };
-        if covered_ext == all_roles {
-            // A fair pump exists up to symmetry, but its concrete
-            // schedule would use actions the dedup skipped: honest
-            // undecided rather than an unreplayable refutation.
-            return ProductOutcome::Undecided;
+        match Product::new(&edges, Some(&eps), n).sweep(all_roles, || self.deadline_tripped()) {
+            Some(false) => ProductOutcome::NoFairCycle,
+            // Coverage: a fair pump exists up to symmetry, but its
+            // concrete schedule would use actions the dedup skipped —
+            // honest undecided rather than an unreplayable refutation.
+            // No answer: the product outgrew its caps.
+            Some(true) | None => ProductOutcome::Undecided,
         }
-        ProductOutcome::NoFairCycle
-    }
-
-    /// BFS over the product automaton from `(scc index 0, identity)`.
-    /// Returns the product adjacency (indexed by discovery order) and
-    /// the union of covered-role masks over all reachable product
-    /// edges, or `None` when the product outgrows its caps. `eps_of`
-    /// adds the flag-free stabilizer relabelings of the second sweep.
-    #[allow(clippy::type_complexity)]
-    fn product_reach(
-        &self,
-        edges_of: &[Vec<ProductEdge>],
-        eps_of: Option<&[Vec<[u8; PackedClass::MAX_ROBOTS]>]>,
-        n: usize,
-    ) -> Option<(Vec<Vec<(u32, u32, u16)>>, u16)> {
-        // Caps sized as a backstop, not a working budget: the searches
-        // that reach Phase D hold a few hundred states, and reachable
-        // assignment groups are tiny in practice.
-        const NODE_CAP: usize = 1 << 18;
-        const EDGE_CAP: usize = 1 << 22;
-        let ident = identity_assign(n);
-        let mut pid_of: HashMap<(u32, u64), u32> = HashMap::new();
-        let mut pnodes: Vec<(u32, u64)> = vec![(0, ident)];
-        pid_of.insert((0, ident), 0);
-        let mut padj: Vec<Vec<(u32, u32, u16)>> = Vec::new();
-        let mut covered: u16 = 0;
-        let mut edge_count = 0usize;
-        let mut head = 0usize;
-        while head < pnodes.len() {
-            if self.deadline_tripped() {
-                // Reported as an aborted sweep; the caller re-polls the
-                // clock to attribute the undecided verdict to the
-                // deadline rather than the product caps.
-                return None;
-            }
-            let (sidx, assign) = pnodes[head];
-            let mut out = Vec::new();
-            let mut visit = |to_sidx: u32,
-                             nassign: u64,
-                             action: u32,
-                             roles: u16,
-                             pnodes: &mut Vec<(u32, u64)>|
-             -> Option<(u32, u32, u16)> {
-                let next_id = pnodes.len() as u32;
-                let pid = *pid_of.entry((to_sidx, nassign)).or_insert(next_id);
-                if pid == next_id {
-                    if pnodes.len() >= NODE_CAP {
-                        return None;
-                    }
-                    pnodes.push((to_sidx, nassign));
-                }
-                Some((pid, action, roles))
-            };
-            for e in &edges_of[sidx as usize] {
-                let nassign = permute_assign(assign, &e.perm[..n]);
-                let roles = flagged_roles(assign, e.flags, n);
-                let edge = visit(e.to, nassign, e.action, roles, &mut pnodes)?;
-                covered |= roles;
-                out.push(edge);
-            }
-            if let Some(eps) = eps_of {
-                for tau in &eps[sidx as usize] {
-                    let nassign = permute_assign(assign, &tau[..n]);
-                    let edge = visit(sidx, nassign, 0, 0, &mut pnodes)?;
-                    out.push(edge);
-                }
-            }
-            edge_count += out.len();
-            if edge_count > EDGE_CAP {
-                return None;
-            }
-            padj.push(out);
-            head += 1;
-        }
-        Some((padj, covered))
     }
 
     /// Stitches an accepting product structure into a refutation lasso:
-    /// BFS prefix to the SCC entry state, then a closed product walk
-    /// from `(entry, identity)` that traverses, for every role, some
-    /// edge covering it. Segments are shortest product paths (BFS in
-    /// deterministic discovery order), so the schedule is a pure
-    /// function of the explored graph.
+    /// the BFS prefix to the SCC entry state, then the product's
+    /// covering walk ([`Product::covering_walk`]). `None` only when the
+    /// walk grows the product past its caps.
     fn stitch_product_cycle(
         &self,
         entry: usize,
-        padj: &[Vec<(u32, u32, u16)>],
+        product: &mut Product<'_>,
         all_roles: u16,
     ) -> Option<ExploreVerdict> {
         let mut schedule = self.path_to(entry);
-        let mut need = all_roles;
-        let mut cur: u32 = 0;
-        while need != 0 {
-            let leg = product_path(padj, cur, |&(_, _, fm)| fm & need != 0)?;
-            for (to, action, fm) in leg {
-                schedule.push(unpack_action(action));
-                need &= !fm;
-                cur = to;
-            }
-        }
-        if cur != 0 {
-            let leg = product_path(padj, cur, |&(to, _, _)| to == 0)?;
-            for (_, action, _) in leg {
-                schedule.push(unpack_action(action));
-            }
-        }
+        schedule.extend(product.covering_walk(all_roles)?.into_iter().map(unpack_action));
         let rounds = movement_rounds(&schedule);
         Some(ExploreVerdict::Refuted { schedule, outcome: Outcome::StepLimit { rounds } })
     }
@@ -2507,18 +2190,14 @@ enum ProductOutcome {
 }
 
 /// One SCC-internal edge of the base graph, annotated with its
-/// single-traversal certificate (slot-indexed at the source state).
+/// certificate (slot-indexed at the source state).
 struct ProductEdge {
     /// The action, packed like [`PackedEdge::action`].
     action: u32,
     /// Successor, as an index into the sorted SCC member list.
     to: u32,
-    /// Induced slot permutation: source slot `s` lands in slot
-    /// `perm[s]` of the successor.
-    perm: [u8; PackedClass::MAX_ROBOTS],
-    /// Source slots whose occupant satisfies fairness on this edge
-    /// (it moves, is seen deciding to stay, or is crashed and exempt).
-    flags: u16,
+    /// The edge's permutation and fairness flags.
+    cert: EdgeCert,
 }
 
 /// Identity slot → role assignment, nibble-packed (role `s` at slot
@@ -2554,45 +2233,186 @@ fn flagged_roles(assign: u64, flags: u16, n: usize) -> u16 {
     roles
 }
 
-/// A reachable product arc: `(target product node, packed action,
-/// covered-role mask)` — the adjacency element of
-/// [`Search::product_reach`].
+/// A product arc: `(target product node, packed action, covered-role
+/// mask)`.
 type ProductArc = (u32, u32, u16);
 
-/// Deterministic BFS from product node `from` to the first edge
-/// satisfying `pred` (checked in discovery order); returns the edge
-/// sequence ending with that edge.
-fn product_path(
-    padj: &[Vec<ProductArc>],
-    from: u32,
-    pred: impl Fn(&ProductArc) -> bool,
-) -> Option<Vec<ProductArc>> {
-    let mut parent: Vec<Option<(u32, ProductArc)>> = vec![None; padj.len()];
-    let mut seen = vec![false; padj.len()];
-    seen[from as usize] = true;
-    let mut queue: VecDeque<u32> = VecDeque::from([from]);
-    while let Some(p) = queue.pop_front() {
-        for e in &padj[p as usize] {
-            if pred(e) {
-                let mut path = vec![*e];
-                let mut cur = p;
-                while cur != from {
-                    let (prev, pe) = parent[cur as usize].expect("BFS parent chain is rooted");
-                    path.push(pe);
-                    cur = prev;
-                }
-                path.reverse();
-                return Some(path);
+/// The role-tracking product automaton of one cyclic SCC. Nodes are
+/// `(scc index, slot → role assignment)` pairs; the root
+/// `(0, identity)` is node 0 and ids follow first discovery. Nodes are
+/// expanded lazily — on the first visit by [`Product::sweep`] or a
+/// stitch leg ([`Product::path`]) — and a node's arcs are a pure
+/// function of its pair: the SCC edges in exploration order, then the
+/// ε-edges. Any walk over the product therefore depends only on the
+/// explored graph, never on how much of the product was expanded
+/// before it, which is why stopping the sweep early leaves every
+/// stitched lasso unchanged.
+struct Product<'e> {
+    /// Certified SCC-internal edges, per SCC member.
+    edges: &'e [Vec<ProductEdge>],
+    /// Stabilizer slot permutations per SCC member, folded in as
+    /// flag-free ε-edges (Pass 2 only).
+    eps: Option<&'e [Vec<[u8; PackedClass::MAX_ROBOTS]>]>,
+    /// Robot count.
+    n: usize,
+    /// Packed `(scc index, assignment)` → node id.
+    id_of: PackedKeyMap<u32>,
+    /// `(scc index, assignment)` of each node, by id.
+    nodes: Vec<(u32, u64)>,
+    /// Each expanded node's range of `arcs`.
+    span: Vec<Option<(u32, u32)>>,
+    /// Arc pool: an expanded node's arcs are contiguous.
+    arcs: Vec<ProductArc>,
+}
+
+impl<'e> Product<'e> {
+    /// Node cap. Both caps are a backstop, not a working budget: the
+    /// searches that reach Phase D hold a few hundred states, and
+    /// reachable assignment groups are tiny in practice.
+    const NODE_CAP: usize = 1 << 18;
+    /// Arc cap over every expanded node.
+    const ARC_CAP: usize = 1 << 22;
+
+    /// The product of an SCC over `n` robots: just the root.
+    fn new(
+        edges: &'e [Vec<ProductEdge>],
+        eps: Option<&'e [Vec<[u8; PackedClass::MAX_ROBOTS]>]>,
+        n: usize,
+    ) -> Self {
+        let mut product = Product {
+            edges,
+            eps,
+            n,
+            id_of: PackedKeyMap::default(),
+            nodes: Vec::new(),
+            span: Vec::new(),
+            arcs: Vec::new(),
+        };
+        product.node(0, identity_assign(n));
+        product
+    }
+
+    /// The id of node `(sidx, assign)`, interned on first sight; `None`
+    /// once the product outgrows [`Self::NODE_CAP`].
+    fn node(&mut self, sidx: u32, assign: u64) -> Option<u32> {
+        let next = self.nodes.len() as u32;
+        let id = *self.id_of.entry(u128::from(sidx) << 64 | u128::from(assign)).or_insert(next);
+        if id == next {
+            if self.nodes.len() >= Self::NODE_CAP {
+                return None;
             }
-            let (to, _, _) = *e;
-            if !seen[to as usize] {
-                seen[to as usize] = true;
-                parent[to as usize] = Some((p, *e));
-                queue.push_back(to);
+            self.nodes.push((sidx, assign));
+            self.span.push(None);
+        }
+        Some(id)
+    }
+
+    /// The arcs of node `id`, as a range of the arc pool, expanding the
+    /// node on its first visit; `None` once the product outgrows its
+    /// caps.
+    fn expand(&mut self, id: u32) -> Option<std::ops::Range<usize>> {
+        if let Some((lo, hi)) = self.span[id as usize] {
+            return Some(lo as usize..hi as usize);
+        }
+        let (sidx, assign) = self.nodes[id as usize];
+        let (edges, n) = (self.edges, self.n);
+        let lo = self.arcs.len();
+        for e in &edges[sidx as usize] {
+            let to = self.node(e.to, permute_assign(assign, &e.cert.perm[..n]))?;
+            self.arcs.push((to, e.action, flagged_roles(assign, e.cert.flags, n)));
+        }
+        if let Some(eps) = self.eps {
+            for tau in &eps[sidx as usize] {
+                let to = self.node(sidx, permute_assign(assign, &tau[..n]))?;
+                self.arcs.push((to, 0, 0));
             }
         }
+        if self.arcs.len() > Self::ARC_CAP {
+            return None;
+        }
+        self.span[id as usize] = Some((lo as u32, self.arcs.len() as u32));
+        Some(lo..self.arcs.len())
     }
-    None
+
+    /// Expands nodes in id order — breadth-first from the root — until
+    /// the covered-role masks of the arcs seen so far make up
+    /// `all_roles` (`Some(true)`), or every reachable node is expanded
+    /// without that (`Some(false)`). `None` when the product outgrows
+    /// its caps or `expired` reports a passed deadline; the caller
+    /// re-polls the clock to tell the two apart.
+    fn sweep(&mut self, all_roles: u16, expired: impl Fn() -> bool) -> Option<bool> {
+        let mut covered = 0u16;
+        let mut head = 0;
+        while head < self.nodes.len() {
+            if expired() {
+                return None;
+            }
+            for k in self.expand(head as u32)? {
+                covered |= self.arcs[k].2;
+            }
+            if covered == all_roles {
+                return Some(true);
+            }
+            head += 1;
+        }
+        Some(false)
+    }
+
+    /// Deterministic BFS from node `from` to the first arc satisfying
+    /// `pred` (checked in discovery order), expanding nodes as it
+    /// reaches them; returns the arc sequence ending with that arc, or
+    /// `None` when the product outgrows its caps first.
+    fn path(&mut self, from: u32, pred: impl Fn(&ProductArc) -> bool) -> Option<Vec<ProductArc>> {
+        let mut parent: Vec<Option<(u32, ProductArc)>> = Vec::new();
+        let mut queue: VecDeque<u32> = VecDeque::from([from]);
+        while let Some(p) = queue.pop_front() {
+            let arcs = self.expand(p)?;
+            parent.resize(self.nodes.len(), None);
+            for k in arcs {
+                let arc = self.arcs[k];
+                if pred(&arc) {
+                    let mut path = vec![arc];
+                    let mut cur = p;
+                    while cur != from {
+                        let (prev, pe) = parent[cur as usize].expect("BFS parent chain is rooted");
+                        path.push(pe);
+                        cur = prev;
+                    }
+                    path.reverse();
+                    return Some(path);
+                }
+                let to = arc.0;
+                if to != from && parent[to as usize].is_none() {
+                    parent[to as usize] = Some((p, arc));
+                    queue.push_back(to);
+                }
+            }
+        }
+        debug_assert!(false, "full product coverage must stitch a lasso");
+        None
+    }
+
+    /// A closed walk from the root that traverses, for every role in
+    /// `all_roles`, some arc covering it: shortest legs ([`Self::path`])
+    /// to the nearest arc covering a still-needed role, then back to
+    /// the root. Returns the walk's packed actions, or `None` when the
+    /// legs grow the product past its caps.
+    fn covering_walk(&mut self, all_roles: u16) -> Option<Vec<u32>> {
+        let mut actions = Vec::new();
+        let mut need = all_roles;
+        let mut cur: u32 = 0;
+        while need != 0 {
+            for (to, action, roles) in self.path(cur, |&(_, _, roles)| roles & need != 0)? {
+                actions.push(action);
+                need &= !roles;
+                cur = to;
+            }
+        }
+        if cur != 0 {
+            actions.extend(self.path(cur, |&(to, _, _)| to == 0)?.into_iter().map(|arc| arc.1));
+        }
+        Some(actions)
+    }
 }
 
 /// The next submask of `set` after `cur` in ascending numeric order
@@ -2903,40 +2723,33 @@ impl Semantics for CrashSemantics {
         });
     }
 
-    /// Concretely traverses a closed state walk once, tracking robot
-    /// roles and activation flags.
+    /// Certifies one edge: the activated movers step, and a slot is
+    /// flagged when its robot moves, decides to stay (a free
+    /// activation), or is crashed — crashed robots are exempt from
+    /// fairness, so never activating them is legitimate.
     fn traverse<A: Algorithm + ?Sized>(
         &self,
         search: &Search<'_, '_, A, Self>,
-        start: usize,
-        cycle: &[(CrashRound, usize)],
-    ) -> CycleCert {
-        let (_, start_crashed, _) = search.state(start);
-        // Crashed robots are exempt from fairness: never activating
-        // them is legitimate, so their orbits are satisfied for free.
-        let seed = |flags: &mut [bool]| {
-            for (slot, flag) in flags.iter_mut().enumerate() {
-                if start_crashed & (1 << slot) != 0 {
-                    *flag = true;
-                }
-            }
-        };
-        search.traverse_roles(start, cycle, seed, |cur, action, walk| {
-            debug_assert_eq!(action.crash, 0, "cycles never cross a crash level");
-            let (cur_class, _, _) = search.state(cur);
-            let moves = search.info(cur_class).moves;
-            for (slot, &decision) in moves[..walk.role_at.len()].iter().enumerate() {
-                let role = walk.role_at[slot];
-                match decision {
-                    None => walk.flags[role] = true, // free activation
-                    Some(dir) => {
-                        if action.activate & (1 << slot) != 0 {
-                            walk.pos[role] = walk.pos[role].step(dir);
-                            walk.flags[role] = true;
-                        }
+        from: usize,
+        action: CrashRound,
+        to: usize,
+    ) -> EdgeCert {
+        debug_assert_eq!(action.crash, 0, "cycles never cross a crash level");
+        let (class, crashed, _) = search.state(from);
+        let moves = search.info(class).moves;
+        search.traverse_roles(from, to, |pos| {
+            let mut flags = crashed;
+            for (slot, p) in pos.iter_mut().enumerate() {
+                match moves[slot] {
+                    None => flags |= 1 << slot,
+                    Some(dir) if action.activate & (1 << slot) != 0 => {
+                        *p = p.step(dir);
+                        flags |= 1 << slot;
                     }
+                    Some(_) => {}
                 }
             }
+            flags
         })
     }
 }
@@ -3018,6 +2831,59 @@ mod tests {
         let action = CrashRound { crash: 0b10, activate: 0b01 };
         let canon = canonical_action(action, std::slice::from_ref(&swap));
         assert_eq!(canon, CrashRound { crash: 0b01, activate: 0b10 });
+    }
+
+    /// A hand-built three-robot SCC: per member, its edges as
+    /// `(target member, slot permutation, flagged slots)`. Each edge's
+    /// action is `member << 8 | position`, so walks are comparable.
+    fn scc_edges(spec: &[&[(u32, [u8; 3], u16)]]) -> Vec<Vec<ProductEdge>> {
+        spec.iter()
+            .enumerate()
+            .map(|(member, edges)| {
+                edges
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(to, p, flags))| {
+                        let mut perm = [0u8; PackedClass::MAX_ROBOTS];
+                        perm[..3].copy_from_slice(&p);
+                        let action = (member << 8 | k) as u32;
+                        ProductEdge { action, to, cert: EdgeCert { perm, flags } }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn early_exit_and_lazy_legs_stitch_the_eager_walk() {
+        // Slot 0's robot moves on 0 → 1, which swaps slots 0 and 1;
+        // 1 → 0 serves slot 1; 2 → 0 serves slot 2 and swaps slots 1
+        // and 2. Covering all three robots needs several laps.
+        let edges = scc_edges(&[
+            &[(1, [1, 0, 2], 0b001)],
+            &[(2, [0, 1, 2], 0), (0, [0, 1, 2], 0b010)],
+            &[(0, [0, 2, 1], 0b100)],
+        ]);
+        let all = 0b111;
+        let mut lazy = Product::new(&edges, None, 3);
+        assert_eq!(lazy.sweep(all, || false), Some(true));
+        // A mask the arcs can never cover sweeps the whole product first.
+        let mut eager = Product::new(&edges, None, 3);
+        assert_eq!(eager.sweep(u16::MAX, || false), Some(false));
+        assert!(lazy.span.iter().flatten().count() < eager.span.iter().flatten().count());
+        let walk = lazy.covering_walk(all).expect("covered products stitch");
+        assert_eq!(Some(&walk), eager.covering_walk(all).as_ref());
+
+        // Replayed over the SCC, the walk is closed, returns every
+        // robot to its slot, and serves each robot at least once.
+        let (mut member, mut assign, mut served) = (0u32, identity_assign(3), 0u16);
+        for action in walk {
+            let edge = edges[member as usize].iter().find(|e| e.action == action).expect("an edge");
+            served |= flagged_roles(assign, edge.cert.flags, 3);
+            assign = permute_assign(assign, &edge.cert.perm[..3]);
+            member = edge.to;
+        }
+        assert_eq!((member, assign, served), (0, identity_assign(3), all));
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! **f-crash-proof** (every fair schedule with at most `f` crashes
 //! gathers the live robots), **refuted** (a minimal replayable
 //! schedule + crash assignment reaches a collision, a disconnection, a
-//! dead fixpoint or a fair non-gathering cycle), or **undecided** at
-//! the fair-cycle search depth. Refutations replay through the engine
+//! dead fixpoint or a fair non-gathering cycle), or **undecided** (a
+//! search budget tripped). Refutations replay through the engine
 //! via [`replay`]. The exploration core is [`crate::explore`] — its
 //! packed-state representation and memoized move oracle (DESIGN.md
 //! §11) carry this checker's full-space classification; the crash
@@ -60,10 +60,12 @@ impl Default for CrashOptions {
 }
 
 impl CrashOptions {
-    /// Options for budget `f` with the given fair-cycle search depth.
+    /// Options for budget `f`. The depth is ignored — the fair-cycle
+    /// decision is complete and takes no depth bound — and stays only
+    /// so `crash:F:D` cells and existing callers keep compiling.
     #[must_use]
-    pub fn new(crashes: u8, fair_depth: usize) -> Self {
-        CrashOptions { crashes, explore: ExploreOptions { fair_depth, ..ExploreOptions::crash() } }
+    pub fn new(crashes: u8, _depth: usize) -> Self {
+        CrashOptions { crashes, explore: ExploreOptions::crash() }
     }
 }
 
@@ -525,7 +527,7 @@ mod tests {
         assert!(replay(
             &h,
             &StayAlgorithm,
-            &CrashVerdict::Undecided { depth: 4, reason: Default::default() }
+            &CrashVerdict::Undecided { reason: Default::default() }
         )
         .is_none());
     }

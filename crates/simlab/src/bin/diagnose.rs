@@ -51,10 +51,9 @@ fn run_stats(args: &[String]) {
     println!("classes {} · edges {} · deduped {}", report.classes, report.edges, report.deduped);
     let ms = |name: &str| snapshot.counter(name) as f64 / 1e6;
     println!(
-        "phases: A {:.2} ms · B {:.2} ms · C {:.2} ms · D {:.2} ms",
+        "phases: A {:.2} ms · B {:.2} ms · D {:.2} ms",
         ms("explore.phase_a_ns"),
         ms("explore.phase_b_ns"),
-        ms("explore.phase_c_ns"),
         ms("explore.phase_d_ns"),
     );
     println!(

@@ -27,7 +27,9 @@
 //! (`robots::faults`), and `--sched lcm-async[:DEPTH]` runs the
 //! exhaustive ASYNC phase-interleaving checker
 //! (`robots::async_model`) — single-robot Look-Compute-Move phase
-//! advances with stale pending moves.
+//! advances with stale pending moves. `DEPTH` only names the cell
+//! (`adversary-d5`): the fair-cycle decision takes no depth bound, so
+//! it changes no verdict.
 //!
 //! Every non-fail-fast invocation also writes `BENCH_sweep.json` into
 //! the output directory: per-cell wall-clock, classes/sec and states
@@ -103,6 +105,7 @@ fn usage_error(msg: &str) -> ! {
          \n\
          FLAGS is a '+'-separated ablation list from fix25, conn, prio, compl, mirror (or 'none').\n\
          Scheduler specs: {SCHED_SPECS}.\n\
+         DEPTH only names the cell (adversary:5 -> adversary-d5); it changes no verdict.\n\
          --threads takes the worker count of the per-shard pool (>= 1); the default\n\
          is all available cores.\n\
          --events appends machine-readable JSONL sweep events; --progress prints a\n\

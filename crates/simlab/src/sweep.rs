@@ -176,21 +176,23 @@ pub enum SchedSpec {
     /// The exhaustive SSYNC adversary model checker
     /// ([`robots::adversary`]): every class is classified as
     /// adversary-proof, refuted (with a replayable counterexample
-    /// schedule stored in the record), or undecided at fair-cycle
-    /// search depth `depth`.
+    /// schedule stored in the record), or undecided (a search budget
+    /// tripped).
     Adversary {
-        /// Fair-cycle search depth (`D` of `--sched adversary:D`).
+        /// The `D` of `--sched adversary:D`. It only names the cell
+        /// (`adversary-d5`) so existing record sets still resume; the
+        /// fair-cycle decision takes no depth bound.
         depth: usize,
     },
     /// The exhaustive crash-fault model checker ([`robots::faults`]):
     /// the SSYNC adversary may additionally crash up to `f` robots
     /// permanently, and every class is classified as f-crash-proof,
     /// refuted (with a replayable schedule + crash assignment), or
-    /// undecided at fair-cycle search depth `depth`.
+    /// undecided (a search budget tripped).
     Crash {
         /// Maximal number of crashed robots (`F` of `--sched crash:F`).
         f: u8,
-        /// Fair-cycle search depth (`D` of `--sched crash:F:D`).
+        /// The `D` of `--sched crash:F:D`; only names the cell.
         depth: usize,
     },
     /// The exhaustive ASYNC phase-interleaving model checker
@@ -198,9 +200,9 @@ pub enum SchedSpec {
     /// Look-Compute-Move phase per tick (pending moves execute from
     /// possibly stale snapshots), and every class is classified as
     /// async-proof, refuted (with a replayable tick schedule), or
-    /// undecided at fair-cycle search depth `depth`.
+    /// undecided (a search budget tripped).
     LcmAsync {
-        /// Fair-cycle search depth (`D` of `--sched lcm-async:D`).
+        /// The `D` of `--sched lcm-async:D`; only names the cell.
         depth: usize,
     },
 }
@@ -233,7 +235,7 @@ impl SchedSpec {
     /// `random` (optionally `random:SEED:P`), `adversary` (optionally
     /// `adversary:DEPTH`), `crash:F` (optionally `crash:F:DEPTH`) with
     /// `F <= 7` crashed robots, or `lcm-async` (optionally
-    /// `lcm-async:DEPTH`).
+    /// `lcm-async:DEPTH`). `DEPTH` only names the cell.
     #[must_use]
     pub fn parse(s: &str) -> Option<SchedSpec> {
         match s {
@@ -663,9 +665,9 @@ pub struct SweepSummary {
     /// them).
     pub adversary: Option<AdversaryCounts>,
     /// Deterministic FNV-1a digest over the per-class verdict stream
-    /// ([`verdict_digest`], as 16 hex digits), present for adversary
-    /// and crash cells: two runs agree on this digest iff they
-    /// classified every class identically.
+    /// ([`verdict_digest`], as 16 hex digits), present for adversary,
+    /// crash and lcm-async cells: two runs agree on this digest iff
+    /// they classified every class identically.
     #[serde(default)]
     pub digest: Option<String>,
     /// Merged telemetry reading over all shards (absent for summaries
@@ -802,16 +804,6 @@ pub fn shard_ranges(total: usize, shards: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// The adversary checker options for a given search depth and robot
-/// count: the state/edge budgets scale with `n` so wide cells cover
-/// their whole connected class space ([`AdversaryOptions::for_robots`];
-/// exactly the historical defaults for n <= 7), while the fair-cycle
-/// depth follows the scheduler spec.
-#[must_use]
-fn adversary_options(depth: usize, robots: usize) -> AdversaryOptions {
-    AdversaryOptions { fair_depth: depth, ..AdversaryOptions::for_robots(robots) }
-}
-
 /// Maps a model-checking verdict onto the witness [`Outcome`] stored in
 /// the record's `outcome` column (see [`ClassOutcome::outcome`]).
 #[must_use]
@@ -937,9 +929,12 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
     fn for_spec(algo: &'a A, spec: SchedSpec, robots: usize, threads: usize) -> Option<Self> {
         let capacity = robots.max(8);
         match spec {
-            SchedSpec::Adversary { depth } => {
+            SchedSpec::Adversary { .. } => {
+                // The state/edge budgets scale with `n` so wide cells
+                // cover their whole connected class space (exactly the
+                // historical defaults for n <= 7).
                 let mut checker =
-                    Checker::for_robots(algo, adversary_options(depth, robots), capacity);
+                    Checker::for_robots(algo, AdversaryOptions::for_robots(robots), capacity);
                 checker.set_threads(threads);
                 Some(CellChecker::Adversary(checker))
             }
@@ -1002,9 +997,10 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
 /// `index` is the global class index (it seeds the per-class random
 /// scheduler, keeping outcomes independent of sharding and threading).
 ///
-/// For [`SchedSpec::Adversary`] and [`SchedSpec::Crash`] this builds a
-/// throwaway checker per call; batch paths ([`run_shard`],
-/// [`find_failure`]) share one checker across the whole cell instead.
+/// For [`SchedSpec::Adversary`], [`SchedSpec::Crash`] and
+/// [`SchedSpec::LcmAsync`] this builds a throwaway checker per call;
+/// batch paths ([`run_shard`], [`find_failure`]) share one checker
+/// across the whole cell instead.
 #[must_use]
 pub fn run_class<A: Algorithm + ?Sized>(
     initial: &Configuration,
@@ -1062,15 +1058,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn panicked_outcome(index: usize, sched: SchedSpec, msg: String) -> ClassOutcome {
     let reason = UndecidedReason::Panicked;
     let (verdict, crash, lcm_async) = match sched {
-        SchedSpec::Adversary { depth } => {
-            (Some(AdversaryVerdict::Undecided { depth, reason }), None, None)
-        }
-        SchedSpec::Crash { depth, .. } => {
-            (None, Some(CrashVerdict::Undecided { depth, reason }), None)
-        }
-        SchedSpec::LcmAsync { depth } => {
-            (None, None, Some(AsyncVerdict::Undecided { depth, reason }))
-        }
+        SchedSpec::Adversary { .. } => (Some(AdversaryVerdict::Undecided { reason }), None, None),
+        SchedSpec::Crash { .. } => (None, Some(CrashVerdict::Undecided { reason }), None),
+        SchedSpec::LcmAsync { .. } => (None, None, Some(AsyncVerdict::Undecided { reason })),
         _ => (None, None, None),
     };
     ClassOutcome {

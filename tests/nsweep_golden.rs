@@ -2,9 +2,11 @@
 //! the first classification tables beyond the paper's 3652-class
 //! seven-robot experiment.
 //!
-//! * Debug tier: the full n ∈ {4, 5} FSYNC and crash f=1 cells (44 and
-//!   186 classes — cheap even unoptimized) plus outcome-kind subset
-//!   rows over every 257th n = 8 class and every 1201st n = 9 class.
+//! * Debug tier: the full n ∈ {4, 5} FSYNC and crash f=1 cells and the
+//!   full n ∈ {4, 5, 6} SSYNC adversary and lcm-async cells (44, 186
+//!   and 814 classes — cheap even unoptimized), plus outcome-kind
+//!   subset rows over every 257th n = 8 class and every 1201st n = 9
+//!   class.
 //! * Release tier: the full 16689-class n = 8 and 77359-class n = 9
 //!   cells — FSYNC, crash f=1, SSYNC adversary and lcm-async — with
 //!   verdict tallies and the n-tagged FNV verdict digest pinned. No
@@ -32,7 +34,13 @@ const ROWS: &[(usize, &str, bool)] = &[
     (4, "crash:1", false),
     (5, "crash:1", false),
     (8, "crash:1", true),
+    (4, "adversary", false),
+    (5, "adversary", false),
+    (6, "adversary", false),
     (8, "adversary", true),
+    (4, "lcm-async", false),
+    (5, "lcm-async", false),
+    (6, "lcm-async", false),
     (8, "lcm-async", true),
     (9, "fsync", true),
     (9, "crash:1", true),
@@ -177,6 +185,18 @@ fn small_n_cells_match_golden_rows() {
         let expected = fixture_row(&golden, n, &name, false);
         assert_eq!(expected, &full_row(n, spec), "full row n={n} sched={name} diverged");
     }
+}
+
+/// The `:D` suffix of a scheduler spec only names the cell: the
+/// fair-cycle decision takes no depth bound, so `adversary:1` must
+/// classify the n = 6 space exactly like the pinned `adversary` row.
+#[test]
+fn depth_suffix_changes_no_verdict() {
+    let golden = parse_golden();
+    let pinned = fixture_row(&golden, 6, "adversary", false);
+    let shallow = full_row(6, "adversary:1");
+    assert_eq!(shallow.get("sched").and_then(serde_json::Value::as_str), Some("adversary-d1"));
+    assert_eq!(shallow.get("digest"), pinned.get("digest"), "adversary:1 diverged from adversary");
 }
 
 #[test]
