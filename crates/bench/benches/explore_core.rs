@@ -1,13 +1,11 @@
 //! Micro-benchmarks of the packed-state exploration core: packed
-//! class keys vs materializing canonicalisation, arena interning vs
-//! `HashMap<Configuration, _>` interning, and the memoized move oracle
-//! vs raw per-robot computation. End-to-end cell timings, layer by
-//! layer, come from the sweep-path benchmark in `perfbench/`.
+//! class keys vs materializing canonicalisation, and arena interning vs
+//! `HashMap<Configuration, _>` interning. End-to-end cell timings,
+//! layer by layer, come from the sweep-path benchmark in `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gathering::SevenGather;
 use robots::visited::ClassArena;
-use robots::{engine, Configuration, MoveOracle};
+use robots::Configuration;
 use std::collections::HashMap;
 use trigrid::Coord;
 
@@ -16,7 +14,6 @@ fn bench(c: &mut Criterion) {
     // Shifted copies so the canonicalisation paths do real work.
     let shifted: Vec<Configuration> =
         classes.iter().map(|cfg| cfg.translate(Coord::new(6, 2))).collect();
-    let algo = SevenGather::verified();
 
     let mut g = c.benchmark_group("canonical_key");
     g.bench_function("canonical_vec", |b| {
@@ -44,22 +41,6 @@ fn bench(c: &mut Criterion) {
                 arena.intern(cfg);
             }
             shifted.iter().map(|cfg| arena.intern(cfg).0 as usize).sum::<usize>()
-        });
-    });
-    g.finish();
-
-    let mut g = c.benchmark_group("move_oracle");
-    g.sample_size(10);
-    g.bench_function("raw_compute_moves", |b| {
-        b.iter(|| classes.iter().map(|cfg| engine::compute_moves(cfg, &algo).len()).sum::<usize>());
-    });
-    let oracle = MoveOracle::new(&algo);
-    for cfg in &classes {
-        let _ = engine::compute_moves(cfg, &oracle); // warm the memo table
-    }
-    g.bench_function("memoized_compute_moves", |b| {
-        b.iter(|| {
-            classes.iter().map(|cfg| engine::compute_moves(cfg, &oracle).len()).sum::<usize>()
         });
     });
     g.finish();

@@ -35,7 +35,9 @@
 //!   exhaustive verification over all 3652 connected initial
 //!   configurations (the paper's §IV-B experiment). Every deviation is a
 //!   named flag in [`rules::RuleOptions`] and is documented in
-//!   `DESIGN.md` §6.
+//!   `DESIGN.md` §6. It ships as the compiled decision table
+//!   [`table::VERIFIED`], which the rules generate and the tests
+//!   re-derive.
 //!
 //! ```
 //! use gathering::SevenGather;
@@ -70,72 +72,89 @@ const UNCACHED: u8 = 0xFF;
 /// The paper's gathering algorithm for seven robots with visibility
 /// range 2 (Algorithm 1).
 ///
-/// Decisions are memoised per view in a lock-free cache (the decision
-/// function is pure, so robots stay oblivious; the cache is invisible to
-/// the model).
+/// [`SevenGather::verified`] reads the committed decision table
+/// [`table::VERIFIED`]. The rule-evaluated variants ([`paper`] and
+/// [`with_options`]) memoise their decisions per view in a lock-free
+/// cache (the decision function is pure, so robots stay oblivious; the
+/// cache is invisible to the model).
+///
+/// [`paper`]: SevenGather::paper
+/// [`with_options`]: SevenGather::with_options
 pub struct SevenGather {
-    opts: rules::RuleOptions,
     name: &'static str,
-    use_overrides: bool,
+    /// `None` for the verified algorithm, which needs no evaluation.
+    rules: Option<Rules>,
+}
+
+/// A rule-option combination evaluated on demand, with its per-view
+/// decision cache.
+struct Rules {
+    opts: rules::RuleOptions,
     cache: Vec<AtomicU8>,
 }
 
-impl SevenGather {
-    fn new(opts: rules::RuleOptions, name: &'static str, use_overrides: bool) -> Self {
+impl Rules {
+    fn new(opts: rules::RuleOptions) -> Self {
         let mut cache = Vec::with_capacity(table::VIEWS);
         cache.resize_with(table::VIEWS, || AtomicU8::new(UNCACHED));
-        SevenGather { opts, name, use_overrides, cache }
+        Rules { opts, cache }
+    }
+
+    fn decide(&self, view: &View) -> Option<Dir> {
+        let slot = &self.cache[view.bits() as usize];
+        let cached = slot.load(Ordering::Relaxed);
+        if cached != UNCACHED {
+            return rules::decode_decision(cached);
+        }
+        let decision = rules::compute(view, self.opts);
+        slot.store(rules::encode_decision(decision), Ordering::Relaxed);
+        decision
+    }
+}
+
+impl SevenGather {
+    fn evaluated(opts: rules::RuleOptions, name: &'static str) -> Self {
+        SevenGather { name, rules: Some(Rules::new(opts)) }
     }
 
     /// Algorithm 1 exactly as printed in the paper (including its
     /// misprinted line 25, which can never fire).
     #[must_use]
     pub fn paper() -> Self {
-        SevenGather::new(rules::RuleOptions::PAPER, "seven-gather/paper", false)
+        SevenGather::evaluated(rules::RuleOptions::PAPER, "seven-gather/paper")
     }
 
     /// The completed rule set — printed rules with the documented fixes,
     /// the completion fallback, and the synthesized overrides — which
     /// passes the exhaustive verification over all 3652 connected
-    /// initial configurations.
+    /// initial configurations. Decides by one lookup in
+    /// [`table::VERIFIED`].
     #[must_use]
     pub fn verified() -> Self {
-        SevenGather::new(rules::RuleOptions::VERIFIED, "seven-gather/verified", true)
+        SevenGather { name: "seven-gather/verified", rules: None }
     }
 
     /// A custom rule-option combination, without the synthesized
     /// overrides (for ablation experiments).
     #[must_use]
     pub fn with_options(opts: rules::RuleOptions) -> Self {
-        SevenGather::new(opts, "seven-gather/custom", false)
-    }
-
-    /// The active rule options.
-    #[must_use]
-    pub fn options(&self) -> rules::RuleOptions {
-        self.opts
-    }
-
-    fn decide(&self, view: &View) -> Option<Dir> {
-        if self.use_overrides {
-            if let Ok(i) = overrides::OVERRIDES.binary_search_by_key(&(view.bits() as u32), |o| o.0)
-            {
-                return rules::decode_decision(overrides::OVERRIDES[i].1);
-            }
-        }
-        rules::compute(view, self.opts)
+        SevenGather::evaluated(opts, "seven-gather/custom")
     }
 }
 
 impl Clone for SevenGather {
     fn clone(&self) -> Self {
-        SevenGather::new(self.opts, self.name, self.use_overrides)
+        let rules = self.rules.as_ref().map(|r| Rules::new(r.opts));
+        SevenGather { name: self.name, rules }
     }
 }
 
 impl std::fmt::Debug for SevenGather {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SevenGather").field("opts", &self.opts).field("name", &self.name).finish()
+        f.debug_struct("SevenGather")
+            .field("opts", &self.rules.as_ref().map(|r| r.opts))
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -145,14 +164,10 @@ impl Algorithm for SevenGather {
     }
 
     fn compute(&self, view: &View) -> Option<Dir> {
-        let idx = view.bits() as usize;
-        let cached = self.cache[idx].load(Ordering::Relaxed);
-        if cached != UNCACHED {
-            return rules::decode_decision(cached);
+        match &self.rules {
+            None => rules::decode_decision(table::VERIFIED[view.bits() as usize]),
+            Some(r) => r.decide(view),
         }
-        let decision = self.decide(view);
-        self.cache[idx].store(rules::encode_decision(decision), Ordering::Relaxed);
-        decision
     }
 
     fn name(&self) -> &str {

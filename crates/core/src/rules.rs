@@ -148,25 +148,6 @@ pub fn decode_decision(b: u8) -> Option<Dir> {
     (b != 0).then(|| Dir::from_index((b - 1) as usize))
 }
 
-/// The full decision table of the **printed** rules over all 2^18
-/// radius-2 views, for the given `fix_line25_misprint` setting. Built
-/// once (≈ 30 ms) and cached; the completion rules consult it to decide
-/// whether a partially visible competitor *might* move into a contested
-/// node under some occupancy of the cells outside the observer's view.
-#[must_use]
-pub fn printed_table(fix_line25: bool) -> &'static [u8] {
-    use std::sync::OnceLock;
-    static TABLES: [OnceLock<Vec<u8>>; 2] = [OnceLock::new(), OnceLock::new()];
-    TABLES[usize::from(fix_line25)]
-        .get_or_init(|| {
-            let opts = RuleOptions { fix_line25_misprint: fix_line25, ..RuleOptions::PAPER };
-            (0u64..(1 << 18))
-                .map(|bits| encode_decision(printed(&View::from_bits(2, bits), opts)))
-                .collect()
-        })
-        .as_slice()
-}
-
 /// The printed pseudocode of Algorithm 1 (lines 1–33), verbatim up to
 /// the `fix_line25_misprint` flag.
 #[must_use]
@@ -482,16 +463,6 @@ mod table_tests {
     }
 
     #[test]
-    fn printed_table_matches_direct_evaluation() {
-        let table = printed_table(true);
-        let opts = RuleOptions { fix_line25_misprint: true, ..RuleOptions::PAPER };
-        for bits in (0..(1u64 << 18)).step_by(12289) {
-            let v = View::from_bits(2, bits);
-            assert_eq!(decode_decision(table[bits as usize]), printed(&v, opts), "{bits:#x}");
-        }
-    }
-
-    #[test]
     fn level0_table_reflects_the_connectivity_guard() {
         let base = RuleOptions { fix_line25_misprint: true, ..RuleOptions::PAPER };
         let guarded = RuleOptions { connectivity_guard: true, ..base };
@@ -524,9 +495,9 @@ mod table_tests {
 
     #[test]
     fn no_printed_rule_moves_west() {
-        let table = printed_table(true);
-        for (bits, &code) in table.iter().enumerate() {
-            assert_ne!(decode_decision(code), Some(Dir::W), "view {bits:#x}");
+        let opts = RuleOptions { fix_line25_misprint: true, ..RuleOptions::PAPER };
+        for bits in 0..(1u64 << 18) {
+            assert_ne!(printed(&View::from_bits(2, bits), opts), Some(Dir::W), "view {bits:#x}");
         }
     }
 }

@@ -2,20 +2,27 @@
 //!
 //! A radius-2 view is 18 bits, so the whole algorithm is a function
 //! `[u8; 2^18]` (encoded with [`crate::rules::encode_decision`]). The
-//! table form serves two purposes:
+//! verified algorithm ships in exactly that form: [`VERIFIED`] is a
+//! committed 262144-byte file compiled into the crate, and
+//! `SevenGather::verified()` decides by one indexed load. The rule code
+//! is its specification and generator: [`full_table`] evaluates the
+//! rules on every view and [`apply_overrides`] adds the synthesized
+//! overrides, and `tests/verified_table.rs` pins the file's digest and
+//! re-derives it byte for byte.
 //!
-//! * **speed** — the exhaustive §IV-B verification and the benches do a
-//!   table lookup per robot per round instead of re-evaluating guards;
-//! * **completion synthesis** — the paper omits "several robot
-//!   behaviors"; we recover them the same way the authors validated
-//!   their algorithm, by exhaustive simulation: a synthesizer
-//!   (`simlab`'s `synthesize` binary) proposes per-view move overrides
-//!   for robots stranded in stuck fixpoints and keeps an override only
-//!   if full re-verification strictly increases the number of gathering
-//!   classes while keeping zero collisions, disconnections and
-//!   livelocks. The accepted overrides are checked in as
-//!   [`crate::overrides::OVERRIDES`] and are part of the verified
-//!   algorithm.
+//! The overrides are the paper's omitted "several robot behaviors",
+//! recovered the way the authors validated their algorithm, by
+//! exhaustive simulation: a synthesizer (`simlab`'s `synthesize`
+//! binary) proposes per-view move overrides for robots stranded in
+//! stuck fixpoints and keeps an override only if full re-verification
+//! strictly increases the number of gathering classes while keeping
+//! zero collisions, disconnections and livelocks. The accepted
+//! overrides are checked in as [`crate::overrides::OVERRIDES`]; a
+//! change to them or to the rules needs the table regenerated:
+//!
+//! ```text
+//! cargo test --release -p gathering --test verified_table -- --ignored regen_verified_table
+//! ```
 
 use crate::rules::{self, RuleOptions};
 use robots::View;
@@ -23,35 +30,20 @@ use robots::View;
 /// Number of distinct radius-2 views.
 pub const VIEWS: usize = 1 << 18;
 
+/// The decision table of the *verified* algorithm: byte `i` is the
+/// encoded decision for view bits `i` — [`full_table`] of
+/// [`RuleOptions::VERIFIED`] plus [`apply_overrides`]. The array type
+/// rejects a file of the wrong length at compile time.
+pub static VERIFIED: &[u8; VIEWS] = include_bytes!("verified.table");
+
 /// Builds the full decision table for the given rule options (printed
 /// rules, vetoes and completion — everything except the synthesized
-/// overrides).
+/// overrides) by evaluating the rules on every view.
 #[must_use]
 pub fn full_table(opts: RuleOptions) -> Vec<u8> {
-    let mut table = vec![0u8; VIEWS];
-    // Force the level-0 table to be materialised first so the
-    // completion's adversarial lookups hit a warm cache.
-    let _ = rules::level0_table(opts);
-    let chunks: Vec<usize> = (0..VIEWS).step_by(VIEWS / 64).collect();
-    let parts = parallel_build(&chunks, opts);
-    for (start, part) in chunks.into_iter().zip(parts) {
-        table[start..start + part.len()].copy_from_slice(&part);
-    }
-    table
-}
-
-fn parallel_build(starts: &[usize], opts: RuleOptions) -> Vec<Vec<u8>> {
-    let step = VIEWS / 64;
-    let compute_chunk = |&start: &usize| -> Vec<u8> {
-        (start..(start + step).min(VIEWS))
-            .map(|bits| {
-                rules::encode_decision(rules::compute(&View::from_bits(2, bits as u64), opts))
-            })
-            .collect()
-    };
-    // Plain sequential fallback keeps this crate free of the parallel
-    // dependency; the build is ~seconds and runs once per process.
-    starts.iter().map(compute_chunk).collect()
+    (0..VIEWS as u64)
+        .map(|bits| rules::encode_decision(rules::compute(&View::from_bits(2, bits), opts)))
+        .collect()
 }
 
 /// Applies the synthesized overrides to a decision table in place.
@@ -59,22 +51,6 @@ pub fn apply_overrides(table: &mut [u8]) {
     for &(view, decision) in crate::overrides::OVERRIDES {
         table[view as usize] = decision;
     }
-}
-
-/// The decision table of the *verified* algorithm: `full_table` of
-/// [`RuleOptions::VERIFIED`] plus the synthesized overrides. Cached for
-/// the process lifetime.
-#[must_use]
-pub fn verified_table() -> &'static [u8] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<Vec<u8>> = OnceLock::new();
-    TABLE
-        .get_or_init(|| {
-            let mut t = full_table(RuleOptions::VERIFIED);
-            apply_overrides(&mut t);
-            t
-        })
-        .as_slice()
 }
 
 #[cfg(test)]
@@ -98,14 +74,12 @@ mod tests {
     }
 
     #[test]
-    fn verified_table_is_stable_and_has_movement() {
-        let t = verified_table();
-        assert_eq!(t.len(), VIEWS);
+    fn verified_table_has_movement() {
         // The all-west-line view must produce the line-8 NE move: robots
         // at (2,0) and (4,0) (the westmost robot of a 3+-line).
         let v = View::from_labels(2, &[Coord::new(2, 0), Coord::new(4, 0)]);
         assert_eq!(
-            rules::decode_decision(t[v.bits() as usize]),
+            rules::decode_decision(VERIFIED[v.bits() as usize]),
             Some(Dir::NE),
             "west tail climbs NE (line 8)"
         );

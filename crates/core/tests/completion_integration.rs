@@ -93,40 +93,6 @@ fn overrides_move_to_empty_nodes_only() {
 }
 
 #[test]
-fn overrides_never_move_west() {
-    for &(_bits, code) in gathering::overrides::OVERRIDES {
-        assert_ne!(rules::decode_decision(code), Some(Dir::W), "no rule of the system moves west");
-    }
-}
-
-#[test]
-fn no_rule_of_the_verified_system_moves_west() {
-    // The collision-freedom argument (east node of a target never
-    // competes) rests on this global invariant; check the whole table.
-    let table = gathering::table::verified_table();
-    for (bits, &code) in table.iter().enumerate() {
-        if rules::decode_decision(code) == Some(Dir::W) {
-            panic!("view {bits:#x} moves west");
-        }
-    }
-}
-
-#[test]
-fn verified_table_agrees_with_the_algorithm_object() {
-    let algo = SevenGather::verified();
-    let table = gathering::table::verified_table();
-    // Spot-check a spread of views, including all override views.
-    for bits in (0..(1u64 << 18)).step_by(9973) {
-        let v = View::from_bits(2, bits);
-        assert_eq!(algo.compute(&v), rules::decode_decision(table[bits as usize]), "{bits:#x}");
-    }
-    for &(bits, _) in gathering::overrides::OVERRIDES {
-        let v = View::from_bits(2, bits as u64);
-        assert_eq!(algo.compute(&v), rules::decode_decision(table[bits as usize]));
-    }
-}
-
-#[test]
 fn base_table_matches_direct_determination() {
     let table = base::base_table();
     for bits in (0..(1u64 << 18)).step_by(7919) {

@@ -21,9 +21,9 @@
 //! zero budget every crash branch of the explorer is dead, so this
 //! checker's verdicts are byte-identical to the pre-refactor ones (the
 //! golden files in `tests/golden/adversary-*.json` pin that). The
-//! explorer's packed-state core (interned `u128` class keys, memoized
-//! move oracle — DESIGN.md §11) is likewise verdict-transparent: the
-//! same goldens pin it.
+//! explorer's packed-state core (interned `u128` class keys —
+//! DESIGN.md §11) is likewise verdict-transparent: the same goldens pin
+//! it.
 //!
 //! # Soundness (sketch — the full argument is DESIGN.md §7)
 //!

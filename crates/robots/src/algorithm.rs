@@ -1,8 +1,6 @@
-//! The algorithm abstraction: a deterministic, memoryless move rule,
-//! plus a memoized decision oracle for exploration workloads.
+//! The algorithm abstraction: a deterministic, memoryless move rule.
 
-use crate::{view, View};
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::View;
 use trigrid::Dir;
 
 /// A distributed algorithm for oblivious robots.
@@ -64,123 +62,6 @@ impl<F: Fn(&View) -> Option<Dir> + Sync> Algorithm for FnAlgorithm<F> {
     }
 }
 
-/// Largest label count for which [`MoveOracle`] allocates a dense memo
-/// table (`2^20` one-byte slots = 1 MiB); radius 1 (6 labels) and the
-/// paper's radius 2 (18 labels) both qualify. Beyond it the oracle
-/// transparently degrades to calling the algorithm directly.
-const MEMO_MAX_LABELS: usize = 20;
-
-/// Memo slot sentinel: decision not yet computed.
-const UNKNOWN: u8 = 0xFF;
-
-/// A memoizing wrapper around an [`Algorithm`]: every distinct view is
-/// evaluated **once per rule table** instead of once per robot per
-/// configuration, with the decision cached in a dense table keyed by
-/// [`View::bits`].
-///
-/// Soundness is immediate from the model: an algorithm is a *pure*
-/// function of the view (deterministic, oblivious, anonymous — §II-A),
-/// so caching by the view bitmask cannot change any decision. The
-/// table is lock-free (`AtomicU8` slots, relaxed ordering): a race
-/// merely computes the same pure value twice, so a shared oracle is
-/// safe across the sweep pipeline's worker threads.
-///
-/// `MoveOracle` implements [`Algorithm`] itself, so it drops into
-/// every engine entry point unchanged; the exhaustive checkers
-/// ([`crate::explore`]) route all decision computation through one.
-pub struct MoveOracle<'a, A: Algorithm + ?Sized> {
-    algo: &'a A,
-    radius: u32,
-    /// Dense lazily-filled decision table indexed by view bits
-    /// (`UNKNOWN` = not yet computed, `0` = stay, `1 + d` = move in
-    /// direction index `d`); `None` when the radius is too large.
-    table: Option<Box<[AtomicU8]>>,
-    /// Decisions answered from the table (relaxed, write-only
-    /// telemetry; unmemoized oracles count every call as a miss).
-    hits: telemetry::Counter,
-    /// Decisions that had to run the wrapped algorithm.
-    misses: telemetry::Counter,
-}
-
-impl<'a, A: Algorithm + ?Sized> MoveOracle<'a, A> {
-    /// Wraps `algo` in a memo table sized for its radius.
-    #[must_use]
-    pub fn new(algo: &'a A) -> Self {
-        let radius = algo.radius();
-        let labels = view::label_count(radius);
-        let table = (labels <= MEMO_MAX_LABELS)
-            .then(|| (0..1usize << labels).map(|_| AtomicU8::new(UNKNOWN)).collect());
-        MoveOracle {
-            algo,
-            radius,
-            table,
-            hits: telemetry::Counter::new(),
-            misses: telemetry::Counter::new(),
-        }
-    }
-
-    /// `(hits, misses)` of the decision table so far — pure telemetry,
-    /// never part of any checker verdict.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.get(), self.misses.get())
-    }
-
-    /// The wrapped algorithm.
-    #[must_use]
-    pub fn algorithm(&self) -> &'a A {
-        self.algo
-    }
-
-    /// Whether decisions are being memoized (false only for radii
-    /// whose view space exceeds the table budget).
-    #[must_use]
-    pub fn is_memoized(&self) -> bool {
-        self.table.is_some()
-    }
-
-    /// The memoized decision for `view`, computing and caching it on
-    /// first sight.
-    #[must_use]
-    pub fn decide(&self, view: &View) -> Option<Dir> {
-        let Some(table) = &self.table else {
-            self.misses.inc();
-            return self.algo.compute(view);
-        };
-        debug_assert_eq!(view.radius(), self.radius, "oracle radius mismatch");
-        let slot = &table[view.bits() as usize];
-        match slot.load(Ordering::Relaxed) {
-            UNKNOWN => {
-                self.misses.inc();
-                let decision = self.algo.compute(view);
-                let code = decision.map_or(0, |d| 1 + d.index() as u8);
-                slot.store(code, Ordering::Relaxed);
-                decision
-            }
-            0 => {
-                self.hits.inc();
-                None
-            }
-            code => {
-                self.hits.inc();
-                Some(Dir::from_index((code - 1) as usize))
-            }
-        }
-    }
-}
-
-impl<A: Algorithm + ?Sized> Algorithm for MoveOracle<'_, A> {
-    fn radius(&self) -> u32 {
-        self.radius
-    }
-    fn compute(&self, view: &View) -> Option<Dir> {
-        self.decide(view)
-    }
-    fn name(&self) -> &str {
-        self.algo.name()
-    }
-}
-
 /// The trivial algorithm that never moves (every configuration is a
 /// fixpoint); useful as an engine test fixture.
 pub struct StayAlgorithm;
@@ -225,32 +106,5 @@ mod tests {
             a.radius()
         }
         assert_eq!(radius_of(&StayAlgorithm), 1);
-    }
-
-    #[test]
-    fn oracle_matches_the_algorithm_on_every_view() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let calls = AtomicUsize::new(0);
-        let spin = FnAlgorithm::new(1, "spin", |v: &View| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            (v.robot_count() == 1).then(|| {
-                Dir::ALL.into_iter().find(|&d| v.neighbor(d)).expect("one neighbour").rotate_ccw(1)
-            })
-        });
-        let oracle = MoveOracle::new(&spin);
-        assert!(oracle.is_memoized());
-        assert_eq!(oracle.radius(), 1);
-        assert_eq!(oracle.name(), "spin");
-        for bits in 0..64u64 {
-            let v = View::from_bits(1, bits);
-            assert_eq!(oracle.decide(&v), spin.compute(&v), "bits {bits:#b}");
-        }
-        let after_first_pass = calls.load(Ordering::Relaxed);
-        // 64 memoized + 64 reference calls above; a second pass through
-        // the oracle adds no underlying computation at all.
-        for bits in 0..64u64 {
-            let _ = oracle.decide(&View::from_bits(1, bits));
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), after_first_pass, "memo must absorb the rescan");
     }
 }

@@ -357,7 +357,7 @@ impl Semantics for AsyncSemantics {
                         continue;
                     }
                     let cfg = search.class_cfg(class);
-                    match advance_phase(cfg, pending, slot, explorer.oracle()) {
+                    match advance_phase(cfg, pending, slot, explorer.algorithm()) {
                         Err(collision) => {
                             let mut schedule = search.path_to(id);
                             schedule.push(action);

@@ -61,20 +61,19 @@
 //! [`ClassArena`] keyed by the lossless bit-packed
 //! [`PackedClass`](crate::PackedClass) `u128` form (one hash of 16
 //! bytes per revisit, the decoded representative stored once per
-//! class), per-class decision vectors are computed once through a
-//! [`MoveOracle`] that memoizes the algorithm per distinct view, and
-//! expansion, stabilizer tests and quotient orbit keys all work in
-//! fixed stack buffers. The auxiliary key rides along packed too: the
-//! per-state aux ([`Semantics::Aux`]) is a `Copy` bit-packed value
-//! whose raw bits fold into the quotient orbit keys. None of this is
-//! observable in verdicts or exploration statistics — the adversary and
-//! crash golden files pin byte-identical output.
+//! class), per-class decision vectors are computed once per distinct
+//! class per checker, and expansion, stabilizer tests and quotient
+//! orbit keys all work in fixed stack buffers. The auxiliary key rides
+//! along packed too: the per-state aux ([`Semantics::Aux`]) is a `Copy`
+//! bit-packed value whose raw bits fold into the quotient orbit keys.
+//! None of this is observable in verdicts or exploration statistics —
+//! the adversary and crash golden files pin byte-identical output.
 
 use crate::config::PackedClass;
 use crate::engine::{self, Outcome};
 use crate::sched::CrashRound;
 use crate::visited::{ClassArena, PackedKeyMap};
-use crate::{view, Algorithm, Configuration, MoveOracle, View};
+use crate::{view, Algorithm, Configuration, View};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use trigrid::transform::PointSymmetry;
@@ -914,10 +913,9 @@ impl ExploreMetrics {
 /// (it scans every view of the algorithm's radius); reuse one explorer
 /// across many [`check`](Explorer::check) calls.
 pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
-    /// Memoized decision oracle over the algorithm: every distinct
-    /// view is evaluated once per explorer, not once per robot per
-    /// state (see [`MoveOracle`]).
-    oracle: MoveOracle<'a, A>,
+    /// The algorithm whose decisions build each class's
+    /// [`ClassInfo`].
+    algo: &'a A,
     opts: ExploreOptions,
     group: Vec<PointSymmetry>,
     semantics: S,
@@ -1014,14 +1012,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             "explorers support at most {} robots",
             PackedClass::MAX_ROBOTS
         );
-        let oracle = MoveOracle::new(algo);
-        // Scanning the view space for the equivariance subgroup goes
-        // through the oracle too: it both dedups the scan's repeated
-        // evaluations and pre-warms the memo table with every view the
-        // exploration can encounter.
-        let group = equivariance_group_for(&oracle, max_robots.max(8));
+        let group = equivariance_group_for(algo, max_robots.max(8));
         Explorer {
-            oracle,
+            algo,
             opts,
             group,
             semantics,
@@ -1035,17 +1028,12 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     }
 
     /// A point-in-time telemetry snapshot: accumulated phase wall
-    /// times, memo hit/miss tallies (including the [`MoveOracle`]
-    /// decision table), verdict breakdowns, and BFS shape histograms
-    /// over every [`check`](Self::check) this explorer has run.
-    /// Strictly observational — reading it never changes behavior.
+    /// times, memo hit/miss tallies, verdict breakdowns, and BFS shape
+    /// histograms over every [`check`](Self::check) this explorer has
+    /// run. Strictly observational — reading it never changes behavior.
     #[must_use]
     pub fn metrics_snapshot(&self) -> telemetry::Snapshot {
-        let mut s = self.metrics.snapshot();
-        let (hits, misses) = self.oracle.stats();
-        s.add_counter("oracle.hit", hits);
-        s.add_counter("oracle.miss", misses);
-        s
+        self.metrics.snapshot()
     }
 
     /// The algorithm's equivariance subgroup (always contains the
@@ -1088,9 +1076,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         &self.semantics
     }
 
-    /// The memoized decision oracle.
-    pub(crate) fn oracle(&self) -> &MoveOracle<'a, A> {
-        &self.oracle
+    /// The algorithm being checked.
+    pub(crate) fn algorithm(&self) -> &'a A {
+        self.algo
     }
 
     /// The out-of-band observability tallies.
@@ -1128,7 +1116,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         }
         self.metrics.info_miss.inc();
         let cfg = std::sync::Arc::new(key.unpack());
-        let decisions = engine::compute_moves(&cfg, &self.oracle);
+        let decisions = engine::compute_moves(&cfg, self.algo);
         let mut moves = [None; PackedClass::MAX_ROBOTS];
         moves[..decisions.len()].copy_from_slice(&decisions);
         let movers =

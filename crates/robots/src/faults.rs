@@ -29,10 +29,10 @@
 //! dead fixpoint or a fair non-gathering cycle), or **undecided** (a
 //! search budget tripped). Refutations replay through the engine
 //! via [`replay`]. The exploration core is [`crate::explore`] — its
-//! packed-state representation and memoized move oracle (DESIGN.md
-//! §11) carry this checker's full-space classification; the crash
-//! golden files pin that the packing is verdict-transparent. The
-//! soundness argument is DESIGN.md §10.
+//! packed-state representation (DESIGN.md §11) carries this checker's
+//! full-space classification; the crash golden files pin that the
+//! packing is verdict-transparent. The soundness argument is DESIGN.md
+//! §10.
 
 use crate::adversary::Fnv64;
 use crate::engine::{self, Execution, Limits, Outcome};

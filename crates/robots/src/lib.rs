@@ -59,7 +59,7 @@ pub mod view;
 pub mod visited;
 
 pub use adversary::{AdversaryReport, AdversaryVerdict, Checker};
-pub use algorithm::{Algorithm, FnAlgorithm, MoveOracle, StayAlgorithm};
+pub use algorithm::{Algorithm, FnAlgorithm, StayAlgorithm};
 pub use async_model::{AsyncChecker, AsyncOptions, AsyncReport, AsyncVerdict};
 pub use config::{
     ball_capacity, hexagon, min_gather_radius, CapacityError, Configuration, PackedClass,

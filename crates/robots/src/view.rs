@@ -30,14 +30,6 @@ pub fn label_index(radius: u32, label: Coord) -> Option<usize> {
     labels(radius).iter().position(|&c| c == label)
 }
 
-/// Number of labels of the given radius — the bit width of
-/// [`View::bits`], and thus the size of the view space `2^label_count`
-/// that [`crate::MoveOracle`] memoizes over.
-#[must_use]
-pub fn label_count(radius: u32) -> usize {
-    labels(radius).len()
-}
-
 /// What one robot sees: the occupancy of every node within its
 /// visibility range, as relative *labels* (paper Fig. 48 assigns them
 /// with the observer at the origin). Robots are transparent, so the view
@@ -199,9 +191,9 @@ mod tests {
 
     #[test]
     fn label_counts_per_radius() {
-        assert_eq!(label_count(1), 6);
-        assert_eq!(label_count(2), 18);
-        assert_eq!(label_count(0), 0);
+        assert_eq!(labels(1).len(), 6);
+        assert_eq!(labels(2).len(), 18);
+        assert_eq!(labels(0).len(), 0);
     }
 
     #[test]

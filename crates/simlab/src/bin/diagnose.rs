@@ -57,8 +57,7 @@ fn run_stats(args: &[String]) {
         ms("explore.phase_d_ns"),
     );
     println!(
-        "memo hit rates: oracle {:.1}% · class-info {:.1}% · round-table {:.1}%",
-        snapshot.rate("oracle.hit", "oracle.miss") * 100.0,
+        "memo hit rates: class-info {:.1}% · round-table {:.1}%",
         snapshot.rate("memo.info.hit", "memo.info.miss") * 100.0,
         snapshot.rate("memo.table.hit", "memo.table.miss") * 100.0,
     );

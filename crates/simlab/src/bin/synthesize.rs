@@ -19,6 +19,11 @@
 //! ```text
 //! cargo run --release -p simlab --bin synthesize [-- --out PATH]
 //! ```
+//!
+//! The verified algorithm ships as the compiled decision table
+//! `crates/core/src/verified.table`, which includes the overrides, so
+//! new overrides need the table regenerated; the tool ends by printing
+//! the command.
 
 use gathering::rules::{self, RuleOptions};
 use gathering::safety::connectivity_safe;
@@ -178,4 +183,8 @@ fn main() {
     body.push_str("];\n");
     std::fs::write(&out_path, body).expect("write overrides module");
     eprintln!("wrote {} overrides to {out_path}", overrides.len());
+    eprintln!(
+        "now regenerate the compiled decision table: cargo test --release -p gathering \
+         --test verified_table -- --ignored regen_verified_table"
+    );
 }
