@@ -308,12 +308,11 @@ impl<'a, A: Algorithm + ?Sized> Checker<'a, A> {
         self.explorer.group()
     }
 
-    /// Sets the within-class BFS fan-out width (`1` = serial, `0` = all
-    /// cores). Verdicts are identical at every setting (see
-    /// [`Explorer::set_threads`]).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.explorer.set_threads(threads);
-    }
+    /// Accepted and ignored: a class's search runs on the calling
+    /// thread, and parallelism belongs to the caller's across-class
+    /// pool (the sweep's `--threads`). Kept so existing callers keep
+    /// compiling.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Arms (or clears) the cooperative per-class wall-clock deadline
     /// (see [`Explorer::set_class_timeout`]): an expired deadline

@@ -506,14 +506,11 @@ impl<'a, A: Algorithm + ?Sized> AsyncChecker<'a, A> {
         self.explorer.group()
     }
 
-    /// Sets the within-class BFS fan-out width. Accepted for interface
-    /// parity with the synchronous checkers; the ASYNC semantics
-    /// expands serially regardless (its phase-interleaving successor
-    /// generation is not yet side-effect-free), so this is a no-op
-    /// beyond recording the preference.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.explorer.set_threads(threads);
-    }
+    /// Accepted and ignored: a class's search runs on the calling
+    /// thread, and parallelism belongs to the caller's across-class
+    /// pool (the sweep's `--threads`). Kept so existing callers keep
+    /// compiling.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
     /// Arms (or clears) the cooperative per-class wall-clock deadline
     /// (see [`Explorer::set_class_timeout`]).

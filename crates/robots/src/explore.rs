@@ -61,11 +61,15 @@
 //! [`ClassArena`] keyed by the lossless bit-packed
 //! [`PackedClass`](crate::PackedClass) `u128` form (one hash of 16
 //! bytes per revisit, the decoded representative stored once per
-//! class), per-class decision vectors are computed once per distinct
-//! class per checker, and expansion, stabilizer tests and quotient
-//! orbit keys all work in fixed stack buffers. The auxiliary key rides
-//! along packed too: the per-state aux ([`Semantics::Aux`]) is a `Copy`
-//! bit-packed value whose raw bits fold into the quotient orbit keys.
+//! class), per-class decision vectors (and, for the crash semantics,
+//! round tables) are computed once per distinct class per checker and
+//! fetched from its one class cache once per class per search, and
+//! expansion, stabilizer tests and quotient orbit keys all work in
+//! fixed stack buffers. A search runs on the thread that called
+//! [`Explorer::check`]; the only parallelism is the caller's, across
+//! classes, sharing one explorer. The auxiliary key rides along packed
+//! too: the per-state aux ([`Semantics::Aux`]) is a `Copy` bit-packed
+//! value whose raw bits fold into the quotient orbit keys.
 //! None of this is observable in verdicts or exploration statistics —
 //! the adversary and crash golden files pin byte-identical output.
 
@@ -87,15 +91,6 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// Cap on expanded transitions per check.
     pub max_edges: usize,
-    /// Worker threads for the within-class BFS frontier fan-out
-    /// (1 = serial). Verdicts, statistics and schedules are
-    /// byte-identical at every thread count: workers only run the
-    /// *pure* expansion ([`Semantics::expand_pure`]); interning and
-    /// counters replay in frontier order on the calling thread.
-    pub threads: usize,
-    /// Minimum BFS level size before a level is fanned out — small
-    /// levels are cheaper to expand serially than to ship to a pool.
-    pub par_frontier: usize,
     /// Cooperative per-class wall-clock deadline. `None` (the default)
     /// keeps every check purely counter-budgeted and the clock is never
     /// consulted. When set, the search polls the clock at the same
@@ -119,10 +114,6 @@ pub struct ExploreOptions {
     pub mem_budget: Option<usize>,
 }
 
-/// Default [`ExploreOptions::par_frontier`]: below this the per-level
-/// scoped-pool setup costs more than the expansion itself.
-pub const DEFAULT_PAR_FRONTIER: usize = 256;
-
 impl Default for ExploreOptions {
     fn default() -> Self {
         // The fault-free defaults: the connected seven-robot space
@@ -132,8 +123,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             max_states: 4096,
             max_edges: 2_000_000,
-            threads: 1,
-            par_frontier: DEFAULT_PAR_FRONTIER,
             class_timeout: None,
             mem_budget: None,
         }
@@ -368,6 +357,12 @@ pub struct ClassInfo {
     pub(crate) moves: [Option<Dir>; PackedClass::MAX_ROBOTS],
 }
 
+/// One entry of the explorer's class cache: decision data, the shared
+/// canonical representative, and the round table of semantics that
+/// expand through one ([`Semantics::ROUND_TABLE`]).
+type ClassEntry =
+    (ClassInfo, std::sync::Arc<Configuration>, Option<std::sync::Arc<engine::RoundTable>>);
+
 impl ClassInfo {
     /// Robot count of the class.
     #[must_use]
@@ -389,19 +384,11 @@ impl ClassInfo {
 }
 
 /// One expansion step of an inner state, produced without touching the
-/// search — the *pure* half of [`Semantics::expand`]. Splitting
-/// expansion into a pure enumeration plus an ordered application
-/// ([`Search::apply_step`]) is what makes the within-class frontier
-/// fan-out deterministic: worker threads enumerate a whole BFS level
-/// speculatively against the frozen level-start arena, and the
-/// single-threaded merge replays the exact serial interning, counter
-/// and refutation sequence.
-///
-/// Public because it appears in the [`Semantics`] trait surface; like
-/// the rest of that surface it is an internal extension point —
-/// [`Search`]'s mutation methods are crate-private, so foreign code
-/// cannot apply steps.
-pub enum PureStep<Aux> {
+/// search — the *pure* half of a crash-semantics expansion. The
+/// enumeration reads the state's round table, which lives in the
+/// search, so it collects a state's steps first and
+/// [`Search::apply_step`] then applies them in order.
+pub(crate) enum PureStep<Aux> {
     /// The action is not the minimal representative of its stabilizer
     /// orbit: skipped, counted as deduped.
     Dedup,
@@ -418,10 +405,6 @@ pub enum PureStep<Aux> {
     /// aux re-expressed over the successor's row-major slots.
     Succ(PackedClass, Aux),
 }
-
-/// One state's pure-enumeration output for the parallel level fan-out:
-/// the per-action [`PureStep`] list, pooled across searches.
-type StepBuf<Aux> = Vec<(CrashRound, PureStep<Aux>)>;
 
 /// A **semantics** of the exploration layer: what a state's auxiliary
 /// key is (packed alongside the interned translation class), which
@@ -472,9 +455,11 @@ pub trait Semantics: Sync + Sized {
     /// goal or stuck.
     fn classify(&self, cfg: &Configuration, info: &ClassInfo, aux: Self::Aux) -> NodeKind;
 
-    /// Whether this semantics implements [`Semantics::expand_pure`] and
-    /// may therefore have its BFS levels fanned out across threads.
-    const PARALLEL: bool = false;
+    /// Whether expansion reads each class's [`engine::RoundTable`]. The
+    /// explorer's class cache then builds the table once per distinct
+    /// class and carries it with the class's decision data; semantics
+    /// that never read it pay no table memory.
+    const ROUND_TABLE: bool = false;
 
     /// Expands every adversary action of inner state `id`, interning
     /// successors and pushing newly discovered inner states onto
@@ -486,22 +471,6 @@ pub trait Semantics: Sync + Sized {
         id: usize,
         queue: &mut Vec<u32>,
     ) -> Option<ExploreVerdict>;
-
-    /// Pure expansion: enumerates inner state `id`'s actions in the
-    /// exact order [`Semantics::expand`] applies them and pushes each
-    /// action's [`PureStep`] classification into `out`, without
-    /// mutating the search. Enumeration stops after an unconditionally
-    /// terminal step ([`PureStep::Collide`] / [`PureStep::Disconnect`])
-    /// — the applier never looks past it. Only called when
-    /// [`Semantics::PARALLEL`] is true.
-    fn expand_pure<A: Algorithm + ?Sized>(
-        &self,
-        _search: &Search<'_, '_, A, Self>,
-        _id: usize,
-        _out: &mut Vec<(CrashRound, PureStep<Self::Aux>)>,
-    ) {
-        unreachable!("expand_pure requires Semantics::PARALLEL");
-    }
 
     /// Concretely traverses the explored edge `from --action--> to`
     /// once and returns its certificate: where each robot lands and
@@ -576,11 +545,9 @@ struct StateStore<Aux> {
     /// The discovery edge's action, packed (meaningless on the root).
     parent_action: Vec<u32>,
     /// Start of this node's slice of the search's shared edge pool. A
-    /// state's edges are recorded contiguously — serial expansion
-    /// finishes a state before starting the next, and the parallel
-    /// fan-out's merge applies pure steps in the same frontier order —
-    /// so the whole graph lives in one flat pool instead of one heap
-    /// allocation per expanded state.
+    /// state's edges are recorded contiguously — expansion finishes a
+    /// state before starting the next — so the whole graph lives in one
+    /// flat pool instead of one heap allocation per expanded state.
     edge_start: Vec<u32>,
     /// Edge count of this node's slice of the edge pool.
     edge_len: Vec<u32>,
@@ -690,6 +657,12 @@ struct SearchScratch<Aux> {
     arena: ClassArena,
     /// Per-class decision data, parallel to the arena ids.
     info: Vec<ClassInfo>,
+    /// Per-class round table, parallel to the arena ids: shared out of
+    /// the explorer's class cache when the semantics reads it
+    /// ([`Semantics::ROUND_TABLE`]), `None` otherwise. Expansion
+    /// borrows it from here, so a state's expansion touches no shared
+    /// cache or reference count.
+    tables: Vec<Option<std::sync::Arc<engine::RoundTable>>>,
     /// Head link of each class's aux-variant chain ([`NO_VARIANT`]
     /// when empty), parallel to the arena ids.
     variant_head: Vec<u32>,
@@ -703,10 +676,10 @@ struct SearchScratch<Aux> {
     /// simply advances — no per-level allocation, 4 bytes per queued
     /// state total).
     levels: Vec<u32>,
-    /// Reused copy of the current level's inner states for the
-    /// parallel fan-out (workers need the frontier as a slice while
-    /// the merge appends children to `levels`).
-    frontier_buf: Vec<u32>,
+    /// One state's enumerated `(action, step)` list, reused across
+    /// states: the crash semantics collects it while borrowing the
+    /// state's round table, then applies it.
+    steps: Vec<(CrashRound, PureStep<Aux>)>,
 }
 
 impl<Aux> Default for SearchScratch<Aux> {
@@ -715,11 +688,12 @@ impl<Aux> Default for SearchScratch<Aux> {
             states: StateStore::default(),
             arena: ClassArena::new(),
             info: Vec::new(),
+            tables: Vec::new(),
             variant_head: Vec::new(),
             variant_pool: Vec::new(),
             edge_pool: Vec::new(),
             levels: Vec::new(),
-            frontier_buf: Vec::new(),
+            steps: Vec::new(),
         }
     }
 }
@@ -730,11 +704,22 @@ impl<Aux> SearchScratch<Aux> {
         self.states.clear();
         self.arena.clear();
         self.info.clear();
+        self.tables.clear();
         self.variant_head.clear();
         self.variant_pool.clear();
         self.edge_pool.clear();
         self.levels.clear();
-        self.frontier_buf.clear();
+        self.steps.clear();
+    }
+
+    /// Heap bytes reserved by the per-class columns that parallel the
+    /// arena ids (decision data, table pointers, variant-chain heads)
+    /// and the variant-chain pool.
+    fn class_column_bytes(&self) -> usize {
+        self.info.capacity() * size_of::<ClassInfo>()
+            + self.tables.capacity() * size_of::<Option<std::sync::Arc<engine::RoundTable>>>()
+            + self.variant_head.capacity() * size_of::<u32>()
+            + self.variant_pool.capacity() * size_of::<VariantEntry<Aux>>()
     }
 
     /// Heap bytes currently reserved across every buffer — the real
@@ -743,12 +728,10 @@ impl<Aux> SearchScratch<Aux> {
     fn heap_bytes(&self) -> usize {
         self.states.heap_bytes()
             + self.arena.heap_bytes()
-            + self.info.capacity() * size_of::<ClassInfo>()
-            + self.variant_head.capacity() * size_of::<u32>()
-            + self.variant_pool.capacity() * size_of::<VariantEntry<Aux>>()
+            + self.class_column_bytes()
             + self.edge_pool.capacity() * size_of::<PackedEdge>()
             + self.levels.capacity() * size_of::<u32>()
-            + self.frontier_buf.capacity() * size_of::<u32>()
+            + self.steps.capacity() * size_of::<(CrashRound, PureStep<Aux>)>()
     }
 }
 
@@ -791,10 +774,12 @@ pub struct EdgeCert {
 /// Lock-free observability tallies for one [`Explorer`], accumulated
 /// across every [`check`](Explorer::check) it runs. All fields are
 /// relaxed atomics from the `telemetry` crate: bumping them from the
-/// sweep pipeline's worker threads never serializes the workers, and
-/// nothing here ever feeds back into exploration decisions — verdicts,
-/// statistics and digests are byte-identical with telemetry enabled,
-/// disabled, or absent (see DESIGN.md §16).
+/// sweep pipeline's worker threads never serializes the workers.
+/// Per-state and per-class counts stay in the search and are added
+/// once per check; only per-level and per-check tallies touch these
+/// shared lines. Nothing here ever feeds back into exploration
+/// decisions — verdicts, statistics and digests are byte-identical
+/// with telemetry enabled, disabled, or absent (see DESIGN.md §16).
 #[derive(Default)]
 pub(crate) struct ExploreMetrics {
     /// `check` calls completed.
@@ -807,8 +792,6 @@ pub(crate) struct ExploreMetrics {
     pub(crate) deduped: telemetry::Counter,
     /// BFS levels expanded (Phase A iterations).
     pub(crate) levels: telemetry::Counter,
-    /// BFS levels expanded through the parallel fan-out path.
-    pub(crate) levels_parallel: telemetry::Counter,
     /// Frontier width at the start of each BFS level.
     pub(crate) frontier_width: telemetry::Histogram,
     /// Distinct translation classes per check (arena size at verdict).
@@ -845,14 +828,10 @@ pub(crate) struct ExploreMetrics {
     /// Undecided verdicts attributed to a caught per-class panic
     /// (tallied by the sweep layer's degradation, never by `check`).
     pub(crate) undecided_panicked: telemetry::Counter,
-    /// Cell-global `(ClassInfo, Configuration)` cache hits.
+    /// Class-cache hits, tallied per search and added once per check.
     pub(crate) info_hit: telemetry::Counter,
-    /// Cell-global `(ClassInfo, Configuration)` cache misses.
+    /// Class-cache misses, tallied per search and added once per check.
     pub(crate) info_miss: telemetry::Counter,
-    /// Cell-global [`engine::RoundTable`] cache hits.
-    pub(crate) table_hit: telemetry::Counter,
-    /// Cell-global [`engine::RoundTable`] cache misses.
-    pub(crate) table_miss: telemetry::Counter,
     /// Peak heap bytes reserved by one check's class arena (probe
     /// table, key column, representative pointers).
     pub(crate) arena_bytes: telemetry::Gauge,
@@ -876,7 +855,6 @@ impl ExploreMetrics {
         s.add_counter("explore.edges", self.edges.get());
         s.add_counter("explore.deduped", self.deduped.get());
         s.add_counter("explore.levels", self.levels.get());
-        s.add_counter("explore.levels_parallel", self.levels_parallel.get());
         s.add_counter("explore.phase_a_ns", self.phase_a_ns.get());
         s.add_counter("explore.phase_b_ns", self.phase_b_ns.get());
         s.add_counter("explore.phase_d_ns", self.phase_d_ns.get());
@@ -891,8 +869,6 @@ impl ExploreMetrics {
         s.add_counter("explore.undecided.panicked", self.undecided_panicked.get());
         s.add_counter("memo.info.hit", self.info_hit.get());
         s.add_counter("memo.info.miss", self.info_miss.get());
-        s.add_counter("memo.table.hit", self.table_hit.get());
-        s.add_counter("memo.table.miss", self.table_miss.get());
         s.add_histogram(self.frontier_width.read("explore.frontier_width"));
         s.add_histogram(self.arena_classes.read("explore.arena_classes"));
         s.add_histogram(self.states_per_check.read("explore.states_per_check"));
@@ -923,27 +899,21 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     /// equivariance scan was widened to match, so the stabilizer dedup
     /// stays sound (see [`equivariance_group_for`]).
     max_robots: usize,
-    /// Cell-global decision-vector cache: `ClassInfo` is a pure
-    /// function of the packed class key (the decision of each robot
-    /// from a fresh Look), so one checker reused across a sweep cell
-    /// computes it once per *distinct* class instead of once per class
-    /// per per-class search — the dominant Phase A cost before this
-    /// cache was the repeated radius-2 view extraction behind
-    /// [`engine::compute_moves`].
-    info_memo: std::sync::Mutex<PackedKeyMap<(ClassInfo, std::sync::Arc<Configuration>)>>,
-    /// Cell-global [`engine::RoundTable`] cache, keyed like
-    /// [`Self::info_memo`]: the table depends only on the canonical
-    /// positions and the decision vector, never on crash marks (those
-    /// only filter which activation submasks are enumerated).
-    table_memo: std::sync::Mutex<PackedKeyMap<std::sync::Arc<engine::RoundTable>>>,
+    /// The cell-global class cache, keyed by packed class bits. Every
+    /// entry is a pure function of the key: the decision vector (each
+    /// robot's decision from a fresh Look), the decoded canonical
+    /// representative, and — for semantics that expand through it
+    /// ([`Semantics::ROUND_TABLE`]) — the class's round table, which
+    /// depends only on the positions and decisions, never on aux state.
+    /// One checker reused across a sweep cell thus computes each once
+    /// per *distinct* class, and a search looks each class up once,
+    /// when it first interns it — never per expanded state.
+    info_memo: std::sync::Mutex<PackedKeyMap<ClassEntry>>,
     /// Pool of cleared [`SearchScratch`] buffers: each `check` leases
     /// one and returns it, so successive per-class searches reuse
     /// their grown allocations instead of rebuilding them per class.
     /// Depth is bounded by the number of concurrent `check` calls.
     scratch: std::sync::Mutex<Vec<SearchScratch<S::Aux>>>,
-    /// Pool of pure-step buffers for the parallel level fan-out: each
-    /// worker item leases one, the merge returns it cleared.
-    step_bufs: std::sync::Mutex<Vec<StepBuf<S::Aux>>>,
     /// Out-of-band observability tallies (see [`ExploreMetrics`]).
     metrics: ExploreMetrics,
 }
@@ -1020,9 +990,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             semantics,
             max_robots: max_robots.max(8),
             info_memo: std::sync::Mutex::new(PackedKeyMap::default()),
-            table_memo: std::sync::Mutex::new(PackedKeyMap::default()),
             scratch: std::sync::Mutex::new(Vec::new()),
-            step_bufs: std::sync::Mutex::new(Vec::new()),
             metrics: ExploreMetrics::default(),
         }
     }
@@ -1047,14 +1015,6 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     #[must_use]
     pub fn max_robots(&self) -> usize {
         self.max_robots
-    }
-
-    /// Sets the within-class BFS fan-out width (`1` = serial, `0` = all
-    /// cores). Purely a wall-clock knob: the level-synchronized merge
-    /// replays the serial interning order, so verdicts, statistics and
-    /// digests are identical at every setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.opts.threads = parallel::resolve_threads(threads);
     }
 
     /// Arms (or clears) the cooperative per-class wall-clock deadline
@@ -1086,35 +1046,33 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         &self.metrics
     }
 
-    /// The decision data and shared canonical representative of the
-    /// class `key` packs, through the cell-global cache. Successive
-    /// per-class searches of one checker revisit heavily overlapping
-    /// class sets (for the full n = 7 adversary cell, all 318k interned
-    /// states name only 3652 distinct classes), so both the decoded
-    /// configuration and its decision vector are materialized once per
-    /// class per cell, not once per search. A racing miss recomputes
-    /// the same pure value, so the lock is never held across the
-    /// computation.
-    pub(crate) fn class_entry(
-        &self,
-        key: PackedClass,
-    ) -> (ClassInfo, std::sync::Arc<Configuration>) {
-        // Both memo locks recover from poisoning: the sweep layer's
-        // per-class panic isolation can leave a lock poisoned by a
-        // panicking check, but the maps only ever hold pure values
-        // keyed by class and are never mutated while the lock is held
-        // across fallible user code — the worst a poisoned lock can
-        // hide is a lost insert, never a wrong value.
-        if let Some((info, cfg)) = self
+    /// The class cache's entry for the class `key` packs: its decision
+    /// data, shared canonical representative and (when the semantics
+    /// reads it) round table. Successive per-class searches of one
+    /// checker revisit heavily overlapping class sets (for the full
+    /// n = 7 adversary cell, all 318k interned states name only 3652
+    /// distinct classes), so each entry is materialized once per class
+    /// per cell, not once per search. The lookup is tallied into
+    /// `memo` (`[hits, misses]`), which the caller's search flushes
+    /// once per check. A racing miss recomputes the same pure value,
+    /// so the lock is never held across the computation.
+    pub(crate) fn class_entry(&self, key: PackedClass, memo: &mut [u64; 2]) -> ClassEntry {
+        // The lock recovers from poisoning: the sweep layer's per-class
+        // panic isolation can leave it poisoned by a panicking check,
+        // but the map only ever holds pure values keyed by class and
+        // is never mutated while the lock is held across fallible user
+        // code — the worst a poisoned lock can hide is a lost insert,
+        // never a wrong value.
+        if let Some(entry) = self
             .info_memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .get(&key.bits())
         {
-            self.metrics.info_hit.inc();
-            return (*info, std::sync::Arc::clone(cfg));
+            memo[0] += 1;
+            return entry.clone();
         }
-        self.metrics.info_miss.inc();
+        memo[1] += 1;
         let cfg = std::sync::Arc::new(key.unpack());
         let decisions = engine::compute_moves(&cfg, self.algo);
         let mut moves = [None; PackedClass::MAX_ROBOTS];
@@ -1125,38 +1083,14 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
                 .enumerate()
                 .fold(0u16, |acc, (i, m)| if m.is_some() { acc | (1 << i) } else { acc });
         let info = ClassInfo { n: cfg.len() as u8, movers, moves };
+        let table =
+            S::ROUND_TABLE.then(|| std::sync::Arc::new(engine::RoundTable::new(&cfg, &decisions)));
+        let entry = (info, cfg, table);
         self.info_memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.bits(), (info, std::sync::Arc::clone(&cfg)));
-        (info, cfg)
-    }
-
-    /// The bit-parallel round table of the class `cfg` canonically
-    /// represents, through the cell-global cache (see
-    /// [`Self::class_entry`] for the keying and race discipline).
-    pub(crate) fn round_table(
-        &self,
-        key: PackedClass,
-        cfg: &Configuration,
-        moves: &[Option<Dir>],
-    ) -> std::sync::Arc<engine::RoundTable> {
-        if let Some(table) = self
-            .table_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key.bits())
-        {
-            self.metrics.table_hit.inc();
-            return std::sync::Arc::clone(table);
-        }
-        self.metrics.table_miss.inc();
-        let table = std::sync::Arc::new(engine::RoundTable::new(cfg, moves));
-        self.table_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.bits(), std::sync::Arc::clone(&table));
-        table
+            .insert(key.bits(), entry.clone());
+        entry
     }
 
     /// Classifies `initial` under the exhaustive adversary of this
@@ -1192,8 +1126,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             scratch,
             edges: 0,
             deduped: 0,
+            memo: [0; 2],
             deadline: self.opts.class_timeout.map(|t| std::time::Instant::now() + t),
-            deadline_ticks: std::sync::atomic::AtomicU32::new(0),
+            deadline_ticks: std::cell::Cell::new(0),
         };
         let verdict = search.run(initial);
 
@@ -1204,6 +1139,8 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         m.states.add(search.scratch.states.len() as u64);
         m.edges.add(search.edges as u64);
         m.deduped.add(search.deduped as u64);
+        m.info_hit.add(search.memo[0]);
+        m.info_miss.add(search.memo[1]);
         m.arena_classes.record(search.scratch.arena.len() as u64);
         m.states_per_check.record(search.scratch.states.len() as u64);
         let pct = |used: usize, cap: usize| -> u64 {
@@ -1213,14 +1150,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         m.budget_states_pct.record(pct(search.scratch.states.len(), self.opts.max_states));
         m.budget_edges_pct.record(pct(search.edges, self.opts.max_edges));
         m.arena_bytes.record(search.scratch.arena.heap_bytes() as u64);
-        let visited = search.scratch.states.heap_bytes()
-            + search.scratch.info.capacity() * size_of::<ClassInfo>()
-            + search.scratch.variant_head.capacity() * size_of::<u32>()
-            + search.scratch.variant_pool.capacity() * size_of::<VariantEntry<S::Aux>>();
+        let visited = search.scratch.states.heap_bytes() + search.scratch.class_column_bytes();
         m.visited_bytes.record(visited as u64);
-        let frontier = (search.scratch.levels.capacity() + search.scratch.frontier_buf.capacity())
-            * size_of::<u32>();
-        m.frontier_bytes.record(frontier as u64);
+        m.frontier_bytes.record((search.scratch.levels.capacity() * size_of::<u32>()) as u64);
         m.peak_bytes.record(search.scratch.heap_bytes() as u64);
         match &verdict {
             ExploreVerdict::Proof => m.verdict_proof.inc(),
@@ -1338,21 +1270,25 @@ pub struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
     scratch: SearchScratch<S::Aux>,
     edges: usize,
     deduped: usize,
+    /// Class-cache `[hits, misses]` of this search, one lookup per
+    /// interned class; [`Explorer::check`] adds them to the shared
+    /// `memo.info.*` counters once, when the search ends.
+    memo: [u64; 2],
     /// Wall-clock deadline of this check when
     /// [`ExploreOptions::class_timeout`] is armed; `None` keeps the
     /// clock entirely out of the search.
     deadline: Option<std::time::Instant>,
-    /// Strided deadline poll counter — atomic so the read-only phases
-    /// (and the parallel fan-out, which shares the search immutably)
-    /// can bump it behind `&self`. Purely a cost amortizer: it never
-    /// influences anything but how often the clock is read.
-    deadline_ticks: std::sync::atomic::AtomicU32,
+    /// Strided deadline poll counter — a `Cell` so the read-only
+    /// phases can bump it behind `&self` (a search never leaves its
+    /// thread). Purely a cost amortizer: it never influences anything
+    /// but how often the clock is read.
+    deadline_ticks: std::cell::Cell<u32>,
 }
 
 /// How many deadline poll sites pass between actual clock reads. At
 /// the Phase A edge rate (millions/s) this bounds the overshoot well
 /// under a millisecond while keeping the per-edge cost to one
-/// relaxed `fetch_add`.
+/// increment.
 const DEADLINE_STRIDE: u32 = 1024;
 
 impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
@@ -1438,7 +1374,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// counter-budgeted.
     pub(crate) fn deadline_tripped(&self) -> bool {
         let Some(deadline) = self.deadline else { return false };
-        let tick = self.deadline_ticks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let tick = self.deadline_ticks.get();
+        self.deadline_ticks.set(tick.wrapping_add(1));
         if !tick.is_multiple_of(DEADLINE_STRIDE) {
             return false;
         }
@@ -1490,17 +1427,20 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         self.intern_class_key(raw.canonical_key())
     }
 
-    /// Interns an already-packed canonical class key — the merge-side
-    /// twin of [`Search::intern_class`] for successors whose key a
-    /// pure expansion computed without materializing a
-    /// [`Configuration`].
+    /// Interns an already-packed canonical class key — the twin of
+    /// [`Search::intern_class`] for successors whose key a pure
+    /// expansion step computed without materializing a
+    /// [`Configuration`]. A new class takes its entry from the
+    /// explorer's class cache: the only shared lookup a class costs
+    /// this search.
     fn intern_class_key(&mut self, key: PackedClass) -> u32 {
         if let Some(class) = self.scratch.arena.lookup_key(key) {
             return class;
         }
-        let (info, cfg) = self.explorer.class_entry(key);
+        let (info, cfg, table) = self.explorer.class_entry(key, &mut self.memo);
         let class = self.scratch.arena.insert_shared(key, cfg);
         self.scratch.info.push(info);
+        self.scratch.tables.push(table);
         self.scratch.variant_head.push(NO_VARIANT);
         class
     }
@@ -1554,13 +1494,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         (id, true)
     }
 
-    /// Applies one [`PureStep`] of state `id` under `action`, replaying
-    /// the exact serial expansion semantics: the same counter bumps in
-    /// the same order, the same refutation outcomes, the same queue
-    /// pushes and the same per-action budget checks. The parallel
-    /// fan-out funnels every speculatively enumerated step through this
-    /// method in frontier order, which is why its verdicts, statistics
-    /// and schedules are byte-identical to the serial search.
+    /// Applies one [`PureStep`] of state `id` under `action`: the
+    /// counter bumps, interning, refutation outcome, queue push and
+    /// per-action budget checks of that action.
     pub(crate) fn apply_step(
         &mut self,
         id: usize,
@@ -1708,16 +1644,13 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         // past `hi`, so advancing `lo` to `hi` is the level barrier —
         // no per-level `Vec` allocation. Children always join the
         // *next* level, so walking each window in order reproduces the
-        // historical single-queue FIFO order exactly — discovery
-        // order, statistics and schedules are byte-identical with or
-        // without the parallel fan-out. The phase timers and level
-        // tallies around the loop are write-only telemetry; they never
-        // influence the walk.
+        // historical single-queue FIFO order exactly. The phase timers
+        // and level tallies around the loop are write-only telemetry;
+        // they never influence the walk.
         let metrics = self.explorer.metrics();
         let watch = telemetry::Stopwatch::started();
         let mut found: Option<ExploreVerdict> = None;
         let mut levels = std::mem::take(&mut self.scratch.levels);
-        let mut frontier_buf = std::mem::take(&mut self.scratch.frontier_buf);
         levels.clear();
         levels.push(root as u32);
         let mut lo = 0usize;
@@ -1729,43 +1662,24 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             }
             metrics.levels.inc();
             metrics.frontier_width.record((hi - lo) as u64);
-            let threads = self.explorer.opts.threads;
-            if S::PARALLEL && threads > 1 && hi - lo >= self.explorer.opts.par_frontier {
-                metrics.levels_parallel.inc();
-                frontier_buf.clear();
-                frontier_buf.extend(
-                    levels[lo..hi]
-                        .iter()
-                        .copied()
-                        .filter(|&id| self.scratch.states.kind[id as usize] == NodeKind::Inner),
-                );
-                if let Some(verdict) =
-                    self.expand_level_parallel(&frontier_buf, threads, &mut levels)
-                {
+            for i in lo..hi {
+                let id = levels[i] as usize;
+                if self.scratch.states.kind[id] != NodeKind::Inner {
+                    continue;
+                }
+                let explorer = self.explorer;
+                if let Some(verdict) = explorer.semantics().expand(self, id, &mut levels) {
                     found = Some(verdict);
                     break 'levels;
                 }
-            } else {
-                for i in lo..hi {
-                    let id = levels[i] as usize;
-                    if self.scratch.states.kind[id] != NodeKind::Inner {
-                        continue;
-                    }
-                    let explorer = self.explorer;
-                    if let Some(verdict) = explorer.semantics().expand(self, id, &mut levels) {
-                        found = Some(verdict);
-                        break 'levels;
-                    }
-                    if self.over_budget() {
-                        found = Some(self.budget_undecided());
-                        break 'levels;
-                    }
+                if self.over_budget() {
+                    found = Some(self.budget_undecided());
+                    break 'levels;
                 }
             }
             lo = hi;
         }
         self.scratch.levels = levels;
-        self.scratch.frontier_buf = frontier_buf;
         watch.flush(&metrics.phase_a_ns);
         if let Some(verdict) = found {
             return verdict;
@@ -1792,52 +1706,6 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         let verdict = self.decide_fair_product();
         watch.flush(&metrics.phase_d_ns);
         verdict
-    }
-
-    /// Expands one BFS level with a parallel pure-enumeration pass and
-    /// a deterministic in-order merge. Workers compute each inner
-    /// state's [`PureStep`] list against the frozen level-start search
-    /// (shared immutably — no locks, no interleaving); the merge then
-    /// replays every list through [`Search::apply_step`] in frontier
-    /// order. A verdict discovered at frontier position `i` discards
-    /// the speculative work of positions `> i`, exactly as the serial
-    /// loop never would have expanded them.
-    fn expand_level_parallel(
-        &mut self,
-        inner: &[u32],
-        threads: usize,
-        next: &mut Vec<u32>,
-    ) -> Option<ExploreVerdict> {
-        let explorer = self.explorer;
-        let step_lists: Vec<StepBuf<S::Aux>> = {
-            let shared: &Self = self;
-            parallel::stealing::par_map_stealing(inner, threads, |&id| {
-                let mut out = explorer
-                    .step_bufs
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop()
-                    .unwrap_or_default();
-                explorer.semantics().expand_pure(shared, id as usize, &mut out);
-                out
-            })
-        };
-        for (&id, mut steps) in inner.iter().zip(step_lists) {
-            for (action, step) in steps.drain(..) {
-                if let Some(verdict) = self.apply_step(id as usize, action, step, next) {
-                    return Some(verdict);
-                }
-            }
-            explorer
-                .step_bufs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(steps);
-            if self.over_budget() {
-                return Some(self.budget_undecided());
-            }
-        }
-        None
     }
 
     /// Whether the state graph, with nodes identified up to the
@@ -2417,14 +2285,14 @@ fn next_submask(cur: u16, set: u16) -> u16 {
 
 impl CrashSemantics {
     /// Builds the per-state expansion context: everything the action
-    /// enumeration needs, copied out of the search so the enumeration
-    /// is a pure function — runnable from worker threads against a
-    /// shared `&Search` as well as inline under `&mut Search`.
-    fn prepare<A: Algorithm + ?Sized>(
+    /// enumeration needs, copied out of the search except the class's
+    /// round table, which it borrows from the search's per-class
+    /// column.
+    fn prepare<'s, A: Algorithm + ?Sized>(
         &self,
-        search: &Search<'_, '_, A, Self>,
+        search: &'s Search<'_, '_, A, Self>,
         id: usize,
-    ) -> CrashExpand {
+    ) -> CrashExpand<'s> {
         let (class, crashed, _) = search.state(id);
         let info = search.info(class);
         let n = info.n as usize;
@@ -2437,7 +2305,9 @@ impl CrashSemantics {
         } else {
             Vec::new()
         };
-        let table = explorer.round_table(cfg.canonical_key(), cfg, &info.moves[..n]);
+        let table = search.scratch.tables[class as usize]
+            .as_deref()
+            .expect("the crash semantics caches a round table per class");
         CrashExpand {
             crashed,
             budget: self.budget,
@@ -2455,7 +2325,7 @@ impl CrashSemantics {
 /// mask, decision vector, stabilizer permutations and the bit-parallel
 /// [`engine::RoundTable`] whose packed occupancy masks replace the
 /// scalar per-action collision / connectivity checks on the hot path.
-struct CrashExpand {
+struct CrashExpand<'s> {
     crashed: u16,
     budget: u8,
     movers: u16,
@@ -2463,18 +2333,17 @@ struct CrashExpand {
     moves: [Option<Dir>; PackedClass::MAX_ROBOTS],
     positions: [Coord; PackedClass::MAX_ROBOTS],
     perms: Vec<Vec<usize>>,
-    table: std::sync::Arc<engine::RoundTable>,
+    table: &'s engine::RoundTable,
 }
 
-impl CrashExpand {
+impl CrashExpand<'_> {
     /// Enumerates every adversary action in the exact historical order
     /// — crash submasks of the live robots ascending, and within each
     /// injection the nonzero activation submasks of the surviving
     /// movers ascending — feeding each `(action, step)` to `sink`.
-    /// Stops when `sink` returns `false` or after an unconditionally
-    /// terminal step (collision / disconnection), which ends the
-    /// expansion in the serial path too.
-    fn for_each(&self, mut sink: impl FnMut(CrashRound, PureStep<u16>) -> bool) {
+    /// Stops after an unconditionally terminal step (collision /
+    /// disconnection), which ends the expansion.
+    fn for_each(&self, mut sink: impl FnMut(CrashRound, PureStep<u16>)) {
         let live = ((1u16 << self.n) - 1) & !self.crashed;
         let avail = self.budget.saturating_sub(self.crashed.count_ones() as u8);
         let mut crash: u16 = 0;
@@ -2497,9 +2366,7 @@ impl CrashExpand {
                     } else {
                         PureStep::Variant(after)
                     };
-                    if !sink(action, step) {
-                        return;
-                    }
+                    sink(action, step);
                     break 'one_crash;
                 }
                 // Destination occupancy over the round table's node
@@ -2523,14 +2390,13 @@ impl CrashExpand {
                     prev = mask;
                     let action = CrashRound { crash, activate: mask };
                     if !self.perms.is_empty() && canonical_action(action, &self.perms) != action {
-                        if !sink(action, PureStep::Dedup) {
-                            return;
-                        }
+                        sink(action, PureStep::Dedup);
                         continue;
                     }
                     let step = self.step_of(after, mask, occ);
                     let terminal = matches!(step, PureStep::Collide(_) | PureStep::Disconnect);
-                    if !sink(action, step) || terminal {
+                    sink(action, step);
+                    if terminal {
                         return;
                     }
                 }
@@ -2671,7 +2537,7 @@ impl Semantics for CrashSemantics {
         }
     }
 
-    const PARALLEL: bool = true;
+    const ROUND_TABLE: bool = true;
 
     /// Expands every adversary action of inner state `id`: first the
     /// pure-activation actions (crash budget untouched), then every
@@ -2679,36 +2545,24 @@ impl Semantics for CrashSemantics {
     /// movers — or alone, when it leaves no live mover. Returns a
     /// refutation as soon as a bad terminal is reached.
     ///
-    /// The enumeration itself is [`CrashExpand::for_each`] — shared
-    /// verbatim with [`Semantics::expand_pure`] — and every step is
-    /// applied through [`Search::apply_step`], so the serial path and
-    /// the parallel fan-out execute literally the same code.
+    /// [`CrashExpand::for_each`] enumerates the steps into the
+    /// search's reused step buffer while it borrows the class's round
+    /// table; [`Search::apply_step`] then applies them in order until
+    /// one yields a verdict. Steps past that one were enumerated but
+    /// are never applied, so the search sees exactly the sequence an
+    /// apply-as-you-enumerate loop would.
     fn expand<A: Algorithm + ?Sized>(
         &self,
         search: &mut Search<'_, '_, A, Self>,
         id: usize,
         queue: &mut Vec<u32>,
     ) -> Option<ExploreVerdict> {
-        let ctx = self.prepare(search, id);
-        let mut verdict = None;
-        ctx.for_each(|action, step| {
-            verdict = search.apply_step(id, action, step, queue);
-            verdict.is_none()
-        });
+        let mut steps = std::mem::take(&mut search.scratch.steps);
+        self.prepare(search, id).for_each(|action, step| steps.push((action, step)));
+        let verdict =
+            steps.drain(..).find_map(|(action, step)| search.apply_step(id, action, step, queue));
+        search.scratch.steps = steps;
         verdict
-    }
-
-    fn expand_pure<A: Algorithm + ?Sized>(
-        &self,
-        search: &Search<'_, '_, A, Self>,
-        id: usize,
-        out: &mut Vec<(CrashRound, PureStep<u16>)>,
-    ) {
-        let ctx = self.prepare(search, id);
-        ctx.for_each(|action, step| {
-            out.push((action, step));
-            true
-        });
     }
 
     /// Certifies one edge: the activated movers step, and a slot is

@@ -13,8 +13,8 @@
 //! `--stats` switches to single-class telemetry mode: it runs the
 //! exhaustive SSYNC adversary checker on one class (`--class`, default
 //! 0, of the `--n`-robot enumeration, default 7) and dumps the
-//! checker's telemetry snapshot — per-phase wall times, memo hit
-//! rates, frontier peaks — as pretty JSON plus a short human summary.
+//! checker's telemetry snapshot — per-phase wall times, the class-info
+//! hit rate, frontier peaks — as pretty JSON plus a short human summary.
 
 use gathering::base::{determine, BaseDecision};
 use gathering::SevenGather;
@@ -57,9 +57,8 @@ fn run_stats(args: &[String]) {
         ms("explore.phase_d_ns"),
     );
     println!(
-        "memo hit rates: class-info {:.1}% · round-table {:.1}%",
-        snapshot.rate("memo.info.hit", "memo.info.miss") * 100.0,
-        snapshot.rate("memo.table.hit", "memo.table.miss") * 100.0,
+        "class-info hit rate: {:.1}%",
+        snapshot.rate("memo.info.hit", "memo.info.miss") * 100.0
     );
     if let Some(width) = snapshot.histogram("explore.frontier_width") {
         println!(

@@ -920,34 +920,24 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
     /// equivariance group is computed once, not per class. `robots` is
     /// the cell's robot count; the checkers keep their historical
     /// 8-robot floor so n <= 7 cells stay byte-identical to the
-    /// pre-parameterised pipeline. `threads` is the within-class BFS
-    /// fan-out width: frontiers past the explorer's spill threshold fan
-    /// across the work-stealing pool, so one giant class no longer
-    /// serializes a shard's tail. Verdicts are identical at every
-    /// width, so the across-class and within-class parallelism compose
-    /// without affecting digests.
-    fn for_spec(algo: &'a A, spec: SchedSpec, robots: usize, threads: usize) -> Option<Self> {
+    /// pre-parameterised pipeline.
+    fn for_spec(algo: &'a A, spec: SchedSpec, robots: usize) -> Option<Self> {
         let capacity = robots.max(8);
         match spec {
             SchedSpec::Adversary { .. } => {
                 // The state/edge budgets scale with `n` so wide cells
                 // cover their whole connected class space (exactly the
                 // historical defaults for n <= 7).
-                let mut checker =
+                let checker =
                     Checker::for_robots(algo, AdversaryOptions::for_robots(robots), capacity);
-                checker.set_threads(threads);
                 Some(CellChecker::Adversary(checker))
             }
             SchedSpec::Crash { f, depth } => {
-                let mut checker =
-                    CrashChecker::for_robots(algo, CrashOptions::new(f, depth), capacity);
-                checker.set_threads(threads);
+                let checker = CrashChecker::for_robots(algo, CrashOptions::new(f, depth), capacity);
                 Some(CellChecker::Crash(checker))
             }
             SchedSpec::LcmAsync { depth } => {
-                let mut checker =
-                    AsyncChecker::for_robots(algo, AsyncOptions::new(depth), capacity);
-                checker.set_threads(threads);
+                let checker = AsyncChecker::for_robots(algo, AsyncOptions::new(depth), capacity);
                 Some(CellChecker::Async(checker))
             }
             _ => None,
@@ -1021,7 +1011,7 @@ pub fn run_class<A: Algorithm + ?Sized>(
         }
         SchedSpec::Adversary { .. } | SchedSpec::Crash { .. } | SchedSpec::LcmAsync { .. } => {
             let checker =
-                CellChecker::for_spec(algo, spec, initial.len(), 1).expect("model-checking cell");
+                CellChecker::for_spec(algo, spec, initial.len()).expect("model-checking cell");
             checker.run_class(initial, index, limits).outcome
         }
     }
@@ -1282,7 +1272,7 @@ fn run_shard_inner(
     let limits = cfg.effective_limits();
     // Model-checking cells share one checker across the shard, so the
     // algorithm's equivariance group is computed once, not per class.
-    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n, cfg.threads);
+    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n);
     if let Some(c) = checker.as_mut() {
         c.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
         c.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
@@ -1929,7 +1919,7 @@ pub fn find_failure(cfg: &SweepConfig) -> Option<(usize, Outcome)> {
     let classes = polyhex::enumerate_fixed(cfg.n);
     let algo = cfg.algo.build();
     let limits = cfg.effective_limits();
-    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n, cfg.threads);
+    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n);
     if let Some(c) = checker.as_mut() {
         c.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
         c.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
