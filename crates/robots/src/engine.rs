@@ -28,7 +28,7 @@
 //!   rejoin, so this is terminal.
 
 use crate::visited::ClassMap;
-use crate::{Algorithm, Configuration, View};
+use crate::{Algorithm, Configuration, PackedClass, View};
 use serde::{Deserialize, Serialize};
 use trigrid::{Coord, Dir};
 
@@ -128,199 +128,136 @@ pub fn check_moves(config: &Configuration, moves: &[Option<Dir>]) -> Result<(), 
     Ok(())
 }
 
-/// Precomputed bit-parallel round tables: collision and connectivity
-/// classification of **every** SSYNC activation subset of one round as
-/// word operations over a fixed node universe (current positions ∪
-/// mover targets, ≤ 32 nodes).
+/// The next submask of `set` after `cur` in ascending numeric order
+/// (`(cur - set) & set` with wrapping arithmetic). Starting from `0`
+/// and advancing until `cur == set` enumerates every nonzero submask
+/// of `set` ascending; past `set` it wraps to `0`.
+pub(crate) fn next_submask(cur: u16, set: u16) -> u16 {
+    cur.wrapping_sub(set) & set
+}
+
+/// `moves` restricted to the robots in `mask` (bit `i` = slot `i`):
+/// the others stay. The bit-mask form of [`masked_moves`], in a fixed
+/// buffer whose first `moves.len()` entries are the masked vector.
+pub(crate) fn mask_moves(
+    moves: &[Option<Dir>],
+    mask: u16,
+) -> [Option<Dir>; PackedClass::MAX_ROBOTS] {
+    let mut masked = [None; PackedClass::MAX_ROBOTS];
+    for (i, (slot, m)) in masked.iter_mut().zip(moves).enumerate() {
+        if mask & (1 << i) != 0 {
+            *slot = *m;
+        }
+    }
+    masked
+}
+
+/// What activating one subset of a class's movers does in one round.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RoundKind {
+    /// The round is prohibited: [`check_moves`] fails on the masked
+    /// decision vector.
+    Collides,
+    /// The round is legal but its successor is disconnected.
+    Disconnects,
+    /// The round is legal and its successor connected.
+    Succ,
+}
+
+/// One activation subset of a [`RoundTable`] and its stepped result.
+#[derive(Clone, Copy, Debug)]
+pub struct RoundEntry {
+    /// The successor's packed canonical class; meaningful only when
+    /// `kind` is [`RoundKind::Succ`].
+    pub key: PackedClass,
+    /// Four bits per robot: bits `4i..4i + 4` hold robot `i`'s index
+    /// in the successor's row-major positions (read with
+    /// [`Self::slot`]); meaningful only when `kind` is
+    /// [`RoundKind::Succ`].
+    pub slots: u64,
+    /// The activated robots (bit `i` = row-major slot `i`).
+    pub mask: u16,
+    /// What the round does.
+    pub kind: RoundKind,
+}
+
+impl RoundEntry {
+    /// Robot `robot`'s row-major index in the successor.
+    #[must_use]
+    pub fn slot(&self, robot: usize) -> usize {
+        ((self.slots >> (4 * robot)) & 0xF) as usize
+    }
+}
+
+// Slot maps hold one 4-bit index per robot of a packable class.
+const _: () = assert!(4 * PackedClass::MAX_ROBOTS <= u64::BITS as usize);
+
+/// One class's rounds, stepped once: every nonempty activation subset
+/// of the class's movers, in ascending mask order, with what the round
+/// does — it collides, it disconnects, or it reaches a successor class,
+/// recorded as that class's packed key plus each robot's slot in it.
 ///
-/// The exploration checkers expand `2^m − 1` activation subsets of the
-/// `m` movers per state. Building the table once per state replaces
-/// the per-subset scalar pipeline (mask the decision vector, pairwise
-/// collision scan, materialise the successor, coordinate flood fill)
-/// with a handful of `u16`/`u32` ops per subset:
-///
-/// * [`collides`](Self::collides) — whether activating exactly `act`
-///   is a prohibited round, agreeing with [`check_moves`] on the
-///   masked decision vector;
-/// * [`occupancy`](Self::occupancy) — the successor's node bitmask for
-///   collision-free subsets, maintained incrementally via per-slot
-///   XOR [`delta`](Self::delta)s (a robot's move toggles exactly two
-///   universe bits, and legality makes the fold exact);
-/// * [`connected`](Self::connected) — bitmask flood fill over
-///   precomputed adjacency rows
-///   ([`trigrid::path::mask_connected`]), agreeing with
-///   `Configuration::is_connected` on the materialised successor.
-///
-/// Collision structure: a mover targeting a non-mover's node collides
-/// whenever it activates (`always_collide`); a mover targeting a
-/// *mover*'s node collides exactly when that occupant idles
-/// (`needs`); two movers sharing a target — or mutually swapping —
-/// collide exactly when both activate (`pairs`). Trains (moving into
-/// a node vacated the same round) fall into the `needs` case and are
-/// legal. The property tests pin all three methods against the scalar
-/// reference on random configurations.
+/// The exploration checkers expand every reachable state of a class
+/// through the same subsets (a crash mask only filters them), and a
+/// sweep cell interns each class many times over, so a class's rounds
+/// are stepped once when the explorer's class cache first meets the
+/// class and every later expansion reads its edges from here. The
+/// builder is the reference semantics itself — [`check_moves`], then
+/// the move application of [`step_moves`], through which the FSYNC
+/// runner and every replay step — so the table cannot disagree with
+/// them.
 pub struct RoundTable {
-    /// Universe size: robot count plus distinct off-configuration
-    /// targets.
-    nodes: usize,
-    /// Slots with a move decision.
-    movers: u16,
-    /// Bitmask of the current positions (universe nodes `0..robots`).
-    occ0: u32,
-    /// Per-slot occupancy toggle: `bit(pos) ^ bit(target)` for movers.
-    delta: [u32; 16],
-    /// Mover slots whose activation alone already collides.
-    always_collide: u16,
-    /// `needs[i]`: mover slots whose node mover `i` targets — `i`
-    /// collides iff it activates while any of them idles.
-    needs: [u16; 16],
-    /// Slots with a nonempty `needs` row.
-    needy: u16,
-    /// Slot pairs that collide exactly when both activate (shared
-    /// targets and edge swaps).
-    pairs: Vec<u16>,
-    /// Adjacency rows of the universe (grid distance 1).
-    adj: [u32; 32],
+    entries: Box<[RoundEntry]>,
 }
 
 impl RoundTable {
-    /// Builds the table for one configuration and its full decision
-    /// vector (aligned with `config.positions()`).
+    /// Steps every nonempty activation subset of the movers of
+    /// `config` under its full decision vector `moves` (aligned with
+    /// `config.positions()`).
     ///
     /// # Panics
-    /// Panics if the configuration holds more than 16 robots — subsets
-    /// are `u16` masks (and the ≤ 32-node universe bound follows).
+    /// Panics if the configuration holds more than
+    /// [`PackedClass::MAX_ROBOTS`] robots.
     #[must_use]
     pub fn new(config: &Configuration, moves: &[Option<Dir>]) -> RoundTable {
-        let positions = config.positions();
-        let n = positions.len();
-        assert!(n <= 16, "round tables index activation subsets by u16 masks");
+        let n = config.len();
+        assert!(n <= PackedClass::MAX_ROBOTS, "round tables hold packable classes");
         debug_assert_eq!(n, moves.len());
-
-        // Universe: positions first (node i = slot i), then distinct
-        // off-configuration targets.
-        let mut coords = [trigrid::ORIGIN; 32];
-        coords[..n].copy_from_slice(positions);
-        let mut nodes = n;
-        let mut movers = 0u16;
-        let mut target = [usize::MAX; 16];
-        for (i, m) in moves.iter().enumerate() {
-            let Some(d) = m else { continue };
-            movers |= 1 << i;
-            let t = positions[i].step(*d);
-            target[i] = coords[..nodes].iter().position(|&c| c == t).unwrap_or_else(|| {
-                coords[nodes] = t;
-                nodes += 1;
-                nodes - 1
-            });
-        }
-
-        let mut always_collide = 0u16;
-        let mut needs = [0u16; 16];
-        let mut pairs = Vec::new();
-        for i in 0..n {
-            if movers & (1 << i) == 0 {
-                continue;
-            }
-            let ti = target[i];
-            if ti < n {
-                // Targeting an occupied node: occupant ti must vacate.
-                if movers & (1 << ti) != 0 {
-                    needs[i] |= 1 << ti;
-                    if target[ti] == i && i < ti {
-                        pairs.push((1 << i) | (1 << ti)); // edge swap
+        let movers =
+            moves.iter().enumerate().fold(0u16, |acc, (i, m)| acc | u16::from(m.is_some()) << i);
+        let mut entries = Vec::with_capacity((1usize << movers.count_ones()) - 1);
+        // The key of entries that reach no successor: the empty class.
+        let no_key = PackedClass::of_sorted(&[]);
+        let mut mask = 0u16;
+        while mask != movers {
+            mask = next_submask(mask, movers);
+            let masked = mask_moves(moves, mask);
+            let masked = &masked[..n];
+            let mut entry = RoundEntry { key: no_key, slots: 0, mask, kind: RoundKind::Collides };
+            if check_moves(config, masked).is_ok() {
+                let next = config.apply_unchecked(masked);
+                entry.kind = RoundKind::Disconnects;
+                if next.is_connected() {
+                    entry.kind = RoundKind::Succ;
+                    entry.key = next.canonical_key();
+                    for (i, (&p, m)) in config.positions().iter().zip(masked).enumerate() {
+                        let end = m.map_or(p, |d| p.step(d));
+                        let slot = next.positions().iter().position(|&q| q == end);
+                        entry.slots |=
+                            (slot.expect("every robot lands in the successor") as u64) << (4 * i);
                     }
-                } else {
-                    always_collide |= 1 << i;
                 }
             }
-            for (j, &tj) in target.iter().enumerate().take(n).skip(i + 1) {
-                if movers & (1 << j) != 0 && tj == ti {
-                    pairs.push((1 << i) | (1 << j)); // shared target
-                }
-            }
+            entries.push(entry);
         }
-        let needy = (0..n).filter(|&i| needs[i] != 0).fold(0u16, |acc, i| acc | (1 << i));
-
-        let mut adj = [0u32; 32];
-        for a in 0..nodes {
-            for b in a + 1..nodes {
-                if coords[a].distance(coords[b]) == 1 {
-                    adj[a] |= 1 << b;
-                    adj[b] |= 1 << a;
-                }
-            }
-        }
-
-        let occ0 = (1u32 << n) - 1;
-        let delta = std::array::from_fn(|i| {
-            if movers & (1 << i) != 0 {
-                (1u32 << i) ^ (1u32 << target[i])
-            } else {
-                0
-            }
-        });
-        RoundTable { nodes, movers, occ0, delta, always_collide, needs, needy, pairs, adj }
+        RoundTable { entries: entries.into_boxed_slice() }
     }
 
-    /// Slots with a move decision (legal activation subsets that make
-    /// progress are the nonempty submasks).
+    /// The nonempty activation subsets of the movers and their results,
+    /// in ascending mask order.
     #[must_use]
-    pub fn movers(&self) -> u16 {
-        self.movers
-    }
-
-    /// Whether activating exactly `act` (⊆ [`movers`](Self::movers))
-    /// is a prohibited round.
-    #[must_use]
-    pub fn collides(&self, act: u16) -> bool {
-        debug_assert_eq!(act & !self.movers, 0);
-        if act & self.always_collide != 0 {
-            return true;
-        }
-        let mut pending = act & self.needy;
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            if self.needs[i] & !act != 0 {
-                return true;
-            }
-        }
-        self.pairs.iter().any(|&p| p & !act == 0)
-    }
-
-    /// The occupancy bitmask before any activation.
-    #[must_use]
-    pub fn base_occupancy(&self) -> u32 {
-        self.occ0
-    }
-
-    /// The occupancy toggle of slot `i`'s move (zero for non-movers):
-    /// fold with XOR to maintain occupancy across subset enumeration.
-    #[must_use]
-    pub fn delta(&self, slot: usize) -> u32 {
-        self.delta[slot]
-    }
-
-    /// The successor occupancy of a collision-free subset, from
-    /// scratch.
-    #[must_use]
-    pub fn occupancy(&self, act: u16) -> u32 {
-        let mut occ = self.occ0;
-        let mut bits = act;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            occ ^= self.delta[i];
-        }
-        occ
-    }
-
-    /// Whether an occupancy bitmask (of a collision-free subset) is
-    /// connected on the grid.
-    #[must_use]
-    pub fn connected(&self, occ: u32) -> bool {
-        trigrid::path::mask_connected(&self.adj[..self.nodes], occ)
+    pub fn entries(&self) -> &[RoundEntry] {
+        &self.entries
     }
 }
 

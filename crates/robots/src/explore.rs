@@ -65,7 +65,11 @@
 //! round tables) are computed once per distinct class per checker and
 //! fetched from its one class cache once per class per search, and
 //! expansion, stabilizer tests and quotient orbit keys all work in
-//! fixed stack buffers. A search runs on the thread that called
+//! fixed stack buffers. A round table ([`engine::RoundTable`]) steps
+//! each of its class's activation subsets once through the scalar
+//! engine, so a crash-semantics expansion reads every edge — collision,
+//! disconnection, or successor key and slot map — instead of
+//! re-deriving it per state. A search runs on the thread that called
 //! [`Explorer::check`]; the only parallelism is the caller's, across
 //! classes, sharing one explorer. The auxiliary key rides along packed
 //! too: the per-state aux ([`Semantics::Aux`]) is a `Copy` bit-packed
@@ -2271,23 +2275,31 @@ impl<'e> Product<'e> {
     }
 }
 
-/// The next submask of `set` after `cur` in ascending numeric order
-/// (`(cur - set) & set` with wrapping arithmetic). Starting from `0`
-/// and advancing until `cur == set` enumerates every submask of `set`
-/// ascending — exactly the masks the historical `0..=u8::MAX` scans
-/// visited after their `mask & !set != 0` filter, so BFS discovery
-/// order (and with it every golden-pinned counterexample schedule) is
-/// preserved while the widened 16-bit masks avoid a 65536-iteration
-/// sweep per state.
-fn next_submask(cur: u16, set: u16) -> u16 {
-    cur.wrapping_sub(set) & set
+/// The next crash set after `cur` that a budget of `avail` more crashes
+/// affords: the next submask of `live` in ascending order whose weight
+/// is at most `avail`, or `0` once the enumeration wraps. Starting from
+/// `0`, it yields exactly the affordable submasks that an ascending
+/// scan of every submask would keep, in the same order, without
+/// visiting the overweight ones.
+fn next_affordable(cur: u16, live: u16, avail: u32) -> u16 {
+    if avail == 0 {
+        return 0; // the empty set, already visited first, is the only one
+    }
+    let mut next = engine::next_submask(cur, live);
+    while next.count_ones() > avail {
+        // Every submask between `next` and `next` plus its lowest bit
+        // (counting over `live`'s bits only) keeps all of `next`'s bits
+        // and so weighs as much: add the lowest bit, carrying through
+        // the positions outside `live`, to skip them all.
+        next = ((next | !live).wrapping_add(next & next.wrapping_neg())) & live;
+    }
+    next
 }
 
 impl CrashSemantics {
     /// Builds the per-state expansion context: everything the action
     /// enumeration needs, copied out of the search except the class's
-    /// round table, which it borrows from the search's per-class
-    /// column.
+    /// representative and round table, which it borrows.
     fn prepare<'s, A: Algorithm + ?Sized>(
         &self,
         search: &'s Search<'_, '_, A, Self>,
@@ -2295,10 +2307,7 @@ impl CrashSemantics {
     ) -> CrashExpand<'s> {
         let (class, crashed, _) = search.state(id);
         let info = search.info(class);
-        let n = info.n as usize;
         let cfg = search.class_cfg(class);
-        let mut positions = [ORIGIN; PackedClass::MAX_ROBOTS];
-        positions[..n].copy_from_slice(cfg.positions());
         let explorer = search.explorer();
         let perms = if explorer.group().len() > 1 {
             explorer.stabilizer_perms(cfg, crashed)
@@ -2312,9 +2321,8 @@ impl CrashSemantics {
             crashed,
             budget: self.budget,
             movers: info.movers,
-            n,
             moves: info.moves,
-            positions,
+            cfg,
             perms,
             table,
         }
@@ -2322,78 +2330,71 @@ impl CrashSemantics {
 }
 
 /// The pure expansion context of one crash-semantics state: the crash
-/// mask, decision vector, stabilizer permutations and the bit-parallel
-/// [`engine::RoundTable`] whose packed occupancy masks replace the
-/// scalar per-action collision / connectivity checks on the hot path.
+/// mask, decision vector and stabilizer permutations, plus the class's
+/// [`engine::RoundTable`], from which every activation's step is read.
 struct CrashExpand<'s> {
     crashed: u16,
     budget: u8,
     movers: u16,
-    n: usize,
     moves: [Option<Dir>; PackedClass::MAX_ROBOTS],
-    positions: [Coord; PackedClass::MAX_ROBOTS],
+    cfg: &'s Configuration,
     perms: Vec<Vec<usize>>,
     table: &'s engine::RoundTable,
 }
 
 impl CrashExpand<'_> {
     /// Enumerates every adversary action in the exact historical order
-    /// — crash submasks of the live robots ascending, and within each
-    /// injection the nonzero activation submasks of the surviving
-    /// movers ascending — feeding each `(action, step)` to `sink`.
-    /// Stops after an unconditionally terminal step (collision /
-    /// disconnection), which ends the expansion.
+    /// — affordable crash submasks of the live robots ascending, and
+    /// within each injection the nonzero activation submasks of the
+    /// surviving movers ascending — feeding each `(action, step)` to
+    /// `sink`. Stops after an unconditionally terminal step (collision
+    /// / disconnection), which ends the expansion.
     fn for_each(&self, mut sink: impl FnMut(CrashRound, PureStep<u16>)) {
-        let live = ((1u16 << self.n) - 1) & !self.crashed;
+        let n = self.cfg.len();
+        let live = ((1u16 << n) - 1) & !self.crashed;
         let avail = self.budget.saturating_sub(self.crashed.count_ones() as u8);
         let mut crash: u16 = 0;
-        'crash: loop {
-            'one_crash: {
-                if crash.count_ones() > u32::from(avail) {
-                    break 'one_crash;
-                }
-                let after = self.crashed | crash;
-                let live_movers = self.movers & !after;
-                if live_movers == 0 {
-                    // The injection froze every remaining mover: a single
-                    // injection-only action to a terminal state. `crash`
-                    // is nonzero here — an inner state has a live mover.
-                    let action = CrashRound { crash, activate: 0 };
-                    let step = if !self.perms.is_empty()
-                        && canonical_action(action, &self.perms) != action
-                    {
+        loop {
+            let after = self.crashed | crash;
+            if self.movers & !after == 0 {
+                // The injection froze every remaining mover: a single
+                // injection-only action to a terminal state. `crash` is
+                // nonzero here — an inner state has a live mover.
+                let action = CrashRound { crash, activate: 0 };
+                let step =
+                    if !self.perms.is_empty() && canonical_action(action, &self.perms) != action {
                         PureStep::Dedup
                     } else {
                         PureStep::Variant(after)
                     };
-                    sink(action, step);
-                    break 'one_crash;
-                }
-                // Destination occupancy over the round table's node
-                // universe, maintained incrementally: each transition of
-                // the ascending submask enumeration flips only the
-                // activation deltas of the slots whose membership
-                // changed — amortized two single-word XORs per action,
-                // the Gray-code view of the ascending order.
-                let mut occ = self.table.base_occupancy();
-                let mut prev: u16 = 0;
-                // Nonzero submasks of `live_movers`, ascending.
-                let mut mask: u16 = 0;
-                while mask != live_movers {
-                    mask = next_submask(mask, live_movers);
-                    let mut changed = prev ^ mask;
-                    while changed != 0 {
-                        let slot = changed.trailing_zeros() as usize;
-                        changed &= changed - 1;
-                        occ ^= self.table.delta(slot);
-                    }
-                    prev = mask;
-                    let action = CrashRound { crash, activate: mask };
+                sink(action, step);
+            } else {
+                // The table's subsets that spare every crashed robot are
+                // exactly the nonzero submasks of the live movers, in
+                // the same ascending order.
+                for entry in self.table.entries().iter().filter(|e| e.mask & after == 0) {
+                    let action = CrashRound { crash, activate: entry.mask };
                     if !self.perms.is_empty() && canonical_action(action, &self.perms) != action {
                         sink(action, PureStep::Dedup);
                         continue;
                     }
-                    let step = self.step_of(after, mask, occ);
+                    let step = match entry.kind {
+                        engine::RoundKind::Collides => {
+                            PureStep::Collide(self.collision(entry.mask))
+                        }
+                        engine::RoundKind::Disconnects => PureStep::Disconnect,
+                        engine::RoundKind::Succ => {
+                            // Crashed robots never move; their slot bits
+                            // follow them into the successor's order.
+                            let mut aux = 0u16;
+                            let mut bits = after;
+                            while bits != 0 {
+                                aux |= 1 << entry.slot(bits.trailing_zeros() as usize);
+                                bits &= bits - 1;
+                            }
+                            PureStep::Succ(entry.key, aux)
+                        }
+                    };
                     let terminal = matches!(step, PureStep::Collide(_) | PureStep::Disconnect);
                     sink(action, step);
                     if terminal {
@@ -2401,106 +2402,20 @@ impl CrashExpand<'_> {
                     }
                 }
             }
-            if crash == live || avail == 0 {
-                // No remaining crash budget: every further submask of
-                // `live` would be skipped as overweight anyway (the
-                // historical loop spun through all of them to the same
-                // effect), so ending the enumeration here is
-                // observationally identical — and for the budget-0
-                // adversary it is the entire crash loop.
-                break 'crash;
+            crash = next_affordable(crash, live, u32::from(avail));
+            if crash == 0 {
+                return;
             }
-            crash = next_submask(crash, live);
         }
     }
 
-    /// Classifies one non-deduped activation. The table answers the
-    /// collision and connectivity questions in a handful of word ops;
-    /// the scalar engine is consulted only to materialize the exact
-    /// collision report of a refutation (at most once per expansion).
-    fn step_of(&self, after: u16, mask: u16, occ: u32) -> PureStep<u16> {
-        let n = self.n;
-        #[cfg(debug_assertions)]
-        self.assert_scalar_agreement(mask, occ);
-        if self.table.collides(mask) {
-            let mut masked = [None; PackedClass::MAX_ROBOTS];
-            for (i, slot) in masked[..n].iter_mut().enumerate() {
-                if mask & (1 << i) != 0 {
-                    *slot = self.moves[i];
-                }
-            }
-            let cfg = Configuration::new(self.positions[..n].iter().copied());
-            match engine::check_moves(&cfg, &masked[..n]) {
-                Err(collision) => return PureStep::Collide(collision),
-                Ok(()) => unreachable!("round table over-reported a collision"),
-            }
-        }
-        if !self.table.connected(occ) {
-            return PureStep::Disconnect;
-        }
-        // Legal, connected: fold the successor directly into its packed
-        // canonical key. Destinations are distinct (no collision), so
-        // the index sort by row-major key is the exact slot relabeling
-        // `Configuration::new` would apply — no materialisation needed.
-        let mut ends = [ORIGIN; PackedClass::MAX_ROBOTS];
-        for (i, end) in ends[..n].iter_mut().enumerate() {
-            let p = self.positions[i];
-            *end = if mask & (1 << i) != 0 {
-                p.step(self.moves[i].expect("activated slots are movers"))
-            } else {
-                p
-            };
-        }
-        let mut idx: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
-        idx[..n].sort_unstable_by_key(|&i| polyhex::key(ends[i]));
-        let mut cells = [ORIGIN; PackedClass::MAX_ROBOTS];
-        let mut aux = 0u16;
-        for k in 0..n {
-            cells[k] = ends[idx[k]];
-            if after & (1 << idx[k]) != 0 {
-                // Crashed robots never move, so carrying their slot
-                // bits through the re-sort equals re-locating their
-                // (unchanged) coordinates in the successor.
-                aux |= 1 << k;
-            }
-        }
-        let key = PackedClass::of_sorted(&cells[..n]);
-        #[cfg(debug_assertions)]
-        {
-            let next = Configuration::new(ends[..n].iter().copied());
-            debug_assert_eq!(key, next.canonical_key(), "packed successor key diverged");
-            debug_assert!(next.is_connected(), "table missed a disconnection");
-        }
-        PureStep::Succ(key, aux)
-    }
-
-    /// Debug-only cross-check: the round table's collision and
-    /// connectivity answers must agree with the scalar engine on every
-    /// enumerated action, not just the ones that refute.
-    #[cfg(debug_assertions)]
-    fn assert_scalar_agreement(&self, mask: u16, occ: u32) {
-        let n = self.n;
-        let mut masked = [None; PackedClass::MAX_ROBOTS];
-        for (i, slot) in masked[..n].iter_mut().enumerate() {
-            if mask & (1 << i) != 0 {
-                *slot = self.moves[i];
-            }
-        }
-        let cfg = Configuration::new(self.positions[..n].iter().copied());
-        let scalar = engine::check_moves(&cfg, &masked[..n]);
-        debug_assert_eq!(
-            self.table.collides(mask),
-            scalar.is_err(),
-            "round table collision disagrees with check_moves for mask {mask:#b}"
-        );
-        if scalar.is_ok() {
-            let next = cfg.apply_unchecked(&masked[..n]);
-            debug_assert_eq!(
-                self.table.connected(occ),
-                next.is_connected(),
-                "round table connectivity disagrees for mask {mask:#b}"
-            );
-        }
+    /// The scalar engine's exact report of a colliding activation,
+    /// materialized for the refutation outcome (at most once per
+    /// expansion: a collision ends it).
+    fn collision(&self, mask: u16) -> engine::RoundCollision {
+        let masked = engine::mask_moves(&self.moves, mask);
+        engine::check_moves(self.cfg, &masked[..self.cfg.len()])
+            .expect_err("the round table records a collision")
     }
 }
 
@@ -2665,6 +2580,23 @@ mod tests {
             CrashRound { crash: 0b10, activate: 0b100 },
         ];
         assert_eq!(movement_rounds(&schedule), 2);
+    }
+
+    #[test]
+    fn affordable_crash_sets_are_the_light_submasks_ascending() {
+        for live in 0u16..1 << 10 {
+            for avail in 0..=3u32 {
+                let mut sets = vec![0u16];
+                let mut crash = next_affordable(0, live, avail);
+                while crash != 0 {
+                    sets.push(crash);
+                    crash = next_affordable(crash, live, avail);
+                }
+                let want: Vec<u16> =
+                    (0..=live).filter(|m| m & !live == 0 && m.count_ones() <= avail).collect();
+                assert_eq!(sets, want, "live={live:#b} avail={avail}");
+            }
+        }
     }
 
     #[test]

@@ -77,14 +77,10 @@ fn small_is_connected(nodes: &[Coord]) -> bool {
 /// an entire adjacency row into the frontier. Empty and singleton
 /// selections count as connected.
 ///
-/// This is the shared bit-parallel connectivity kernel: the per-set
-/// path above builds its rows from pairwise grid distances, and the
-/// exploration engine's round tables precompute rows over a
-/// positions ∪ targets node universe so every activation subset's
-/// successor connectivity is a handful of `u32` ops (no coordinate
-/// materialisation per subset).
+/// The kernel of [`small_is_connected`], which builds the rows from
+/// pairwise grid distances.
 #[must_use]
-pub fn mask_connected(adj: &[u32], occ: u32) -> bool {
+fn mask_connected(adj: &[u32], occ: u32) -> bool {
     if occ & occ.wrapping_sub(1) == 0 {
         return true; // zero or one node
     }
