@@ -35,8 +35,8 @@
 //! direction to reconstruct a connected configuration"); the search
 //! treats *any* disconnection as terminal, exactly as the case analysis
 //! of §III does ("a collision occurs or the configuration becomes
-//! unconnected"). See EXPERIMENTS.md for a discussion of this
-//! assumption.
+//! unconnected"). The `simlab` crate's `experiments` binary prints the
+//! related measurement (E12: relaxed initial connectivity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -221,8 +221,9 @@ fn dfs_parallel(
     let mut table = base.clone();
     let mut path = Vec::new();
     let mut frontier = Vec::new();
-    // Depth 4 gives up to 7^4 = 2401 subtrees; with single-item claiming
-    // below, that smooths out the (massively skewed) subtree costs.
+    // Depth 4 gives up to 7^4 = 2401 subtrees; `par_find_min` claims
+    // one at a time, which smooths out the (massively skewed) subtree
+    // costs.
     if let Err(solution) = collect_frontier(&mut table, classes, 4, &mut path, &mut frontier, stats)
     {
         return Some(solution);
@@ -232,7 +233,7 @@ fn dfs_parallel(
     }
     use parking_lot::Mutex;
     let task_stats: Mutex<SearchStats> = Mutex::new(SearchStats::default());
-    let found = parallel::par_find_any_chunked(&frontier, 0, 1, |path| {
+    let found = parallel::par_find_min(&frontier, 0, |path| {
         let mut t = base.clone();
         for &(bits, action) in path {
             t.assign(bits, action);

@@ -3,37 +3,32 @@
 //! The paper's evaluation is an exhaustive sweep over 3652 independent
 //! simulations — a textbook embarrassingly parallel workload. Rather than
 //! pulling in a full data-parallelism framework, this crate provides two
-//! small, auditable executors built on `std::thread::scope`,
+//! small, auditable entry points built on `std::thread::scope`,
 //! `crossbeam` and `parking_lot` (the crates allowed for this
 //! reproduction):
 //!
-//! * [`par_map`] / [`par_for_each`] / [`par_fold`] — chunked
-//!   self-scheduling: workers repeatedly claim fixed-size index chunks
-//!   from a shared atomic counter. Minimal overhead, good for uniform
-//!   work items.
-//! * [`stealing::par_map_stealing`] — a crossbeam-deque work-stealing
-//!   executor, better when item costs are highly skewed (e.g. livelock
-//!   candidates that run to the step limit). The `parallel_scaling`
-//!   bench compares the two.
-//! * [`par_find_any`] — early-exit parallel search (used by the
-//!   impossibility engine to hunt counterexamples).
+//! * [`par_map`] — the crossbeam-deque work-stealing map of
+//!   [`stealing`], re-exported here. Per-item costs in this repository
+//!   range from uniform (FSYNC runs) to wildly skewed (a model-checking
+//!   proof explores thousands of states where a refutation stops at its
+//!   first bad terminal); one pool serves both.
+//! * [`par_find_min`] — deterministic early-exit search: the
+//!   lowest-indexed hit, whatever the thread count (the sweep's
+//!   fail-fast counterexample hunt and the impossibility search).
 //!
-//! All entry points take a `threads` argument; `0` means "use all
-//! available cores". Results preserve input order regardless of
-//! scheduling. Worker panics propagate to the caller.
+//! Both take a `threads` argument; `0` means "use all available cores".
+//! Results preserve input order regardless of scheduling. Worker panics
+//! propagate to the caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub mod stealing;
 
-/// Chunk size for the self-scheduling executors. Large enough to keep
-/// counter contention negligible, small enough to balance 3652-item
-/// sweeps across a handful of cores.
-pub const CHUNK: usize = 16;
+pub use stealing::par_map_stealing as par_map;
 
 /// Resolves a `threads` argument: `0` becomes the number of available
 /// cores (at least 1).
@@ -45,191 +40,16 @@ pub fn resolve_threads(threads: usize) -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Applies `f` to every item in parallel, returning results in input
-/// order.
-///
-/// Workers claim `CHUNK`-sized index ranges from an atomic counter.
-/// With `threads == 1` (or a single item) the call degrades to a
-/// sequential loop with no thread spawns.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + CHUNK).min(items.len());
-                    let chunk: Vec<R> = items[start..end].iter().map(&f).collect();
-                    local.push((start, chunk));
-                }
-                if !local.is_empty() {
-                    collected.lock().append(&mut local);
-                }
-            });
-        }
-    });
-    let mut parts = collected.into_inner();
-    parts.sort_by_key(|(start, _)| *start);
-    let mut out = Vec::with_capacity(items.len());
-    for (_, mut chunk) in parts {
-        out.append(&mut chunk);
-    }
-    debug_assert_eq!(out.len(), items.len());
-    out
-}
-
-/// Runs `f` on every item in parallel, discarding results.
-pub fn par_for_each<T, F>(items: &[T], threads: usize, f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        items.iter().for_each(f);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = (start + CHUNK).min(items.len());
-                items[start..end].iter().for_each(&f);
-            });
-        }
-    });
-}
-
-/// Parallel fold: maps every item with `f` into a per-worker accumulator
-/// created by `init`, then reduces the accumulators with `reduce`.
-///
-/// `reduce` must be associative and `init` a neutral element for the
-/// result to be independent of scheduling.
-pub fn par_fold<T, A, F, I, Rd>(items: &[T], threads: usize, init: I, f: F, reduce: Rd) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    Rd: Fn(A, A) -> A,
-{
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        let mut acc = init();
-        items.iter().for_each(|t| f(&mut acc, t));
-        return acc;
-    }
-    let next = AtomicUsize::new(0);
-    let accs: Mutex<Vec<A>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut acc = init();
-                loop {
-                    let start = next.fetch_add(CHUNK, Ordering::Relaxed);
-                    if start >= items.len() {
-                        break;
-                    }
-                    let end = (start + CHUNK).min(items.len());
-                    items[start..end].iter().for_each(|t| f(&mut acc, t));
-                }
-                accs.lock().push(acc);
-            });
-        }
-    });
-    accs.into_inner().into_iter().fold(init(), reduce)
-}
-
-/// Searches the items in parallel for one where `f` returns `Some`,
-/// stopping all workers as soon as any hit is found. Returns the index
-/// and value of *a* hit (the lowest-indexed hit found before shutdown;
-/// which hit wins may vary between runs when several exist).
-pub fn par_find_any<T, R, F>(items: &[T], threads: usize, f: F) -> Option<(usize, R)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Option<R> + Sync,
-{
-    par_find_any_chunked(items, threads, CHUNK, f)
-}
-
-/// [`par_find_any`] with an explicit claim granularity. Use
-/// `chunk == 1` when per-item costs are wildly skewed (e.g. exhaustive
-/// subtree searches) so no worker hoards a batch of heavy items.
-pub fn par_find_any_chunked<T, R, F>(
-    items: &[T],
-    threads: usize,
-    chunk: usize,
-    f: F,
-) -> Option<(usize, R)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Option<R> + Sync,
-{
-    let chunk = chunk.max(1);
-    let threads = resolve_threads(threads).min(items.len().max(1));
-    if threads <= 1 {
-        return items.iter().enumerate().find_map(|(i, t)| f(t).map(|r| (i, r)));
-    }
-    let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let best: Mutex<Option<(usize, R)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= items.len() {
-                    break;
-                }
-                let end = (start + chunk).min(items.len());
-                for (i, t) in items[start..end].iter().enumerate() {
-                    if let Some(r) = f(t) {
-                        let idx = start + i;
-                        let mut guard = best.lock();
-                        if guard.as_ref().is_none_or(|(j, _)| idx < *j) {
-                            *guard = Some((idx, r));
-                        }
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-    best.into_inner()
-}
-
 /// Deterministic early-exit search: returns the **lowest-indexed** item
 /// for which `f` returns `Some`, independent of thread count and
 /// scheduling.
 ///
-/// Unlike [`par_find_any`], which returns whichever hit was found
-/// before shutdown, this keeps scanning every index below the best hit
-/// so far, and only prunes indices above it. Use it when the result
+/// Workers claim one index at a time in ascending order. A hit bounds
+/// the search: indices above the lowest hit so far are never claimed,
+/// while every index below it is still scanned. Use it when the result
 /// feeds deterministic records (e.g. the sweep pipeline's fail-fast
-/// counterexample hunt).
+/// counterexample hunt) or when per-item costs are wildly skewed (the
+/// impossibility search's subtrees), since no worker hoards a batch.
 pub fn par_find_min<T, R, F>(items: &[T], threads: usize, f: F) -> Option<(usize, R)>
 where
     T: Sync,
@@ -269,7 +89,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn par_map_preserves_order() {
@@ -286,52 +105,6 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(&empty, 4, |&x| x).is_empty());
         assert_eq!(par_map(&[7u32], 4, |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_for_each_visits_everything_once() {
-        let items: Vec<usize> = (0..500).collect();
-        let visits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
-        par_for_each(&items, 4, |&i| {
-            visits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        for (i, v) in visits.iter().enumerate() {
-            assert_eq!(v.load(Ordering::Relaxed), 1, "item {i}");
-        }
-    }
-
-    #[test]
-    fn par_fold_sums() {
-        let items: Vec<u64> = (1..=10_000).collect();
-        let total = par_fold(&items, 0, || 0u64, |acc, &x| *acc += x, |a, b| a + b);
-        assert_eq!(total, 10_000 * 10_001 / 2);
-    }
-
-    #[test]
-    fn par_fold_single_thread_matches_sequential() {
-        let items: Vec<u64> = (0..97).collect();
-        let p = par_fold(&items, 1, || 0u64, |acc, &x| *acc += 2 * x + 1, |a, b| a + b);
-        let s: u64 = items.iter().map(|&x| 2 * x + 1).sum();
-        assert_eq!(p, s);
-    }
-
-    #[test]
-    fn par_find_any_finds_lowest_when_unique() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let hit = par_find_any(&items, 4, |&x| (x == 7777).then_some(x * 2));
-        assert_eq!(hit, Some((7777, 15554)));
-    }
-
-    #[test]
-    fn par_find_any_none_when_absent() {
-        let items: Vec<u64> = (0..1000).collect();
-        assert_eq!(par_find_any(&items, 4, |&x| (x > 5000).then_some(())), None);
-    }
-
-    #[test]
-    fn par_find_any_sequential_finds_first() {
-        let items = [1u32, 2, 3, 4, 5, 6];
-        assert_eq!(par_find_any(&items, 1, |&x| (x % 2 == 0).then_some(x)), Some((1, 2)));
     }
 
     #[test]

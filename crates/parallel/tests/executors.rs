@@ -1,9 +1,8 @@
 //! Integration contracts for the parallel executors: input order is
-//! preserved under every thread count, the early-exit search actually
-//! exits early, and the work-stealing executor agrees with the chunked
-//! one on skewed workloads.
+//! preserved under every thread count, and the early-exit search
+//! actually exits early.
 
-use parallel::{par_find_any, par_fold, par_map, stealing::par_map_stealing};
+use parallel::{par_find_min, par_map, stealing::par_map_stealing};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A mildly expensive pure function so multi-thread runs really
@@ -27,22 +26,12 @@ fn par_map_preserves_order_across_thread_counts() {
 }
 
 #[test]
-fn par_fold_is_scheduling_independent() {
-    let items: Vec<u64> = (1..=5000).collect();
-    let expected: u64 = items.iter().map(|&x| x * 3 + 1).sum();
-    for threads in [1, 2, 0] {
-        let total = par_fold(&items, threads, || 0u64, |acc, &x| *acc += x * 3 + 1, |a, b| a + b);
-        assert_eq!(total, expected, "threads={threads}");
-    }
-}
-
-#[test]
-fn par_find_any_early_exits_sequentially() {
+fn par_find_min_early_exits_sequentially() {
     // The single-threaded path is deterministic: the search must stop
     // at the hit, visiting exactly the items before and including it.
     let items: Vec<u64> = (0..100_000).collect();
     let visited = AtomicUsize::new(0);
-    let hit = par_find_any(&items, 1, |&x| {
+    let hit = par_find_min(&items, 1, |&x| {
         visited.fetch_add(1, Ordering::Relaxed);
         (x == 500).then_some(x)
     });
@@ -51,14 +40,14 @@ fn par_find_any_early_exits_sequentially() {
 }
 
 #[test]
-fn par_find_any_early_exits_in_parallel() {
-    // Worker interleaving is nondeterministic, but the finder breaks
-    // out of its chunk at the hit, so the items after the hit in that
-    // chunk are never visited — visiting all items would disprove the
-    // early exit. (In practice the stop flag prunes far more.)
+fn par_find_min_early_exits_in_parallel() {
+    // Worker interleaving is nondeterministic, but once the hit lands
+    // no worker claims past it, so visiting all items would disprove
+    // the early exit. (In practice only the claims in flight when the
+    // hit lands run past it.)
     let items: Vec<u64> = (0..100_000).collect();
     let visited = AtomicUsize::new(0);
-    let hit = par_find_any(&items, 4, |&x| {
+    let hit = par_find_min(&items, 4, |&x| {
         visited.fetch_add(1, Ordering::Relaxed);
         (x == 500).then_some(x)
     });
@@ -68,10 +57,10 @@ fn par_find_any_early_exits_in_parallel() {
 }
 
 #[test]
-fn par_find_any_exhausts_when_absent() {
+fn par_find_min_exhausts_when_absent() {
     let items: Vec<u64> = (0..10_000).collect();
     let visited = AtomicUsize::new(0);
-    let hit = par_find_any(&items, 4, |&_x| -> Option<()> {
+    let hit = par_find_min(&items, 4, |&_x| -> Option<()> {
         visited.fetch_add(1, Ordering::Relaxed);
         None
     });
@@ -80,27 +69,9 @@ fn par_find_any_exhausts_when_absent() {
 }
 
 #[test]
-fn stealing_matches_chunked_on_skewed_workloads() {
-    // The first few items are ~1000x more expensive than the rest —
-    // the shape of a sweep where some classes run to the step limit.
-    let items: Vec<u64> = (0..512).collect();
-    let work = |&x: &u64| {
-        let iters = if x < 4 { 200_000 } else { 200 };
-        let mut acc = x;
-        for _ in 0..iters {
-            acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        }
-        (x, acc)
-    };
-    for threads in [1, 2, 0] {
-        let chunked = par_map(&items, threads, work);
-        let stolen = par_map_stealing(&items, threads, work);
-        assert_eq!(chunked, stolen, "threads={threads}");
-    }
-}
-
-#[test]
 fn executors_agree_on_empty_and_single_inputs() {
+    // `par_map` and `stealing::par_map_stealing` name one executor;
+    // both public paths stay callable.
     let empty: Vec<u64> = Vec::new();
     assert!(par_map(&empty, 0, |&x| x).is_empty());
     assert!(par_map_stealing(&empty, 0, |&x| x).is_empty());

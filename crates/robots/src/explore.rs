@@ -59,7 +59,7 @@
 //! The exploration substrate is built for mechanical sympathy
 //! (DESIGN.md §11): translation classes are interned through a
 //! [`ClassArena`] keyed by the lossless bit-packed
-//! [`PackedClass`](crate::PackedClass) `u128` form (one hash of 16
+//! [`PackedClass`] `u128` form (one hash of 16
 //! bytes per revisit, the decoded representative stored once per
 //! class), per-class decision vectors (and, for the crash semantics,
 //! round tables) are computed once per distinct class per checker and
@@ -108,7 +108,7 @@ pub struct ExploreOptions {
     pub class_timeout: Option<std::time::Duration>,
     /// Byte budget for one check's live search storage. `None` (the
     /// default) never consults the accounting. When set, the search
-    /// polls [`Search::live_bytes`] at the same sites that check the
+    /// polls `Search::live_bytes` at the same sites that check the
     /// counter budgets and degrades to [`ExploreVerdict::Undecided`]
     /// with [`UndecidedReason::MemBudget`]. Unlike the wall-clock
     /// deadline this stays fully deterministic: the accounting is a
@@ -429,7 +429,7 @@ pub trait Semantics: Sync + Sized {
     /// The packed per-state auxiliary key stored alongside the class
     /// id. Key equality must coincide with auxiliary-state equality
     /// (the packing is lossless), exactly as
-    /// [`PackedClass`](crate::PackedClass) equality coincides with
+    /// [`PackedClass`] equality coincides with
     /// translation-class equality.
     type Aux: Copy + Eq + std::fmt::Debug + Send + Sync;
 
@@ -2460,9 +2460,9 @@ impl Semantics for CrashSemantics {
     /// movers — or alone, when it leaves no live mover. Returns a
     /// refutation as soon as a bad terminal is reached.
     ///
-    /// [`CrashExpand::for_each`] enumerates the steps into the
+    /// `CrashExpand::for_each` enumerates the steps into the
     /// search's reused step buffer while it borrows the class's round
-    /// table; [`Search::apply_step`] then applies them in order until
+    /// table; `Search::apply_step` then applies them in order until
     /// one yields a verdict. Steps past that one were enumerated but
     /// are never applied, so the search sees exactly the sequence an
     /// apply-as-you-enumerate loop would.

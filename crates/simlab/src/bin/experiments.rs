@@ -1,4 +1,4 @@
-//! Regenerates the measured sections of EXPERIMENTS.md.
+//! Regenerates and prints every measured experiment table as markdown.
 //!
 //! ```text
 //! cargo run --release -p simlab --bin experiments [-- --skip-slow]

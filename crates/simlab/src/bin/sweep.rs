@@ -5,7 +5,7 @@
 //!     [--algo paper|verified|FLAGS] \
 //!     [--sched fsync|round-robin|random[:SEED:P]|adversary[:DEPTH]|
 //!              crash:F[:DEPTH]|lcm-async[:DEPTH]] \
-//!     [--n 2..=10] [--shards 8] [--threads N] [--stealing auto|on|off] \
+//!     [--n 2..=10] [--shards 8] [--threads N] \
 //!     [--max-rounds N] [--out-dir target/sweep] [--resume] \
 //!     [--fail-fast] [--matrix] [--strict] [--events PATH] [--progress]
 //! ```
@@ -31,10 +31,6 @@
 //! (`adversary-d5`): the fair-cycle decision takes no depth bound, so
 //! it changes no verdict.
 //!
-//! Every non-fail-fast invocation also writes `BENCH_sweep.json` into
-//! the output directory: per-cell wall-clock, classes/sec and states
-//! expanded, so the performance trajectory has a tracked baseline.
-//!
 //! `--strict` makes honest budget accounting enforceable: any class
 //! left `Undecided` (a tripped exploration budget rather than a real
 //! verdict) fails the invocation with a non-zero exit, so pipelines
@@ -42,7 +38,9 @@
 //!
 //! `--events PATH` appends a structured JSONL event stream (cell
 //! start/finish, one heartbeat per shard, budget trips, per-class
-//! panics) for machine consumption, and `--progress` prints a human
+//! panics) for machine consumption — `cell_finish` carries the cell's
+//! wall-clock seconds, classes/sec, states expanded and reused shard
+//! count — and `--progress` prints a human
 //! heartbeat with classes/sec and an ETA to stderr. Both are strictly
 //! out-of-band: records, summaries and digests are byte-identical with
 //! or without them.
@@ -63,8 +61,8 @@
 
 use robots::{Limits, Outcome};
 use simlab::sweep::{
-    run_sweep_with, write_bench, AlgoSpec, BenchRecord, SchedSpec, ShardRecord, ShardStatus,
-    SweepConfig, SweepRun, SweepSummary, SCHED_SPECS,
+    run_sweep_with, AlgoSpec, SchedSpec, ShardRecord, ShardStatus, SweepConfig, SweepRun,
+    SweepSummary, SCHED_SPECS,
 };
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -97,7 +95,7 @@ fn usage_error(msg: &str) -> ! {
     eprintln!(
         "usage: sweep [--algo paper|verified|FLAGS]\n\
          \x20            [--sched fsync|round-robin|random[:SEED:P]|adversary[:DEPTH]|crash:F[:DEPTH]|lcm-async[:DEPTH]]\n\
-         \x20            [--n N (2..=10)] [--shards S] [--threads T] [--stealing auto|on|off]\n\
+         \x20            [--n N (2..=10)] [--shards S] [--threads T]\n\
          \x20            [--max-rounds R] [--out-dir DIR] [--resume] [--fail-fast] [--matrix] [--strict]\n\
          \x20            [--events PATH] [--progress]\n\
          \x20            [--class-timeout-ms MS] [--mem-budget-mb MB] [--cell-deadline-secs S]\n\
@@ -179,14 +177,6 @@ fn parse_cli(argv: &[String]) -> Result<Args, String> {
                     ));
                 }
                 args.cfg.threads = threads;
-            }
-            "--stealing" => {
-                args.cfg.stealing = match value("--stealing")?.as_str() {
-                    "auto" => None,
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    v => return Err(format!("invalid executor mode for --stealing: {v:?}")),
-                }
             }
             "--max-rounds" => {
                 let v = value("--max-rounds")?;
@@ -322,15 +312,15 @@ fn run_cell(
     resume: bool,
     events: &mut Option<EventLog>,
     progress: bool,
-) -> (SweepSummary, BenchRecord) {
+) -> SweepSummary {
     let started = Instant::now();
+    // `cfg.threads == 0` means "all cores"; report the count that runs.
+    let threads = parallel::resolve_threads(cfg.threads);
     eprintln!(
-        "sweep {} · n={} shards={} threads={} executor={} resume={}",
+        "sweep {} · n={} shards={} threads={threads} resume={}",
         cfg.slug(),
         cfg.n,
         cfg.shards,
-        cfg.threads,
-        if cfg.use_stealing() { "stealing" } else { "chunked" },
         resume,
     );
     if let Some(log) = events.as_mut() {
@@ -340,7 +330,7 @@ fn run_cell(
                 ("cell".into(), Value::Str(cfg.slug())),
                 ("robots".into(), Value::UInt(cfg.n as u64)),
                 ("shards".into(), Value::UInt(cfg.shards as u64)),
-                ("threads".into(), Value::UInt(cfg.threads as u64)),
+                ("threads".into(), Value::UInt(threads as u64)),
                 ("resume".into(), Value::Bool(resume)),
             ],
         );
@@ -457,35 +447,24 @@ fn run_cell(
     );
     println!("{}", outcome.summary.line());
     if let Some(log) = events.as_mut() {
+        let elapsed_secs = elapsed.as_secs_f64();
+        let classes_per_sec =
+            if elapsed_secs > 0.0 { outcome.summary.total as f64 / elapsed_secs } else { 0.0 };
         log.emit(
             "cell_finish",
             vec![
                 ("cell".into(), Value::Str(cfg.slug())),
                 ("total".into(), Value::UInt(outcome.summary.total as u64)),
                 ("undecided".into(), Value::UInt(outcome.summary.undecided as u64)),
-                ("elapsed_secs".into(), Value::Float(elapsed.as_secs_f64())),
+                ("elapsed_secs".into(), Value::Float(elapsed_secs)),
+                ("classes_per_sec".into(), Value::Float(classes_per_sec)),
+                ("states_expanded".into(), Value::UInt(outcome.expanded)),
+                ("reused_shards".into(), Value::UInt(reused as u64)),
                 ("digest".into(), outcome.summary.digest.clone().map_or(Value::Null, Value::Str)),
             ],
         );
     }
-    let elapsed_secs = elapsed.as_secs_f64();
-    let bench = BenchRecord {
-        cell: cfg.slug(),
-        robots: cfg.n,
-        total: outcome.summary.total,
-        shards: outcome.shard_status.len(),
-        threads: cfg.threads,
-        computed_shards: outcome.shard_status.len() - reused,
-        elapsed_secs,
-        classes_per_sec: if elapsed_secs > 0.0 {
-            outcome.summary.total as f64 / elapsed_secs
-        } else {
-            0.0
-        },
-        states_expanded: outcome.expanded,
-        verdicts: outcome.summary.adversary,
-    };
-    (outcome.summary, bench)
+    outcome.summary
 }
 
 /// `--strict` enforcement: a budget-capped class is an accounting
@@ -525,34 +504,6 @@ fn main() {
         return;
     }
 
-    let bench_path = args.out_dir.join("BENCH_sweep.json");
-    let write_benches = |benches: &[BenchRecord]| {
-        // A fully-resumed cell spent its wall-clock on JSON I/O, not
-        // simulation; writing it would clobber an honest baseline with
-        // a wildly inflated classes/sec figure.
-        let honest: Vec<BenchRecord> =
-            benches.iter().filter(|b| b.computed_shards > 0).cloned().collect();
-        if honest.is_empty() {
-            eprintln!("  bench: all shards reused; leaving {} untouched", bench_path.display());
-            return;
-        }
-        // Merge with records from earlier invocations (keyed by cell),
-        // so successive single-cell runs accumulate one baseline file
-        // instead of clobbering each other.
-        let mut merged: Vec<BenchRecord> = std::fs::read_to_string(&bench_path)
-            .ok()
-            .and_then(|text| serde_json::from_str::<Vec<BenchRecord>>(&text).ok())
-            .unwrap_or_default();
-        merged.retain(|old| !honest.iter().any(|new| new.cell == old.cell));
-        merged.extend(honest);
-        merged.sort_by(|a, b| a.cell.cmp(&b.cell));
-        if let Err(e) = write_bench(&bench_path, &merged) {
-            eprintln!("warning: could not write {}: {e}", bench_path.display());
-        } else {
-            eprintln!("  bench -> {} ({} cells)", bench_path.display(), merged.len());
-        }
-    };
-
     if args.matrix {
         let algos = [
             AlgoSpec::Paper,
@@ -562,17 +513,14 @@ fn main() {
         let scheds =
             [SchedSpec::Fsync, SchedSpec::RoundRobin, SchedSpec::RandomSubset { seed: 1, p: 0.5 }];
         let mut summaries = Vec::new();
-        let mut benches = Vec::new();
         for algo in algos {
             for sched in scheds {
                 let cfg = SweepConfig { algo, sched, ..args.cfg.clone() };
-                let (summary, bench) =
+                let summary =
                     run_cell(&cfg, &args.out_dir, args.resume, &mut events, args.progress);
                 summaries.push(summary);
-                benches.push(bench);
             }
         }
-        write_benches(&benches);
         println!("\n=== matrix verdicts ===");
         for summary in &summaries {
             println!("{}", summary.line());
@@ -583,9 +531,7 @@ fn main() {
         return;
     }
 
-    let (summary, bench) =
-        run_cell(&args.cfg, &args.out_dir, args.resume, &mut events, args.progress);
-    write_benches(std::slice::from_ref(&bench));
+    let summary = run_cell(&args.cfg, &args.out_dir, args.resume, &mut events, args.progress);
     if args.strict {
         enforce_strict(std::slice::from_ref(&summary));
     }
@@ -649,7 +595,6 @@ mod tests {
         assert!(parse_cli(&argv(&["--n", "many"])).unwrap_err().contains("--n"));
         assert!(parse_cli(&argv(&["--shards", "0"])).unwrap_err().contains("at least 1"));
         assert!(parse_cli(&argv(&["--threads", "0"])).unwrap_err().contains("at least 1"));
-        assert!(parse_cli(&argv(&["--stealing", "sometimes"])).unwrap_err().contains("--stealing"));
         assert!(parse_cli(&argv(&["--frobnicate"])).unwrap_err().contains("unknown argument"));
     }
 

@@ -1,4 +1,5 @@
-//! Report export for EXPERIMENTS.md (JSON via `serde_json`, CSV by hand).
+//! Report export (JSON via `serde_json`, CSV by hand) for the tables the
+//! `experiments` binary prints.
 
 use crate::VerificationReport;
 

@@ -10,7 +10,7 @@
 //!   extension; the paper reports only the boolean verdict).
 //! * [`render`] — ASCII rendering of triangular-grid configurations and
 //!   traces (used to reproduce the paper's figures in the terminal).
-//! * [`export`] — JSON/CSV export of reports for EXPERIMENTS.md.
+//! * [`export`] — JSON/CSV export of verification reports.
 //! * [`sweep`] — the sharded, resumable verification pipeline over the
 //!   {algorithm} × {scheduler} matrix, behind the `sweep` binary.
 

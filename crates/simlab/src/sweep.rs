@@ -12,15 +12,15 @@
 //!   crash-fault adversary, or the ASYNC phase-interleaving
 //!   adversary);
 //! * the 3652-class space is split into contiguous **shards**, each
-//!   fanned across one of the `parallel` executors (the
-//!   crossbeam-deque **work-stealing pool** by default for every
-//!   non-FSYNC cell — the per-class adversary/crash checker runs are
-//!   wildly skewed: a proof explores thousands of states where a
-//!   refutation stops at its first bad terminal) and persisted as a
-//!   serde-serialised [`ShardRecord`]. Work items carry their class
-//!   index and results are merged in index order, so the record
-//!   stream is **byte-identical for every worker-thread count** —
-//!   `tests/determinism.rs` pins this for the model-checking cells;
+//!   fanned across the crossbeam-deque **work-stealing pool**
+//!   ([`parallel::par_map`]; the per-class checker runs of the
+//!   model-checking cells are wildly skewed: a proof explores
+//!   thousands of states where a refutation stops at its first bad
+//!   terminal) and persisted as a serde-serialised [`ShardRecord`].
+//!   Work items carry their class index and results are merged in
+//!   index order, so the record stream is **byte-identical for every
+//!   worker-thread count** — `tests/determinism.rs` pins this for the
+//!   model-checking cells;
 //! * a **merge** step loads the shard records, checks they tile the
 //!   class space exactly, and folds them into a [`SweepSummary`];
 //! * reruns with `resume` skip shards whose record on disk already
@@ -321,10 +321,6 @@ pub struct SweepConfig {
     pub shards: usize,
     /// Worker threads per shard (`0` = all cores).
     pub threads: usize,
-    /// Force the work-stealing executor on (`Some(true)`), off
-    /// (`Some(false)`), or pick by scheduler (`None`: stealing for
-    /// non-FSYNC cells, whose runtimes are skewed by step-limit items).
-    pub stealing: Option<bool>,
     /// Per-execution limits. Livelock detection is automatically
     /// disabled for non-deterministic schedulers.
     pub limits: Limits,
@@ -365,7 +361,6 @@ impl Default for SweepConfig {
             n: 7,
             shards: 8,
             threads: 0,
-            stealing: None,
             limits: Limits::default(),
             class_timeout_ms: None,
             mem_budget_mb: None,
@@ -376,12 +371,6 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// Whether this cell uses the work-stealing executor.
-    #[must_use]
-    pub fn use_stealing(&self) -> bool {
-        self.stealing.unwrap_or(self.sched != SchedSpec::Fsync)
-    }
-
     /// The limits actually applied per execution (livelock detection
     /// off for schedulers where repetition is not proof of livelock).
     #[must_use]
@@ -469,8 +458,8 @@ pub struct ClassOutcome {
     /// authoritative classification.
     pub outcome: Outcome,
     /// Deterministic work measure: rounds executed for scheduled cells,
-    /// states explored for adversary/crash cells. Feeds
-    /// `BENCH_sweep.json`.
+    /// states explored for model-checking cells. Summed into
+    /// [`SweepOutcome::expanded`].
     pub expanded: usize,
     /// The model-checking verdict (adversary cells only).
     pub verdict: Option<AdversaryVerdict>,
@@ -620,7 +609,8 @@ pub struct AdversaryCounts {
     pub proof: usize,
     /// Classes refuted by a concrete counterexample schedule.
     pub refuted: usize,
-    /// Classes with a cyclic class graph and no fair cycle found.
+    /// Classes left without a verdict because a search budget tripped
+    /// or the check panicked (the row's [`UndecidedReason`] says which).
     pub undecided: usize,
 }
 
@@ -739,51 +729,12 @@ pub struct SweepOutcome {
     /// Per-shard status, in shard order.
     pub shard_status: Vec<ShardStatus>,
     /// Total work across all classes (sum of [`ClassOutcome::expanded`]):
-    /// rounds executed for scheduled cells, classes explored for
-    /// adversary cells.
+    /// rounds executed for scheduled cells, states explored for
+    /// model-checking cells.
     pub expanded: u64,
     /// Deterministic digest of the per-class verdict stream
     /// ([`verdict_digest`]).
     pub digest: u64,
-}
-
-/// One cell's performance record, written as `BENCH_sweep.json` by the
-/// sweep CLI so the perf trajectory has a tracked baseline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Cell slug (`algo-sched`).
-    pub cell: String,
-    /// Number of robots.
-    pub robots: usize,
-    /// Classes covered.
-    pub total: usize,
-    /// Shards the run used.
-    pub shards: usize,
-    /// Worker threads per shard (0 = all cores).
-    pub threads: usize,
-    /// Shards actually computed this run (the rest were resumed).
-    pub computed_shards: usize,
-    /// Wall-clock seconds for the whole cell.
-    pub elapsed_secs: f64,
-    /// Classes per wall-clock second.
-    pub classes_per_sec: f64,
-    /// Total work: rounds executed, or states explored for
-    /// adversary/crash cells.
-    pub states_expanded: u64,
-    /// Model-checking verdict tallies (adversary and crash cells), so
-    /// the bench baseline records *what* was classified alongside how
-    /// fast.
-    #[serde(default)]
-    pub verdicts: Option<AdversaryCounts>,
-}
-
-/// Writes the run's [`BenchRecord`]s (one per cell) atomically to
-/// `path` as a JSON array.
-///
-/// # Errors
-/// Propagates I/O errors from the target directory.
-pub fn write_bench(path: &Path, records: &[BenchRecord]) -> io::Result<()> {
-    write_json_atomic(path, &records.to_vec())
 }
 
 /// Splits `total` items into `shards` near-equal contiguous ranges.
@@ -1317,7 +1268,7 @@ fn run_shard_inner(
     };
     // Telemetry bracketing: the pool totals are process-global, so the
     // before/after delta attributes stealing activity to this shard
-    // (approximately, if other executors run concurrently — metrics
+    // (approximately, if other pool calls run concurrently — metrics
     // are observability, not accounting).
     let pool_before = parallel::stealing::pool_stats();
     let watch = telemetry::Stopwatch::started();
@@ -1343,17 +1294,12 @@ fn run_shard_inner(
             return Ok(ShardProgress::DeadlineStopped { journaled: results.len() });
         }
         let cend = (cursor + chunk).min(end);
-        // Work items carry their offset so both executors yield
-        // identical, order-preserved records.
+        // Work items carry their offset so the pool yields identical,
+        // order-preserved records under every schedule.
         let base = cursor - start;
         let indexed: Vec<(usize, &Vec<Coord>)> = classes[cursor..cend].iter().enumerate().collect();
-        let chunk_results = if cfg.use_stealing() {
-            parallel::stealing::par_map_stealing(&indexed, cfg.threads, |&(o, c)| {
-                run_one(base + o, c)
-            })
-        } else {
-            parallel::par_map(&indexed, cfg.threads, |&(o, c)| run_one(base + o, c))
-        };
+        let chunk_results =
+            parallel::par_map(&indexed, cfg.threads, |&(o, c)| run_one(base + o, c));
         if let Some(w) = writer.as_mut() {
             w.append_entry(&JournalEntry {
                 start: cursor,
@@ -1656,7 +1602,7 @@ fn digest_class(h: &mut adversary::Fnv64, res: &ClassOutcome) {
 /// shards in. Two runs agree on this digest iff they classified every
 /// class identically; the release golden tests pin it for the full
 /// 3652-class space. Cells at robot counts other than seven prefix
-/// the stream with their count ([`digest_cell_header`]), so n=7
+/// the stream with a `0x4E` ('N') tag byte and their count, so n=7
 /// digests are byte-identical to their pre-parameterised values.
 #[must_use]
 pub fn verdict_digest(records: &[ShardRecord]) -> u64 {
@@ -2352,11 +2298,10 @@ mod tests {
     #[test]
     fn random_subset_outcomes_are_sharding_invariant() {
         // The per-class seed derivation must make outcomes identical no
-        // matter how the space is sharded or which executor ran it.
+        // matter how the space is sharded.
         let sched = SchedSpec::RandomSubset { seed: 3, p: 0.6 };
         let one = SweepConfig { n: 4, shards: 1, sched, ..SweepConfig::default() };
-        let many =
-            SweepConfig { n: 4, shards: 5, sched, stealing: Some(true), ..SweepConfig::default() };
+        let many = SweepConfig { n: 4, shards: 5, sched, ..SweepConfig::default() };
         let classes = polyhex::enumerate_fixed(4);
         let whole = run_shard(&classes, &one, 0, 0, classes.len());
         let pieces: Vec<ClassOutcome> = shard_ranges(classes.len(), 5)

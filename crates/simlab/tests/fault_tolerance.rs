@@ -179,6 +179,22 @@ fn injected_panic_degrades_to_counted_undecided_without_killing_the_cell() {
     let log = std::fs::read_to_string(&events).expect("events log exists");
     assert!(log.contains("class_panic"), "the event stream reports the panic: {log}");
     assert!(log.contains("injected boom"), "the event carries the payload");
+    // `--threads` was omitted, so the cell ran on all cores: the event
+    // reports that count, not the `0` that selects it.
+    let event = |name: &str| -> serde_json::Value {
+        let tag = format!("\"event\":\"{name}\"");
+        let line = log.lines().find(|l| l.contains(&tag)).unwrap_or_else(|| panic!("{tag}: {log}"));
+        serde_json::from_str(line).expect("event lines parse")
+    };
+    let start = event("cell_start");
+    assert_eq!(
+        lookup(&start, "threads"),
+        &serde_json::Value::UInt(parallel::resolve_threads(0) as u64)
+    );
+    let finish = event("cell_finish");
+    assert!(matches!(lookup(&finish, "states_expanded"), serde_json::Value::UInt(s) if *s > 0));
+    assert!(matches!(lookup(&finish, "classes_per_sec"), serde_json::Value::Float(r) if *r > 0.0));
+    assert_eq!(lookup(&finish, "reused_shards"), &serde_json::Value::UInt(0));
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
