@@ -35,7 +35,8 @@
 use crate::config::{PackedClass, PackedPending};
 use crate::engine::{self, Execution, Limits, Outcome, RoundCollision};
 use crate::explore::{
-    canonical_action, ClassInfo, EdgeCert, ExploreOptions, Explorer, NodeKind, Search, Semantics,
+    canonical_action, ClassInfo, ClassNode, EdgeCert, ExploreOptions, Explorer, NodeKind, Search,
+    Semantics,
 };
 use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration, View};
@@ -292,11 +293,17 @@ impl Semantics for AsyncSemantics {
         aux.permute_map(n, map, |d| sym.apply_dir(d))
     }
 
-    fn classify(&self, cfg: &Configuration, info: &ClassInfo, aux: PackedPending) -> NodeKind {
+    /// The one terminal state of a class, if any, is its all-idle
+    /// state (rank 0), when nobody would move.
+    fn goal_bits(&self, cfg: &Configuration, info: &ClassInfo) -> u64 {
+        u64::from(info.movers() == 0 && (self.goal)(cfg))
+    }
+
+    fn classify(&self, node: &ClassNode, aux: PackedPending) -> NodeKind {
         // A pending robot can always execute; an idle mover can always
         // look. Terminal = everyone idle and nobody would move.
-        if aux.is_idle() && info.movers() == 0 {
-            if (self.goal)(cfg) {
+        if aux.is_idle() && node.info().movers() == 0 {
+            if node.goal_bit(0) {
                 NodeKind::Goal
             } else {
                 NodeKind::Stuck
@@ -304,6 +311,14 @@ impl Semantics for AsyncSemantics {
         } else {
             NodeKind::Inner
         }
+    }
+
+    fn intern_root<A: Algorithm + ?Sized>(
+        &self,
+        search: &mut Search<'_, '_, A, Self>,
+        initial: &Configuration,
+    ) -> usize {
+        search.intern_state(initial, PackedPending::IDLE, 0, None).0
     }
 
     /// Expands the phase advance of every robot with an action: a
@@ -321,7 +336,7 @@ impl Semantics for AsyncSemantics {
         let n = info.robots();
         let explorer = search.explorer();
         let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(search.class_cfg(class), pending)
+            explorer.stabilizer_perms(search.node(class).key(), pending)
         } else {
             Vec::new()
         };
@@ -359,22 +374,14 @@ impl Semantics for AsyncSemantics {
                     let cfg = search.class_cfg(class);
                     match advance_phase(cfg, pending, slot, explorer.algorithm()) {
                         Err(collision) => {
-                            let mut schedule = search.path_to(id);
-                            schedule.push(action);
-                            return Some(AsyncVerdict::Refuted {
-                                schedule,
-                                outcome: Outcome::Collision { round: rounds, collision },
-                            });
+                            let outcome = Outcome::Collision { round: rounds, collision };
+                            return Some(search.refute(id, action, outcome));
                         }
                         Ok(PhaseAdvance::Moved { config: next, pending: remapped }) => {
                             search.bump_edges();
                             if !next.is_connected() {
-                                let mut schedule = search.path_to(id);
-                                schedule.push(action);
-                                return Some(AsyncVerdict::Refuted {
-                                    schedule,
-                                    outcome: Outcome::Disconnected { round: rounds + 1 },
-                                });
+                                let outcome = Outcome::Disconnected { round: rounds + 1 };
+                                return Some(search.refute(id, action, outcome));
                             }
                             let (succ, new) = search.intern_state(
                                 &next,
@@ -384,12 +391,8 @@ impl Semantics for AsyncSemantics {
                             );
                             if new {
                                 if search.node_kind(succ) == NodeKind::Stuck {
-                                    let mut schedule = search.path_to(id);
-                                    schedule.push(action);
-                                    return Some(AsyncVerdict::Refuted {
-                                        schedule,
-                                        outcome: Outcome::StuckFixpoint { rounds: rounds + 1 },
-                                    });
+                                    let outcome = Outcome::StuckFixpoint { rounds: rounds + 1 };
+                                    return Some(search.refute(id, action, outcome));
                                 }
                                 queue.push(succ as u32);
                             }
@@ -525,7 +528,7 @@ impl<'a, A: Algorithm + ?Sized> AsyncChecker<'a, A> {
     }
 
     /// A point-in-time telemetry snapshot of the underlying explorer:
-    /// phase wall times, memo hit rates, verdict tallies and BFS shape
+    /// phase wall times, class-table size, verdict tallies and BFS shape
     /// histograms (see [`Explorer::metrics_snapshot`]). Strictly
     /// out-of-band — verdicts and digests never depend on it.
     #[must_use]

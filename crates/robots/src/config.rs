@@ -157,13 +157,22 @@ impl PackedClass {
     /// Decodes the canonical representative of the class.
     #[must_use]
     pub fn unpack(self) -> Configuration {
-        let n = self.robots();
-        Configuration::new((0..n).map(|i| {
+        Configuration::new(self.cells()[..self.robots()].iter().copied())
+    }
+
+    /// The canonical representative's cells in row-major order, decoded
+    /// into a fixed buffer without allocating: the first
+    /// [`Self::robots`] entries are the cells, the rest are the origin.
+    #[must_use]
+    pub fn cells(self) -> [Coord; PackedClass::MAX_ROBOTS] {
+        let mut cells = [ORIGIN; PackedClass::MAX_ROBOTS];
+        for (i, cell) in cells[..self.robots()].iter_mut().enumerate() {
             let node = (self.0 >> (LEN_BITS + NODE_BITS * i as u32)) & ((1 << NODE_BITS) - 1);
             let x = (node & ((1 << X_BITS) - 1)) as i32 - X_BIAS;
             let y = (node >> X_BITS) as i32;
-            Coord::new(x, y)
-        }))
+            *cell = Coord::new(x, y);
+        }
+        cells
     }
 }
 

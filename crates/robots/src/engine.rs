@@ -200,8 +200,9 @@ const _: () = assert!(4 * PackedClass::MAX_ROBOTS <= u64::BITS as usize);
 /// The exploration checkers expand every reachable state of a class
 /// through the same subsets (a crash mask only filters them), and a
 /// sweep cell interns each class many times over, so a class's rounds
-/// are stepped once when the explorer's class cache first meets the
-/// class and every later expansion reads its edges from here. The
+/// are stepped once, when the explorer's class table first expands the
+/// class (which stores them with successor class ids), and every later
+/// expansion reads its edges from there. The
 /// builder is the reference semantics itself — [`check_moves`], then
 /// the move application of [`step_moves`], through which the FSYNC
 /// runner and every replay step — so the table cannot disagree with

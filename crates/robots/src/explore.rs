@@ -54,33 +54,46 @@
 //!   (crashing robots only shrinks the set that must gather and never
 //!   creates movers), so goal terminals need no crash expansion.
 //!
-//! # Packed-state core
+//! # The class table
 //!
-//! The exploration substrate is built for mechanical sympathy
-//! (DESIGN.md §11): translation classes are interned through a
-//! [`ClassArena`] keyed by the lossless bit-packed
-//! [`PackedClass`] `u128` form (one hash of 16
-//! bytes per revisit, the decoded representative stored once per
-//! class), per-class decision vectors (and, for the crash semantics,
-//! round tables) are computed once per distinct class per checker and
-//! fetched from its one class cache once per class per search, and
-//! expansion, stabilizer tests and quotient orbit keys all work in
-//! fixed stack buffers. A round table ([`engine::RoundTable`]) steps
-//! each of its class's activation subsets once through the scalar
-//! engine, so a crash-semantics expansion reads every edge — collision,
-//! disconnection, or successor key and slot map — instead of
-//! re-deriving it per state. A search runs on the thread that called
-//! [`Explorer::check`]; the only parallelism is the caller's, across
-//! classes, sharing one explorer. The auxiliary key rides along packed
-//! too: the per-state aux ([`Semantics::Aux`]) is a `Copy` bit-packed
-//! value whose raw bits fold into the quotient orbit keys.
-//! None of this is observable in verdicts or exploration statistics —
-//! the adversary and crash golden files pin byte-identical output.
+//! Every explorer owns one `ClassTable` that all of its searches
+//! share — in a sweep, one per cell (DESIGN.md §11). A translation class
+//! gets a dense `u32` id the first time any search meets it, from one
+//! mutex-guarded [`FlatKeyIndex`] over the lossless packed
+//! [`PackedClass`] keys. Its node — the decision vector, the goal
+//! verdicts of its terminal states and, for semantics that expand
+//! through a materialized configuration (ASYNC), the decoded canonical
+//! representative — is computed once, through a `OnceLock` outside
+//! that lock. For the crash semantics (and so the SSYNC adversary) the
+//! class also carries its round table ([`engine::RoundTable`]: every
+//! activation subset of its movers stepped once through the scalar
+//! engine), stored as `RoundStep`s that name the successor by its
+//! class id. Entries live in fixed segments that never move, so reading
+//! a node or a round table takes no lock and no reference count.
+//!
+//! A crash-semantics search resolves each successor by reading that id
+//! and finds the successor's local state through two flat per-search
+//! arrays: a sparse set from class id to local class (Briggs & Torczon,
+//! *An efficient representation for sparse sets*, ACM LOPLAS 1993) and
+//! one state slot per `(local class, crash-mask rank)`. No edge and no
+//! state costs a hash, a lock or a refcount. The ASYNC semantics keeps a
+//! per-search key cache and per-class pending-vector chains, because its
+//! successors are materialized single-robot moves; it reads class data
+//! from the same table.
+//!
+//! Class ids depend on thread timing, so nothing observable depends on
+//! them: local class and state ids follow each search's own discovery
+//! order, exactly as before the table existed, and the adversary, crash
+//! and ASYNC golden files pin byte-identical output. A search runs on
+//! the thread that called [`Explorer::check`]; the only parallelism is
+//! the caller's, across classes, sharing one explorer. The per-state
+//! aux ([`Semantics::Aux`]) is a `Copy` bit-packed value whose raw bits
+//! fold into the quotient orbit keys.
 
 use crate::config::PackedClass;
 use crate::engine::{self, Outcome};
 use crate::sched::CrashRound;
-use crate::visited::{ClassArena, PackedKeyMap};
+use crate::visited::{FlatKeyIndex, PackedKeyMap};
 use crate::{view, Algorithm, Configuration, View};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -344,11 +357,11 @@ pub enum NodeKind {
     Stuck,
 }
 
-/// Per-class data computed once when a translation class is first
-/// interned: the full decision vector (a pure function of the class —
-/// auxiliary state never changes what a robot *would* decide from a
-/// fresh Look) in a fixed `Copy` array, so expansion never clones a
-/// `Vec`.
+/// Per-class decision data, computed once when a translation class
+/// enters the explorer's `ClassTable`: the full decision vector (a
+/// pure function of the class — auxiliary state never changes what a
+/// robot *would* decide from a fresh Look) in a fixed `Copy` array, so
+/// expansion never clones a `Vec`.
 #[derive(Clone, Copy)]
 pub struct ClassInfo {
     /// Robot count of the class.
@@ -361,13 +374,20 @@ pub struct ClassInfo {
     pub(crate) moves: [Option<Dir>; PackedClass::MAX_ROBOTS],
 }
 
-/// One entry of the explorer's class cache: decision data, the shared
-/// canonical representative, and the round table of semantics that
-/// expand through one ([`Semantics::ROUND_TABLE`]).
-type ClassEntry =
-    (ClassInfo, std::sync::Arc<Configuration>, Option<std::sync::Arc<engine::RoundTable>>);
-
 impl ClassInfo {
+    /// The decision data of a class whose robots decide `decisions`
+    /// (aligned with its row-major positions).
+    fn of(decisions: &[Option<Dir>]) -> ClassInfo {
+        let mut moves = [None; PackedClass::MAX_ROBOTS];
+        moves[..decisions.len()].copy_from_slice(decisions);
+        let movers =
+            decisions
+                .iter()
+                .enumerate()
+                .fold(0u16, |acc, (i, m)| if m.is_some() { acc | (1 << i) } else { acc });
+        ClassInfo { n: decisions.len() as u8, movers, moves }
+    }
+
     /// Robot count of the class.
     #[must_use]
     pub fn robots(&self) -> usize {
@@ -387,27 +407,167 @@ impl ClassInfo {
     }
 }
 
-/// One expansion step of an inner state, produced without touching the
-/// search — the *pure* half of a crash-semantics expansion. The
-/// enumeration reads the state's round table, which lives in the
-/// search, so it collects a state's steps first and
-/// [`Search::apply_step`] then applies them in order.
-pub(crate) enum PureStep<Aux> {
-    /// The action is not the minimal representative of its stabilizer
-    /// orbit: skipped, counted as deduped.
-    Dedup,
-    /// The activation collides; the scalar engine's exact collision
-    /// report rides along for the refutation outcome.
-    Collide(engine::RoundCollision),
-    /// The successor configuration disconnects: refutation (after the
-    /// edge is counted, matching the serial order).
-    Disconnect,
-    /// An aux-only successor at the *same* class and round count — a
-    /// crash injection that froze every remaining mover.
-    Variant(Aux),
-    /// A movement successor: the packed canonical class key plus the
-    /// aux re-expressed over the successor's row-major slots.
-    Succ(PackedClass, Aux),
+/// One class of a `ClassTable`: everything about it that is a pure
+/// function of the class and the explorer's semantics, computed once
+/// per table.
+pub struct ClassNode {
+    /// The packed canonical class; positions decode from it on demand.
+    key: PackedClass,
+    /// The decision data.
+    info: ClassInfo,
+    /// Goal verdicts of the class's terminal states: bit `r` for the
+    /// terminal aux key the semantics ranks `r` ([`Semantics::goal_bits`]).
+    goals: u64,
+    /// The decoded canonical representative, kept only for semantics
+    /// that expand through a materialized configuration (those without
+    /// [`Semantics::ROUND_TABLE`]).
+    cfg: Option<Configuration>,
+}
+
+impl ClassNode {
+    /// The packed canonical class.
+    pub(crate) fn key(&self) -> PackedClass {
+        self.key
+    }
+
+    /// The decision data.
+    pub(crate) fn info(&self) -> &ClassInfo {
+        &self.info
+    }
+
+    /// Whether the terminal state ranked `rank` by
+    /// [`Semantics::goal_bits`] is a goal (ranks below 64 only).
+    pub(crate) fn goal_bit(&self, rank: usize) -> bool {
+        (self.goals >> rank) & 1 != 0
+    }
+}
+
+/// One activation subset of a class's round table, as the class table
+/// stores it: an [`engine::RoundEntry`] whose successor is named by its
+/// class id instead of its 16-byte key. 16 bytes.
+#[derive(Clone, Copy)]
+pub(crate) struct RoundStep {
+    /// Each robot's slot in the successor ([`engine::RoundEntry::slots`]).
+    slots: u64,
+    /// The successor's class id; meaningful only for [`engine::RoundKind::Succ`].
+    succ: u32,
+    /// The activated robots.
+    mask: u16,
+    /// What the round does.
+    kind: engine::RoundKind,
+}
+
+const _: () = assert!(size_of::<RoundStep>() == 16);
+
+impl RoundStep {
+    /// Robot `robot`'s row-major slot in the successor.
+    fn slot(self, robot: usize) -> usize {
+        ((self.slots >> (4 * robot)) & 0xF) as usize
+    }
+}
+
+/// One entry of a `ClassTable`: the class's node, and its round table
+/// for semantics that expand through one.
+#[derive(Default)]
+struct ClassSlot {
+    node: std::sync::OnceLock<ClassNode>,
+    steps: std::sync::OnceLock<Box<[RoundStep]>>,
+}
+
+/// Entries per `ClassTable` segment.
+const SEGMENT_SLOTS: usize = 1024;
+
+/// Segments per `ClassTable`: room for 2^22 classes, more than every
+/// connected class of up to [`PackedClass::MAX_ROBOTS`] robots together.
+const TABLE_SEGMENTS: usize = 4096;
+
+/// The class table one explorer's searches share: class key → dense
+/// id, and per id a [`ClassNode`] plus (for the crash semantics) the
+/// class's `RoundStep`s.
+///
+/// * Ids come from one mutex-guarded [`FlatKeyIndex`], in the order
+///   classes are first met, so they depend on thread timing: nothing
+///   may iterate the table to produce output.
+/// * Nodes and round tables initialize through `OnceLock`s outside
+///   that lock; a racing reader waits for the one initializer.
+/// * Entries live in fixed-size segments that are allocated on first
+///   use and never move, so reads take no lock.
+///
+/// The table grows only with classes that searches reach.
+pub(crate) struct ClassTable {
+    index: std::sync::Mutex<FlatKeyIndex>,
+    segments: Box<[std::sync::OnceLock<Box<[ClassSlot]>>]>,
+    /// Heap bytes retained: segments, round tables, node payloads.
+    bytes: std::sync::atomic::AtomicUsize,
+}
+
+impl ClassTable {
+    fn new() -> Self {
+        let segments: Box<[_]> = (0..TABLE_SEGMENTS).map(|_| std::sync::OnceLock::new()).collect();
+        let bytes = segments.len() * size_of::<std::sync::OnceLock<Box<[ClassSlot]>>>();
+        ClassTable {
+            index: std::sync::Mutex::new(FlatKeyIndex::new()),
+            segments,
+            bytes: std::sync::atomic::AtomicUsize::new(bytes),
+        }
+    }
+
+    /// The id of `key`'s class and whether this call added it, building
+    /// the class's node with `build` on first sight. The node is built
+    /// after the index lock is released.
+    fn resolve(&self, key: PackedClass, build: impl FnOnce() -> ClassNode) -> (u32, bool) {
+        // The lock recovers from poisoning: the sweep layer's per-class
+        // panic isolation can poison it, and `insert_full` leaves the
+        // index valid at every step (its only panic, past 2^32 keys,
+        // fires before it writes), so the recovered index is sound.
+        let (id, new) = self
+            .index
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .insert_full(key.bits());
+        let (seg, off) = (id as usize / SEGMENT_SLOTS, id as usize % SEGMENT_SLOTS);
+        assert!(seg < TABLE_SEGMENTS, "the class table holds at most 2^22 classes");
+        let segment = self.segments[seg].get_or_init(|| {
+            self.add_bytes(SEGMENT_SLOTS * size_of::<ClassSlot>());
+            (0..SEGMENT_SLOTS).map(|_| ClassSlot::default()).collect()
+        });
+        segment[off].node.get_or_init(|| {
+            let node = build();
+            debug_assert_eq!(node.key, key);
+            self.add_bytes(node.cfg.as_ref().map_or(0, |c| c.len() * size_of::<Coord>()));
+            node
+        });
+        (id, new)
+    }
+
+    /// The entry of an id [`Self::resolve`] returned.
+    fn slot(&self, id: u32) -> &ClassSlot {
+        let segment = self.segments[id as usize / SEGMENT_SLOTS].get().expect("an issued class id");
+        &segment[id as usize % SEGMENT_SLOTS]
+    }
+
+    /// The node of an id [`Self::resolve`] returned.
+    fn node(&self, id: u32) -> &ClassNode {
+        self.slot(id).node.get().expect("issued class ids have nodes")
+    }
+
+    /// The round table of class `id`, built with `build` on first use.
+    fn steps(&self, id: u32, build: impl FnOnce() -> Box<[RoundStep]>) -> &[RoundStep] {
+        self.slot(id).steps.get_or_init(|| {
+            let steps = build();
+            self.add_bytes(steps.len() * size_of::<RoundStep>());
+            steps
+        })
+    }
+
+    fn add_bytes(&self, bytes: usize) {
+        self.bytes.fetch_add(bytes, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Heap bytes the table retains (its index excluded).
+    fn bytes(&self) -> usize {
+        self.bytes.load(std::sync::atomic::Ordering::Relaxed)
+    }
 }
 
 /// A **semantics** of the exploration layer: what a state's auxiliary
@@ -454,16 +614,33 @@ pub trait Semantics: Sync + Sized {
         sym: PointSymmetry,
     ) -> Self::Aux;
 
-    /// Classifies a freshly interned state `(cfg's class, aux)`:
+    /// The goal verdicts of class `cfg`'s terminal states, as the bits
+    /// `ClassNode::goal_bit` reads: computed once per class, when its
+    /// `ClassTable` node is built, so classifying a terminal state
+    /// never decodes its class. Bit `r` belongs to the terminal state
+    /// whose aux the semantics ranks `r`; terminals ranked 64 or higher
+    /// are left to [`Semantics::classify`].
+    fn goal_bits(&self, cfg: &Configuration, info: &ClassInfo) -> u64;
+
+    /// Classifies a freshly interned state `(node's class, aux)`:
     /// [`NodeKind::Inner`] when adversary actions remain, otherwise
     /// goal or stuck.
-    fn classify(&self, cfg: &Configuration, info: &ClassInfo, aux: Self::Aux) -> NodeKind;
+    fn classify(&self, node: &ClassNode, aux: Self::Aux) -> NodeKind;
 
-    /// Whether expansion reads each class's [`engine::RoundTable`]. The
-    /// explorer's class cache then builds the table once per distinct
-    /// class and carries it with the class's decision data; semantics
-    /// that never read it pay no table memory.
+    /// Whether expansion reads each class's round table. The
+    /// `ClassTable` then stores it, once per class, with successor
+    /// class ids; states are indexed densely by `(class, aux rank)`, and
+    /// nodes keep no decoded representative. Semantics without it keep
+    /// one per node and intern states through a per-search key cache.
     const ROUND_TABLE: bool = false;
+
+    /// Interns the initial state `(initial's class, root aux)` of a
+    /// search and returns its id.
+    fn intern_root<A: Algorithm + ?Sized>(
+        &self,
+        search: &mut Search<'_, '_, A, Self>,
+        initial: &Configuration,
+    ) -> usize;
 
     /// Expands every adversary action of inner state `id`, interning
     /// successors and pushing newly discovered inner states onto
@@ -501,6 +678,12 @@ pub struct CrashSemantics {
     budget: u8,
     /// Whether a terminal state counts as successful.
     goal: Goal,
+    /// `rank[m]`: how many masks below `m` the budget affords — the
+    /// state slot of crash mask `m` within its class. `rank[1 << n]` is
+    /// R(n, f) = Σ_{k ≤ f} C(n, k), the slot count of an `n`-robot
+    /// class. Numeric order on masks is colex order on sets, so ranks
+    /// do not depend on `n`.
+    rank: Box<[u16]>,
 }
 
 impl CrashSemantics {
@@ -518,7 +701,20 @@ impl CrashSemantics {
              (capacity {})",
             PackedClass::MAX_ROBOTS
         );
-        CrashSemantics { budget, goal }
+        let mut rank = Vec::with_capacity((1 << PackedClass::MAX_ROBOTS) + 1);
+        let mut next = 0u16;
+        for mask in 0..=1u32 << PackedClass::MAX_ROBOTS {
+            rank.push(next);
+            if mask.count_ones() <= u32::from(budget) {
+                next += 1;
+            }
+        }
+        CrashSemantics { budget, goal, rank: rank.into_boxed_slice() }
+    }
+
+    /// The state slot of crash mask `crashed` within its class.
+    fn rank(&self, crashed: u16) -> usize {
+        usize::from(self.rank[usize::from(crashed)])
     }
 }
 
@@ -530,9 +726,9 @@ impl CrashSemantics {
 /// survives [`StateStore::clear`] with its capacity intact, so pooled
 /// searches stop paying the allocator per class.
 struct StateStore<Aux> {
-    /// The translation class, as a dense [`ClassArena`] id; the
-    /// canonical representative and decision vector are stored once
-    /// per class, not per aux variant.
+    /// The translation class, as the search's local class index (see
+    /// [`SearchScratch::classes`]); class data lives once in the
+    /// explorer's `ClassTable`, not per aux variant.
     class: Vec<u32>,
     /// The packed auxiliary key (crash mask / pending vector) over the
     /// class's position slots.
@@ -541,7 +737,7 @@ struct StateStore<Aux> {
     /// (movement rounds for crash — injection-only actions do not
     /// count; phase-advance ticks for ASYNC). This is what replay
     /// outcomes report. `u32`: BFS depth is bounded by the state count,
-    /// which the arena caps far below `2^32`.
+    /// which the state budget caps far below `2^32`.
     rounds: Vec<u32>,
     /// Discovery parent id ([`NO_PARENT`] for the root), for schedule
     /// reconstruction.
@@ -575,10 +771,6 @@ impl<Aux> Default for StateStore<Aux> {
 }
 
 impl<Aux> StateStore<Aux> {
-    /// Occupied bytes per state — the struct-of-arrays sum, a compile
-    /// time constant used by the deterministic budget accounting.
-    const BYTES_PER_STATE: usize = 6 * size_of::<u32>() + size_of::<Aux>() + size_of::<NodeKind>();
-
     fn len(&self) -> usize {
         self.class.len()
     }
@@ -629,18 +821,41 @@ impl<Aux> StateStore<Aux> {
 /// Sentinel parent id of the root state.
 const NO_PARENT: u32 = u32::MAX;
 
+/// Sentinel "no state yet" entry of the crash semantics' state slots.
+const NO_STATE: u32 = u32::MAX;
+
 /// Sentinel "end of chain" index of the aux-variant chain pool.
 const NO_VARIANT: u32 = u32::MAX;
 
-/// One link of a per-class aux-variant chain: the aux key, the state
-/// id it interned to, and the next link (newest first). Replaces the
-/// former `Vec<Vec<(Aux, usize)>>` — one flat pool instead of one heap
-/// allocation per class, with lookups walking the chain (aux keys are
-/// unique per class, so chain order is irrelevant to the result).
+/// One link of a per-class aux-variant chain of the ASYNC semantics:
+/// the aux key, the state id it interned to, and the next link (newest
+/// first). Aux keys are unique per class, so chain order is irrelevant
+/// to the result.
 struct VariantEntry<Aux> {
     aux: Aux,
     state: u32,
     next: u32,
+}
+
+/// The nominal type sizes [`Search::live_bytes`] charges, frozen at the
+/// layout the byte budgets were calibrated on (a per-search class arena
+/// with a shared representative pointer and decision vector per class,
+/// and one aux-variant chain link per state). Budget-armed verdicts
+/// stay byte-identical only while this formula does, whatever the
+/// search actually allocates.
+mod nominal {
+    /// A class's decision vector ([`super::ClassInfo`]).
+    pub(super) const CLASS_INFO: usize = 14;
+    /// A class's shared representative pointer.
+    pub(super) const CFG_POINTER: usize = 8;
+    /// A class's aux-variant chain head.
+    pub(super) const VARIANT_HEAD: usize = 4;
+    /// A state's aux-variant chain link.
+    pub(super) const VARIANT_ENTRY: usize = 12;
+    /// A state's columns besides its aux: six `u32`s and a node kind.
+    pub(super) const STATE: usize = 24 + 1;
+    /// A state's BFS level entry.
+    pub(super) const LEVEL: usize = 4;
 }
 
 /// The poolable storage of one [`Search`]: every growable buffer a
@@ -649,28 +864,32 @@ struct VariantEntry<Aux> {
 /// a sweep cell's ~77k per-class searches re-allocate these buffers
 /// once per worker instead of once per class. Soundness of the reuse
 /// is structural: [`SearchScratch::clear`] empties every collection
-/// (`FlatKeyIndex::clear` resets its probe slots), and no search ever
-/// reads an index it did not itself intern, so stale capacity can
-/// never leak state between classes — and the deterministic budget
-/// accounting ([`Search::live_bytes`]) deliberately reads occupied
-/// counts, never capacities, so pooling is invisible to verdicts.
+/// that is read without a cross-check (`FlatKeyIndex::clear` resets its
+/// probe slots), the sparse side of the class set is validated against
+/// its dense side on every read, and no search ever reads an index it
+/// did not itself intern — so stale capacity can never leak state
+/// between classes. The deterministic budget accounting
+/// ([`Search::live_bytes`]) reads occupied counts, never capacities, so
+/// pooling is invisible to verdicts.
 struct SearchScratch<Aux> {
     states: StateStore<Aux>,
-    /// Interned translation classes: packed `u128` key → dense id,
-    /// decoded canonical representative stored once.
-    arena: ClassArena,
-    /// Per-class decision data, parallel to the arena ids.
-    info: Vec<ClassInfo>,
-    /// Per-class round table, parallel to the arena ids: shared out of
-    /// the explorer's class cache when the semantics reads it
-    /// ([`Semantics::ROUND_TABLE`]), `None` otherwise. Expansion
-    /// borrows it from here, so a state's expansion touches no shared
-    /// cache or reference count.
-    tables: Vec<Option<std::sync::Arc<engine::RoundTable>>>,
-    /// Head link of each class's aux-variant chain ([`NO_VARIANT`]
-    /// when empty), parallel to the arena ids.
+    /// The search's local classes, in discovery order: local class `l`
+    /// is class table id `classes[l]`. This is the dense side of the
+    /// crash semantics' sparse set, and parallel to `keys` for ASYNC.
+    classes: Vec<u32>,
+    /// Sparse side of the class set (crash semantics): class table id
+    /// → local class, valid only where `classes` confirms it. Never
+    /// cleared, so a search pays nothing to reset it.
+    sparse: Vec<u32>,
+    /// Crash semantics: the state id of `(local class l, aux rank r)` at
+    /// `l * width + r`, or [`NO_STATE`].
+    slots: Vec<u32>,
+    /// ASYNC: packed class key → local class.
+    keys: FlatKeyIndex,
+    /// ASYNC: head link of each local class's aux-variant chain
+    /// ([`NO_VARIANT`] when empty).
     variant_head: Vec<u32>,
-    /// Flat chain-link pool behind `variant_head`.
+    /// ASYNC: flat chain-link pool behind `variant_head`.
     variant_pool: Vec<VariantEntry<Aux>>,
     /// Flat edge storage; each state owns a contiguous slice.
     edge_pool: Vec<PackedEdge>,
@@ -680,48 +899,50 @@ struct SearchScratch<Aux> {
     /// simply advances — no per-level allocation, 4 bytes per queued
     /// state total).
     levels: Vec<u32>,
-    /// One state's enumerated `(action, step)` list, reused across
-    /// states: the crash semantics collects it while borrowing the
-    /// state's round table, then applies it.
-    steps: Vec<(CrashRound, PureStep<Aux>)>,
 }
 
 impl<Aux> Default for SearchScratch<Aux> {
     fn default() -> Self {
         SearchScratch {
             states: StateStore::default(),
-            arena: ClassArena::new(),
-            info: Vec::new(),
-            tables: Vec::new(),
+            classes: Vec::new(),
+            sparse: Vec::new(),
+            slots: Vec::new(),
+            keys: FlatKeyIndex::new(),
             variant_head: Vec::new(),
             variant_pool: Vec::new(),
             edge_pool: Vec::new(),
             levels: Vec::new(),
-            steps: Vec::new(),
         }
     }
 }
 
 impl<Aux> SearchScratch<Aux> {
-    /// Empties every buffer, keeping all capacities for the next lease.
+    /// Empties every buffer (except the self-validating `sparse`),
+    /// keeping all capacities for the next lease.
     fn clear(&mut self) {
         self.states.clear();
-        self.arena.clear();
-        self.info.clear();
-        self.tables.clear();
+        self.classes.clear();
+        self.slots.clear();
+        self.keys.clear();
         self.variant_head.clear();
         self.variant_pool.clear();
         self.edge_pool.clear();
         self.levels.clear();
-        self.steps.clear();
     }
 
-    /// Heap bytes reserved by the per-class columns that parallel the
-    /// arena ids (decision data, table pointers, variant-chain heads)
-    /// and the variant-chain pool.
-    fn class_column_bytes(&self) -> usize {
-        self.info.capacity() * size_of::<ClassInfo>()
-            + self.tables.capacity() * size_of::<Option<std::sync::Arc<engine::RoundTable>>>()
+    /// Heap bytes reserved by the class index: local classes, the
+    /// sparse set, the state slots and the key cache.
+    fn class_index_bytes(&self) -> usize {
+        (self.classes.capacity() + self.sparse.capacity() + self.slots.capacity())
+            * size_of::<u32>()
+            + self.keys.heap_bytes()
+    }
+
+    /// Heap bytes reserved by the visited-state storage: state columns
+    /// and aux-variant chains.
+    fn visited_bytes(&self) -> usize {
+        self.states.heap_bytes()
             + self.variant_head.capacity() * size_of::<u32>()
             + self.variant_pool.capacity() * size_of::<VariantEntry<Aux>>()
     }
@@ -730,12 +951,10 @@ impl<Aux> SearchScratch<Aux> {
     /// footprint reported to the telemetry gauges (capacity-based, so
     /// it reflects what the allocator actually holds).
     fn heap_bytes(&self) -> usize {
-        self.states.heap_bytes()
-            + self.arena.heap_bytes()
-            + self.class_column_bytes()
+        self.class_index_bytes()
+            + self.visited_bytes()
             + self.edge_pool.capacity() * size_of::<PackedEdge>()
             + self.levels.capacity() * size_of::<u32>()
-            + self.steps.capacity() * size_of::<(CrashRound, PureStep<Aux>)>()
     }
 }
 
@@ -798,7 +1017,8 @@ pub(crate) struct ExploreMetrics {
     pub(crate) levels: telemetry::Counter,
     /// Frontier width at the start of each BFS level.
     pub(crate) frontier_width: telemetry::Histogram,
-    /// Distinct translation classes per check (arena size at verdict).
+    /// Distinct translation classes per check (local classes at
+    /// verdict).
     pub(crate) arena_classes: telemetry::Histogram,
     /// Interned states per check.
     pub(crate) states_per_check: telemetry::Histogram,
@@ -832,20 +1052,22 @@ pub(crate) struct ExploreMetrics {
     /// Undecided verdicts attributed to a caught per-class panic
     /// (tallied by the sweep layer's degradation, never by `check`).
     pub(crate) undecided_panicked: telemetry::Counter,
-    /// Class-cache hits, tallied per search and added once per check.
-    pub(crate) info_hit: telemetry::Counter,
-    /// Class-cache misses, tallied per search and added once per check.
-    pub(crate) info_miss: telemetry::Counter,
-    /// Peak heap bytes reserved by one check's class arena (probe
-    /// table, key column, representative pointers).
+    /// Classes added to the explorer's `ClassTable` (so the counter
+    /// reads the table's size).
+    pub(crate) classes: telemetry::Counter,
+    /// Heap bytes the `ClassTable` retains: segments, round tables
+    /// and node payloads.
+    pub(crate) class_table_bytes: telemetry::Gauge,
+    /// Peak heap bytes reserved by one check's class index (local
+    /// classes, sparse set, state slots, key cache).
     pub(crate) arena_bytes: telemetry::Gauge,
     /// Peak heap bytes reserved by one check's visited-state storage
-    /// (state columns, per-class info, aux-variant chains).
+    /// (state columns, aux-variant chains).
     pub(crate) visited_bytes: telemetry::Gauge,
     /// Peak heap bytes reserved by one check's BFS level storage.
     pub(crate) frontier_bytes: telemetry::Gauge,
-    /// Peak heap bytes reserved by one whole check (arena + visited +
-    /// frontier + edge pool).
+    /// Peak heap bytes reserved by one whole check (class index +
+    /// visited + frontier + edge pool).
     pub(crate) peak_bytes: telemetry::Gauge,
 }
 
@@ -871,13 +1093,13 @@ impl ExploreMetrics {
         s.add_counter("explore.undecided.timeout", self.undecided_timeout.get());
         s.add_counter("explore.undecided.mem_budget", self.undecided_mem_budget.get());
         s.add_counter("explore.undecided.panicked", self.undecided_panicked.get());
-        s.add_counter("memo.info.hit", self.info_hit.get());
-        s.add_counter("memo.info.miss", self.info_miss.get());
+        s.add_counter("explore.classes", self.classes.get());
         s.add_histogram(self.frontier_width.read("explore.frontier_width"));
         s.add_histogram(self.arena_classes.read("explore.arena_classes"));
         s.add_histogram(self.states_per_check.read("explore.states_per_check"));
         s.add_histogram(self.budget_states_pct.read("explore.budget_states_pct"));
         s.add_histogram(self.budget_edges_pct.read("explore.budget_edges_pct"));
+        s.add_gauge("explore.class_table_bytes", self.class_table_bytes.get());
         s.add_gauge("explore.arena_bytes", self.arena_bytes.get());
         s.add_gauge("explore.visited_bytes", self.visited_bytes.get());
         s.add_gauge("explore.frontier_bytes", self.frontier_bytes.get());
@@ -903,16 +1125,11 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     /// equivariance scan was widened to match, so the stabilizer dedup
     /// stays sound (see [`equivariance_group_for`]).
     max_robots: usize,
-    /// The cell-global class cache, keyed by packed class bits. Every
-    /// entry is a pure function of the key: the decision vector (each
-    /// robot's decision from a fresh Look), the decoded canonical
-    /// representative, and — for semantics that expand through it
-    /// ([`Semantics::ROUND_TABLE`]) — the class's round table, which
-    /// depends only on the positions and decisions, never on aux state.
-    /// One checker reused across a sweep cell thus computes each once
-    /// per *distinct* class, and a search looks each class up once,
-    /// when it first interns it — never per expanded state.
-    info_memo: std::sync::Mutex<PackedKeyMap<ClassEntry>>,
+    /// The class table every search of this explorer shares — in a
+    /// sweep, every search of the cell. Each class's decision data and
+    /// (for [`Semantics::ROUND_TABLE`]) round table are computed once
+    /// per explorer, when some search first meets the class.
+    table: ClassTable,
     /// Pool of cleared [`SearchScratch`] buffers: each `check` leases
     /// one and returns it, so successive per-class searches reuse
     /// their grown allocations instead of rebuilding them per class.
@@ -993,14 +1210,14 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             group,
             semantics,
             max_robots: max_robots.max(8),
-            info_memo: std::sync::Mutex::new(PackedKeyMap::default()),
+            table: ClassTable::new(),
             scratch: std::sync::Mutex::new(Vec::new()),
             metrics: ExploreMetrics::default(),
         }
     }
 
     /// A point-in-time telemetry snapshot: accumulated phase wall
-    /// times, memo hit/miss tallies, verdict breakdowns, and BFS shape
+    /// times, class-table size, verdict breakdowns, and BFS shape
     /// histograms over every [`check`](Self::check) this explorer has
     /// run. Strictly observational — reading it never changes behavior.
     #[must_use]
@@ -1050,51 +1267,40 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         &self.metrics
     }
 
-    /// The class cache's entry for the class `key` packs: its decision
-    /// data, shared canonical representative and (when the semantics
-    /// reads it) round table. Successive per-class searches of one
-    /// checker revisit heavily overlapping class sets (for the full
-    /// n = 7 adversary cell, all 318k interned states name only 3652
-    /// distinct classes), so each entry is materialized once per class
-    /// per cell, not once per search. The lookup is tallied into
-    /// `memo` (`[hits, misses]`), which the caller's search flushes
-    /// once per check. A racing miss recomputes the same pure value,
-    /// so the lock is never held across the computation.
-    pub(crate) fn class_entry(&self, key: PackedClass, memo: &mut [u64; 2]) -> ClassEntry {
-        // The lock recovers from poisoning: the sweep layer's per-class
-        // panic isolation can leave it poisoned by a panicking check,
-        // but the map only ever holds pure values keyed by class and
-        // is never mutated while the lock is held across fallible user
-        // code — the worst a poisoned lock can hide is a lost insert,
-        // never a wrong value.
-        if let Some(entry) = self
-            .info_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key.bits())
-        {
-            memo[0] += 1;
-            return entry.clone();
+    /// The class table id of `key`'s class, adding the class (and
+    /// building its node) on first sight.
+    pub(crate) fn class_id(&self, key: PackedClass) -> u32 {
+        let (id, new) = self.table.resolve(key, || {
+            let cfg = key.unpack();
+            let info = ClassInfo::of(&engine::compute_moves(&cfg, self.algo));
+            let goals = self.semantics.goal_bits(&cfg, &info);
+            ClassNode { key, info, goals, cfg: (!S::ROUND_TABLE).then_some(cfg) }
+        });
+        if new {
+            self.metrics.classes.inc();
         }
-        memo[1] += 1;
-        let cfg = std::sync::Arc::new(key.unpack());
-        let decisions = engine::compute_moves(&cfg, self.algo);
-        let mut moves = [None; PackedClass::MAX_ROBOTS];
-        moves[..decisions.len()].copy_from_slice(&decisions);
-        let movers =
-            decisions
+        id
+    }
+
+    /// The round table of class `id`, built on first use: the
+    /// reference stepper [`engine::RoundTable`], with each successor
+    /// key resolved to its class id.
+    pub(crate) fn round_steps(&self, id: u32) -> &[RoundStep] {
+        self.table.steps(id, || {
+            let node = self.table.node(id);
+            let cfg = node.key.unpack();
+            let table = engine::RoundTable::new(&cfg, &node.info.moves[..cfg.len()]);
+            table
+                .entries()
                 .iter()
-                .enumerate()
-                .fold(0u16, |acc, (i, m)| if m.is_some() { acc | (1 << i) } else { acc });
-        let info = ClassInfo { n: cfg.len() as u8, movers, moves };
-        let table =
-            S::ROUND_TABLE.then(|| std::sync::Arc::new(engine::RoundTable::new(&cfg, &decisions)));
-        let entry = (info, cfg, table);
-        self.info_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key.bits(), entry.clone());
-        entry
+                .map(|e| RoundStep {
+                    slots: e.slots,
+                    succ: if e.kind == engine::RoundKind::Succ { self.class_id(e.key) } else { 0 },
+                    mask: e.mask,
+                    kind: e.kind,
+                })
+                .collect()
+        })
     }
 
     /// Classifies `initial` under the exhaustive adversary of this
@@ -1128,9 +1334,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         let mut search = Search {
             explorer: self,
             scratch,
+            width: 0,
             edges: 0,
             deduped: 0,
-            memo: [0; 2],
             deadline: self.opts.class_timeout.map(|t| std::time::Instant::now() + t),
             deadline_ticks: std::cell::Cell::new(0),
         };
@@ -1143,9 +1349,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         m.states.add(search.scratch.states.len() as u64);
         m.edges.add(search.edges as u64);
         m.deduped.add(search.deduped as u64);
-        m.info_hit.add(search.memo[0]);
-        m.info_miss.add(search.memo[1]);
-        m.arena_classes.record(search.scratch.arena.len() as u64);
+        m.arena_classes.record(search.scratch.classes.len() as u64);
         m.states_per_check.record(search.scratch.states.len() as u64);
         let pct = |used: usize, cap: usize| -> u64 {
             let cap = cap.max(1) as u128;
@@ -1153,9 +1357,9 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         };
         m.budget_states_pct.record(pct(search.scratch.states.len(), self.opts.max_states));
         m.budget_edges_pct.record(pct(search.edges, self.opts.max_edges));
-        m.arena_bytes.record(search.scratch.arena.heap_bytes() as u64);
-        let visited = search.scratch.states.heap_bytes() + search.scratch.class_column_bytes();
-        m.visited_bytes.record(visited as u64);
+        m.class_table_bytes.record(self.table.bytes() as u64);
+        m.arena_bytes.record(search.scratch.class_index_bytes() as u64);
+        m.visited_bytes.record(search.scratch.visited_bytes() as u64);
         m.frontier_bytes.record((search.scratch.levels.capacity() * size_of::<u32>()) as u64);
         m.peak_bytes.record(search.scratch.heap_bytes() as u64);
         match &verdict {
@@ -1186,25 +1390,26 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         report
     }
 
-    /// Index permutations induced on `cfg` by the stabilizer of its
-    /// class within the equivariance subgroup (identity omitted),
-    /// restricted to permutations that also fix the auxiliary key — a
-    /// symmetry that maps, say, a crashed robot onto a live one (or a
-    /// pending robot onto an idle one) does not commute with the
-    /// auxiliary state. The stabilizer test compares packed class
-    /// keys, so non-stabilizing symmetries (the common case) are
-    /// rejected without any allocation.
-    pub(crate) fn stabilizer_perms(&self, cfg: &Configuration, aux: S::Aux) -> Vec<Vec<usize>> {
-        let positions = cfg.positions();
+    /// Index permutations induced on class `key` by its stabilizer
+    /// within the equivariance subgroup (identity omitted), restricted
+    /// to permutations that also fix the auxiliary key — a symmetry
+    /// that maps, say, a crashed robot onto a live one (or a pending
+    /// robot onto an idle one) does not commute with the auxiliary
+    /// state. The class's positions decode onto the stack, and the
+    /// stabilizer test compares packed class keys, so non-stabilizing
+    /// symmetries (the common case) are rejected without any
+    /// allocation.
+    pub(crate) fn stabilizer_perms(&self, key: PackedClass, aux: S::Aux) -> Vec<Vec<usize>> {
+        let cells = key.cells();
+        let positions = &cells[..key.robots()];
         let n = positions.len();
-        let class_key = cfg.canonical_key();
         let mut perms = Vec::new();
         let mut mapped = [ORIGIN; PackedClass::MAX_ROBOTS];
         for &s in &self.group[1..] {
             for (m, &p) in mapped[..n].iter_mut().zip(positions) {
                 *m = s.apply(p);
             }
-            if PackedClass::of_cells(&mapped[..n]) != class_key {
+            if PackedClass::of_cells(&mapped[..n]) != key {
                 continue;
             }
             let delta = *mapped[..n]
@@ -1269,15 +1474,14 @@ fn movement_rounds(schedule: &[CrashRound]) -> usize {
 /// through the crate-private mutation surface below.
 pub struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
     explorer: &'c Explorer<'a, A, S>,
-    /// The leased storage: state columns, arena, variant chains, edge
-    /// pool and level buffers (see [`SearchScratch`]).
+    /// The leased storage: state columns, class index, edge pool and
+    /// level buffers (see [`SearchScratch`]).
     scratch: SearchScratch<S::Aux>,
+    /// State slots per local class in the dense `(class, aux rank)`
+    /// index ([`Self::intern_slot`]); unused by keyed semantics.
+    width: usize,
     edges: usize,
     deduped: usize,
-    /// Class-cache `[hits, misses]` of this search, one lookup per
-    /// interned class; [`Explorer::check`] adds them to the shared
-    /// `memo.info.*` counters once, when the search ends.
-    memo: [u64; 2],
     /// Wall-clock deadline of this check when
     /// [`ExploreOptions::class_timeout`] is armed; `None` keeps the
     /// clock entirely out of the search.
@@ -1312,14 +1516,26 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         self.scratch.states.kind[id]
     }
 
-    /// The canonical representative of class `class`.
-    pub(crate) fn class_cfg(&self, class: u32) -> &Configuration {
-        self.scratch.arena.get(class)
+    /// The class table node of local class `class`.
+    pub(crate) fn node(&self, class: u32) -> &'c ClassNode {
+        self.explorer.table.node(self.scratch.classes[class as usize])
     }
 
-    /// The per-class decision data of class `class`.
+    /// The class table id of local class `class`.
+    pub(crate) fn table_id(&self, class: u32) -> u32 {
+        self.scratch.classes[class as usize]
+    }
+
+    /// The canonical representative of local class `class`, for
+    /// semantics whose nodes keep one (those without
+    /// [`Semantics::ROUND_TABLE`]).
+    pub(crate) fn class_cfg(&self, class: u32) -> &'c Configuration {
+        self.node(class).cfg.as_ref().expect("nodes of keyed semantics keep their representative")
+    }
+
+    /// The per-class decision data of local class `class`.
     pub(crate) fn info(&self, class: u32) -> ClassInfo {
-        self.scratch.info[class as usize]
+        self.node(class).info
     }
 
     /// Counts one expanded transition.
@@ -1333,19 +1549,21 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// Occupied bytes of the search's live storage, as a **pure
-    /// function of the interned counts** — never of allocator
-    /// capacities, which depend on scratch-pool history. This is what
-    /// the byte budget compares against, so budget-armed verdicts are
-    /// byte-identical across thread counts, shardings and pool reuse.
-    /// (BFS level storage is folded in as one `u32` per state — every
-    /// inner state is queued exactly once.)
+    /// function of the interned counts** — local classes, states and
+    /// recorded edges — never of allocator capacities, which depend on
+    /// scratch-pool history. This is what the byte budget compares
+    /// against, so budget-armed verdicts are byte-identical across
+    /// thread counts, shardings and pool reuse. The per-item sizes are
+    /// the frozen [`nominal`] ones, so the figure does not follow the
+    /// actual layout (BFS level storage is folded in as one entry per
+    /// state — every inner state is queued exactly once).
     pub(crate) fn live_bytes(&self) -> usize {
         let s = &self.scratch;
-        s.arena.live_bytes()
-            + s.states.len() * (StateStore::<S::Aux>::BYTES_PER_STATE + size_of::<u32>())
-            + s.info.len() * size_of::<ClassInfo>()
-            + s.variant_head.len() * size_of::<u32>()
-            + s.variant_pool.len() * size_of::<VariantEntry<S::Aux>>()
+        let (classes, states) = (s.classes.len(), s.states.len());
+        FlatKeyIndex::nominal_live_bytes(classes)
+            + classes * (nominal::CFG_POINTER + nominal::CLASS_INFO + nominal::VARIANT_HEAD)
+            + states
+                * (nominal::STATE + size_of::<S::Aux>() + nominal::LEVEL + nominal::VARIANT_ENTRY)
             + s.edge_pool.len() * size_of::<PackedEdge>()
     }
 
@@ -1359,7 +1577,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
 
     /// The undecided verdict for a tripped BFS budget, recording which
     /// counter exhausted (states before edges before bytes when several
-    /// did — the state cap is the one that names the blown arena).
+    /// did — the state cap is the one that names the blown search).
     pub(crate) fn budget_undecided(&self) -> ExploreVerdict {
         let reason = if self.scratch.states.len() > self.explorer.opts.max_states {
             UndecidedReason::States
@@ -1423,29 +1641,103 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         &self.scratch.edge_pool[start..start + s.edge_len[id] as usize]
     }
 
-    /// Interns `raw`'s translation class, computing its decision
-    /// vector on first sight. This is the explorer's hottest path: the
-    /// packed key folds the canonical translation without allocating,
-    /// so a revisited class costs one `u128` hash lookup.
-    fn intern_class(&mut self, raw: &Configuration) -> u32 {
-        self.intern_class_key(raw.canonical_key())
+    /// The refutation that reaches state `id` and then plays `action`
+    /// to `outcome`.
+    pub(crate) fn refute(&self, id: usize, action: CrashRound, outcome: Outcome) -> ExploreVerdict {
+        let mut schedule = self.path_to(id);
+        schedule.push(action);
+        ExploreVerdict::Refuted { schedule, outcome }
     }
 
-    /// Interns an already-packed canonical class key — the twin of
-    /// [`Search::intern_class`] for successors whose key a pure
-    /// expansion step computed without materializing a
-    /// [`Configuration`]. A new class takes its entry from the
-    /// explorer's class cache: the only shared lookup a class costs
-    /// this search.
-    fn intern_class_key(&mut self, key: PackedClass) -> u32 {
-        if let Some(class) = self.scratch.arena.lookup_key(key) {
-            return class;
+    /// The per-edge budget and deadline polls, run after each recorded
+    /// edge.
+    pub(crate) fn edge_polls(&self) -> Option<ExploreVerdict> {
+        if self.over_budget() {
+            return Some(self.budget_undecided());
         }
-        let (info, cfg, table) = self.explorer.class_entry(key, &mut self.memo);
-        let class = self.scratch.arena.insert_shared(key, cfg);
-        self.scratch.info.push(info);
-        self.scratch.tables.push(table);
-        self.scratch.variant_head.push(NO_VARIANT);
+        if self.deadline_tripped() {
+            return Some(self.timeout_undecided());
+        }
+        None
+    }
+
+    /// Appends a new state of local class `class`, classified from the
+    /// class's node, and returns its id.
+    fn push_state(
+        &mut self,
+        class: u32,
+        aux: S::Aux,
+        rounds: usize,
+        parent: Option<(usize, CrashRound)>,
+    ) -> usize {
+        let kind = self.explorer.semantics.classify(self.node(class), aux);
+        let (parent, parent_action) = match parent {
+            Some((p, a)) => (p as u32, pack_action(a)),
+            None => (NO_PARENT, 0),
+        };
+        let id = self.scratch.states.len();
+        self.scratch.states.push(class, aux, rounds as u32, parent, parent_action, kind);
+        id
+    }
+
+    /// Sets the state slots per local class of the dense `(class, aux
+    /// rank)` index; called once, before the root is interned.
+    pub(crate) fn set_width(&mut self, width: usize) {
+        self.width = width;
+    }
+
+    /// The local class of class table id `id`, added on first sight —
+    /// a sparse-set lookup: `sparse` proposes a local index and
+    /// `classes` confirms it.
+    pub(crate) fn local_class(&mut self, id: u32) -> u32 {
+        let s = &mut self.scratch;
+        if let Some(&local) = s.sparse.get(id as usize) {
+            if s.classes.get(local as usize) == Some(&id) {
+                return local;
+            }
+        }
+        let local = s.classes.len() as u32;
+        if s.sparse.len() <= id as usize {
+            s.sparse.resize(id as usize + 1, 0);
+        }
+        s.sparse[id as usize] = local;
+        s.classes.push(id);
+        s.slots.resize(s.slots.len() + self.width, NO_STATE);
+        local
+    }
+
+    /// Interns the state `(class, aux)` whose aux holds dense slot
+    /// `rank` of the class. Returns `(id, newly_inserted)`.
+    pub(crate) fn intern_slot(
+        &mut self,
+        class: u32,
+        rank: usize,
+        aux: S::Aux,
+        rounds: usize,
+        parent: Option<(usize, CrashRound)>,
+    ) -> (usize, bool) {
+        debug_assert!(rank < self.width, "aux rank {rank} outside the class's slots");
+        let slot = class as usize * self.width + rank;
+        let state = self.scratch.slots[slot];
+        if state != NO_STATE {
+            return (state as usize, false);
+        }
+        let id = self.push_state(class, aux, rounds, parent);
+        self.scratch.slots[slot] = id as u32;
+        (id, true)
+    }
+
+    /// Interns a packed canonical class key through the search's key
+    /// cache; a class new to the search takes its table id from the
+    /// explorer's `ClassTable` — the only shared lookup a class
+    /// costs this search.
+    fn intern_class_key(&mut self, key: PackedClass) -> u32 {
+        let (class, new) = self.scratch.keys.insert_full(key.bits());
+        if new {
+            let id = self.explorer.class_id(key);
+            self.scratch.classes.push(id);
+            self.scratch.variant_head.push(NO_VARIANT);
+        }
         class
     }
 
@@ -1462,13 +1754,14 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         rounds: usize,
         parent: Option<(usize, CrashRound)>,
     ) -> (usize, bool) {
-        let class = self.intern_class(raw);
+        let class = self.intern_class_key(raw.canonical_key());
         self.intern_variant(class, aux, rounds, parent)
     }
 
-    /// Interns the state `(class, aux)` for an already-interned class —
-    /// the fast path for actions that leave the configuration (and thus
-    /// the slot indexing of the aux) unchanged.
+    /// Interns the state `(class, aux)` for an already-interned class
+    /// through its aux-variant chain — the fast path for actions that
+    /// leave the configuration (and thus the slot indexing of the aux)
+    /// unchanged.
     pub(crate) fn intern_variant(
         &mut self,
         class: u32,
@@ -1484,103 +1777,11 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             }
             cur = e.next;
         }
-        let info = &self.scratch.info[class as usize];
-        let kind = self.explorer.semantics.classify(self.scratch.arena.get(class), info, aux);
-        let id = self.scratch.states.len();
-        let (parent, parent_action) = match parent {
-            Some((p, a)) => (p as u32, pack_action(a)),
-            None => (NO_PARENT, 0),
-        };
+        let id = self.push_state(class, aux, rounds, parent);
         let head = self.scratch.variant_head[class as usize];
         self.scratch.variant_pool.push(VariantEntry { aux, state: id as u32, next: head });
         self.scratch.variant_head[class as usize] = (self.scratch.variant_pool.len() - 1) as u32;
-        self.scratch.states.push(class, aux, rounds as u32, parent, parent_action, kind);
         (id, true)
-    }
-
-    /// Applies one [`PureStep`] of state `id` under `action`: the
-    /// counter bumps, interning, refutation outcome, queue push and
-    /// per-action budget checks of that action.
-    pub(crate) fn apply_step(
-        &mut self,
-        id: usize,
-        action: CrashRound,
-        step: PureStep<S::Aux>,
-        queue: &mut Vec<u32>,
-    ) -> Option<ExploreVerdict> {
-        let rounds = self.scratch.states.rounds[id] as usize;
-        match step {
-            PureStep::Dedup => {
-                self.bump_deduped();
-                None
-            }
-            PureStep::Collide(collision) => {
-                let mut schedule = self.path_to(id);
-                schedule.push(action);
-                Some(ExploreVerdict::Refuted {
-                    schedule,
-                    outcome: Outcome::Collision { round: rounds, collision },
-                })
-            }
-            PureStep::Disconnect => {
-                self.bump_edges();
-                let mut schedule = self.path_to(id);
-                schedule.push(action);
-                Some(ExploreVerdict::Refuted {
-                    schedule,
-                    outcome: Outcome::Disconnected { round: rounds + 1 },
-                })
-            }
-            PureStep::Variant(aux) => {
-                self.bump_edges();
-                let (succ, new) = self.intern_variant(
-                    self.scratch.states.class[id],
-                    aux,
-                    rounds,
-                    Some((id, action)),
-                );
-                if new && self.node_kind(succ) == NodeKind::Stuck {
-                    let mut schedule = self.path_to(id);
-                    schedule.push(action);
-                    return Some(ExploreVerdict::Refuted {
-                        schedule,
-                        outcome: Outcome::StuckFixpoint { rounds },
-                    });
-                }
-                self.push_edge(id, action, succ);
-                if self.over_budget() {
-                    return Some(self.budget_undecided());
-                }
-                if self.deadline_tripped() {
-                    return Some(self.timeout_undecided());
-                }
-                None
-            }
-            PureStep::Succ(key, aux) => {
-                self.bump_edges();
-                let class = self.intern_class_key(key);
-                let (succ, new) = self.intern_variant(class, aux, rounds + 1, Some((id, action)));
-                if new {
-                    if self.node_kind(succ) == NodeKind::Stuck {
-                        let mut schedule = self.path_to(id);
-                        schedule.push(action);
-                        return Some(ExploreVerdict::Refuted {
-                            schedule,
-                            outcome: Outcome::StuckFixpoint { rounds: rounds + 1 },
-                        });
-                    }
-                    queue.push(succ as u32);
-                }
-                self.push_edge(id, action, succ);
-                if self.over_budget() {
-                    return Some(self.budget_undecided());
-                }
-                if self.deadline_tripped() {
-                    return Some(self.timeout_undecided());
-                }
-                None
-            }
-        }
     }
 
     /// Shared scaffolding of an edge certificate
@@ -1596,10 +1797,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         to: usize,
         step: impl FnOnce(&mut [Coord]) -> u16,
     ) -> EdgeCert {
-        let cfg = self.class_cfg(self.state(from).0);
-        let n = cfg.len();
-        let mut pos = [ORIGIN; PackedClass::MAX_ROBOTS];
-        pos[..n].copy_from_slice(cfg.positions());
+        let key = self.node(self.state(from).0).key;
+        let n = key.robots();
+        let mut pos = key.cells();
         let flags = step(&mut pos[..n]);
         let mut order: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
         order[..n].sort_unstable_by_key(|&s| polyhex::key(pos[s]));
@@ -1608,8 +1808,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             perm[s] = slot as u8;
         }
         debug_assert_eq!(
-            &Configuration::new(pos[..n].iter().copied()).canonical(),
-            self.class_cfg(self.state(to).0),
+            PackedClass::of_cells(&pos[..n]),
+            self.node(self.state(to).0).key,
             "edge certificate diverged from the state graph"
         );
         EdgeCert { perm, flags }
@@ -1632,8 +1832,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     fn run(&mut self, initial: &Configuration) -> ExploreVerdict {
-        let root_aux = self.explorer.semantics.root_aux();
-        let (root, _) = self.intern_state(initial, root_aux, 0, None);
+        let explorer = self.explorer;
+        let root = explorer.semantics().intern_root(self, initial);
         if self.scratch.states.kind[root] == NodeKind::Stuck {
             return ExploreVerdict::Refuted {
                 schedule: Vec::new(),
@@ -1738,7 +1938,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         let mut qid: Vec<usize> = Vec::with_capacity(self.scratch.states.len());
         for i in 0..self.scratch.states.len() {
             let (s_class, s_aux) = (self.scratch.states.class[i], self.scratch.states.aux[i]);
-            let positions = self.scratch.arena.get(s_class).positions();
+            let key = self.node(s_class).key;
+            let cells = key.cells();
+            let positions = &cells[..key.robots()];
             let n = positions.len();
             let key = self
                 .explorer
@@ -1996,7 +2198,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             .map(|&u| {
                 let (class, aux, _) = self.state(u);
                 self.explorer
-                    .stabilizer_perms(self.class_cfg(class), aux)
+                    .stabilizer_perms(self.node(class).key, aux)
                     .into_iter()
                     .map(|perm| {
                         let mut p = [0u8; PackedClass::MAX_ROBOTS];
@@ -2296,127 +2498,14 @@ fn next_affordable(cur: u16, live: u16, avail: u32) -> u16 {
     next
 }
 
-impl CrashSemantics {
-    /// Builds the per-state expansion context: everything the action
-    /// enumeration needs, copied out of the search except the class's
-    /// representative and round table, which it borrows.
-    fn prepare<'s, A: Algorithm + ?Sized>(
-        &self,
-        search: &'s Search<'_, '_, A, Self>,
-        id: usize,
-    ) -> CrashExpand<'s> {
-        let (class, crashed, _) = search.state(id);
-        let info = search.info(class);
-        let cfg = search.class_cfg(class);
-        let explorer = search.explorer();
-        let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(cfg, crashed)
-        } else {
-            Vec::new()
-        };
-        let table = search.scratch.tables[class as usize]
-            .as_deref()
-            .expect("the crash semantics caches a round table per class");
-        CrashExpand {
-            crashed,
-            budget: self.budget,
-            movers: info.movers,
-            moves: info.moves,
-            cfg,
-            perms,
-            table,
-        }
-    }
-}
-
-/// The pure expansion context of one crash-semantics state: the crash
-/// mask, decision vector and stabilizer permutations, plus the class's
-/// [`engine::RoundTable`], from which every activation's step is read.
-struct CrashExpand<'s> {
-    crashed: u16,
-    budget: u8,
-    movers: u16,
-    moves: [Option<Dir>; PackedClass::MAX_ROBOTS],
-    cfg: &'s Configuration,
-    perms: Vec<Vec<usize>>,
-    table: &'s engine::RoundTable,
-}
-
-impl CrashExpand<'_> {
-    /// Enumerates every adversary action in the exact historical order
-    /// — affordable crash submasks of the live robots ascending, and
-    /// within each injection the nonzero activation submasks of the
-    /// surviving movers ascending — feeding each `(action, step)` to
-    /// `sink`. Stops after an unconditionally terminal step (collision
-    /// / disconnection), which ends the expansion.
-    fn for_each(&self, mut sink: impl FnMut(CrashRound, PureStep<u16>)) {
-        let n = self.cfg.len();
-        let live = ((1u16 << n) - 1) & !self.crashed;
-        let avail = self.budget.saturating_sub(self.crashed.count_ones() as u8);
-        let mut crash: u16 = 0;
-        loop {
-            let after = self.crashed | crash;
-            if self.movers & !after == 0 {
-                // The injection froze every remaining mover: a single
-                // injection-only action to a terminal state. `crash` is
-                // nonzero here — an inner state has a live mover.
-                let action = CrashRound { crash, activate: 0 };
-                let step =
-                    if !self.perms.is_empty() && canonical_action(action, &self.perms) != action {
-                        PureStep::Dedup
-                    } else {
-                        PureStep::Variant(after)
-                    };
-                sink(action, step);
-            } else {
-                // The table's subsets that spare every crashed robot are
-                // exactly the nonzero submasks of the live movers, in
-                // the same ascending order.
-                for entry in self.table.entries().iter().filter(|e| e.mask & after == 0) {
-                    let action = CrashRound { crash, activate: entry.mask };
-                    if !self.perms.is_empty() && canonical_action(action, &self.perms) != action {
-                        sink(action, PureStep::Dedup);
-                        continue;
-                    }
-                    let step = match entry.kind {
-                        engine::RoundKind::Collides => {
-                            PureStep::Collide(self.collision(entry.mask))
-                        }
-                        engine::RoundKind::Disconnects => PureStep::Disconnect,
-                        engine::RoundKind::Succ => {
-                            // Crashed robots never move; their slot bits
-                            // follow them into the successor's order.
-                            let mut aux = 0u16;
-                            let mut bits = after;
-                            while bits != 0 {
-                                aux |= 1 << entry.slot(bits.trailing_zeros() as usize);
-                                bits &= bits - 1;
-                            }
-                            PureStep::Succ(entry.key, aux)
-                        }
-                    };
-                    let terminal = matches!(step, PureStep::Collide(_) | PureStep::Disconnect);
-                    sink(action, step);
-                    if terminal {
-                        return;
-                    }
-                }
-            }
-            crash = next_affordable(crash, live, u32::from(avail));
-            if crash == 0 {
-                return;
-            }
-        }
-    }
-
-    /// The scalar engine's exact report of a colliding activation,
-    /// materialized for the refutation outcome (at most once per
-    /// expansion: a collision ends it).
-    fn collision(&self, mask: u16) -> engine::RoundCollision {
-        let masked = engine::mask_moves(&self.moves, mask);
-        engine::check_moves(self.cfg, &masked[..self.cfg.len()])
-            .expect_err("the round table records a collision")
-    }
+/// The scalar engine's exact report of a colliding activation of
+/// `node`'s class, materialized for a refutation outcome (at most once
+/// per search: a collision ends it).
+fn collision(node: &ClassNode, mask: u16) -> engine::RoundCollision {
+    let cfg = node.key.unpack();
+    let masked = engine::mask_moves(&node.info.moves, mask);
+    engine::check_moves(&cfg, &masked[..cfg.len()])
+        .expect_err("the round table records a collision")
 }
 
 impl Semantics for CrashSemantics {
@@ -2440,44 +2529,168 @@ impl Semantics for CrashSemantics {
         mapped
     }
 
-    fn classify(&self, cfg: &Configuration, info: &ClassInfo, crashed: u16) -> NodeKind {
-        if info.movers & !crashed == 0 {
-            if (self.goal)(cfg, crashed) {
-                NodeKind::Goal
-            } else {
-                NodeKind::Stuck
+    /// Sets bit `rank(m)` for each terminal mask `m` — a superset of
+    /// the movers within the budget — whose state is a goal.
+    fn goal_bits(&self, cfg: &Configuration, info: &ClassInfo) -> u64 {
+        let Some(avail) = u32::from(self.budget).checked_sub(info.movers.count_ones()) else {
+            return 0; // the budget cannot freeze every mover
+        };
+        let free = ((1u16 << cfg.len()) - 1) & !info.movers;
+        let mut bits = 0u64;
+        let mut extra = 0u16;
+        loop {
+            let crashed = info.movers | extra;
+            let rank = self.rank(crashed);
+            if rank < 64 && (self.goal)(cfg, crashed) {
+                bits |= 1 << rank;
             }
+            extra = next_affordable(extra, free, avail);
+            if extra == 0 {
+                return bits;
+            }
+        }
+    }
+
+    fn classify(&self, node: &ClassNode, crashed: u16) -> NodeKind {
+        if node.info.movers & !crashed != 0 {
+            return NodeKind::Inner;
+        }
+        let rank = self.rank(crashed);
+        let goal =
+            if rank < 64 { node.goal_bit(rank) } else { (self.goal)(&node.key.unpack(), crashed) };
+        if goal {
+            NodeKind::Goal
         } else {
-            NodeKind::Inner
+            NodeKind::Stuck
         }
     }
 
     const ROUND_TABLE: bool = true;
 
-    /// Expands every adversary action of inner state `id`: first the
-    /// pure-activation actions (crash budget untouched), then every
-    /// crash injection combined with each activation of the surviving
-    /// movers — or alone, when it leaves no live mover. Returns a
-    /// refutation as soon as a bad terminal is reached.
+    /// The root `(class, no crash)`; the class's robot count fixes the
+    /// dense slots per class, R(n, f), for the whole search.
+    fn intern_root<A: Algorithm + ?Sized>(
+        &self,
+        search: &mut Search<'_, '_, A, Self>,
+        initial: &Configuration,
+    ) -> usize {
+        search.set_width(usize::from(self.rank[1 << initial.len()]));
+        let id = search.explorer().class_id(initial.canonical_key());
+        let class = search.local_class(id);
+        search.intern_slot(class, 0, 0, 0, None).0
+    }
+
+    /// Expands every adversary action of inner state `id` in the exact
+    /// historical order: affordable crash submasks of the live robots
+    /// ascending, and within each injection the class's round-table
+    /// entries that spare every crashed robot — the nonzero submasks of
+    /// the surviving movers, ascending — or the injection alone, when
+    /// it leaves no live mover. Returns a refutation as soon as a bad
+    /// terminal is reached.
     ///
-    /// `CrashExpand::for_each` enumerates the steps into the
-    /// search's reused step buffer while it borrows the class's round
-    /// table; `Search::apply_step` then applies them in order until
-    /// one yields a verdict. Steps past that one were enumerated but
-    /// are never applied, so the search sees exactly the sequence an
-    /// apply-as-you-enumerate loop would.
+    /// Each edge is read from the class table: a successor is its class
+    /// id plus the slot map that carries the crash mask over, and its
+    /// local state sits at `(local class, mask rank)` in the search's
+    /// dense index — no hash, lock or reference count per edge.
     fn expand<A: Algorithm + ?Sized>(
         &self,
         search: &mut Search<'_, '_, A, Self>,
         id: usize,
         queue: &mut Vec<u32>,
     ) -> Option<ExploreVerdict> {
-        let mut steps = std::mem::take(&mut search.scratch.steps);
-        self.prepare(search, id).for_each(|action, step| steps.push((action, step)));
-        let verdict =
-            steps.drain(..).find_map(|(action, step)| search.apply_step(id, action, step, queue));
-        search.scratch.steps = steps;
-        verdict
+        let (class, crashed, rounds) = search.state(id);
+        let explorer = search.explorer();
+        let node = search.node(class);
+        let steps = explorer.round_steps(search.table_id(class));
+        let perms = if explorer.group().len() > 1 {
+            explorer.stabilizer_perms(node.key, crashed)
+        } else {
+            Vec::new()
+        };
+        let deduped =
+            |action: CrashRound| !perms.is_empty() && canonical_action(action, &perms) != action;
+        let live = ((1u16 << node.info.robots()) - 1) & !crashed;
+        let avail = u32::from(self.budget.saturating_sub(crashed.count_ones() as u8));
+        let mut crash: u16 = 0;
+        loop {
+            let after = crashed | crash;
+            if node.info.movers & !after == 0 {
+                // The injection froze every remaining mover: a single
+                // injection-only action to a terminal variant of this
+                // class, at the same round count. `crash` is nonzero
+                // here — an inner state has a live mover.
+                let action = CrashRound { crash, activate: 0 };
+                if deduped(action) {
+                    search.bump_deduped();
+                } else {
+                    search.bump_edges();
+                    let (succ, new) = search.intern_slot(
+                        class,
+                        self.rank(after),
+                        after,
+                        rounds,
+                        Some((id, action)),
+                    );
+                    if new && search.node_kind(succ) == NodeKind::Stuck {
+                        return Some(search.refute(id, action, Outcome::StuckFixpoint { rounds }));
+                    }
+                    search.push_edge(id, action, succ);
+                    if let Some(verdict) = search.edge_polls() {
+                        return Some(verdict);
+                    }
+                }
+            } else {
+                for &step in steps.iter().filter(|step| step.mask & after == 0) {
+                    let action = CrashRound { crash, activate: step.mask };
+                    if deduped(action) {
+                        search.bump_deduped();
+                        continue;
+                    }
+                    match step.kind {
+                        engine::RoundKind::Collides => {
+                            let collision = collision(node, step.mask);
+                            let outcome = Outcome::Collision { round: rounds, collision };
+                            return Some(search.refute(id, action, outcome));
+                        }
+                        engine::RoundKind::Disconnects => {
+                            search.bump_edges();
+                            let outcome = Outcome::Disconnected { round: rounds + 1 };
+                            return Some(search.refute(id, action, outcome));
+                        }
+                        engine::RoundKind::Succ => {
+                            // Crashed robots never move; their slot bits
+                            // follow them into the successor's order.
+                            let mut aux = 0u16;
+                            let mut bits = after;
+                            while bits != 0 {
+                                aux |= 1 << step.slot(bits.trailing_zeros() as usize);
+                                bits &= bits - 1;
+                            }
+                            search.bump_edges();
+                            let to = search.local_class(step.succ);
+                            let parent = Some((id, action));
+                            let (succ, new) =
+                                search.intern_slot(to, self.rank(aux), aux, rounds + 1, parent);
+                            if new {
+                                if search.node_kind(succ) == NodeKind::Stuck {
+                                    let outcome = Outcome::StuckFixpoint { rounds: rounds + 1 };
+                                    return Some(search.refute(id, action, outcome));
+                                }
+                                queue.push(succ as u32);
+                            }
+                            search.push_edge(id, action, succ);
+                            if let Some(verdict) = search.edge_polls() {
+                                return Some(verdict);
+                            }
+                        }
+                    }
+                }
+            }
+            crash = next_affordable(crash, live, avail);
+            if crash == 0 {
+                return None;
+            }
+        }
     }
 
     /// Certifies one edge: the activated movers step, and a slot is
@@ -2595,6 +2808,55 @@ mod tests {
                 let want: Vec<u16> =
                     (0..=live).filter(|m| m & !live == 0 && m.count_ones() <= avail).collect();
                 assert_eq!(sets, want, "live={live:#b} avail={avail}");
+            }
+        }
+    }
+
+    #[test]
+    fn crash_mask_ranks_are_dense_slots_per_class() {
+        for budget in 0..=3u8 {
+            let semantics = CrashSemantics::new(budget, fsync_goal);
+            for n in 1..=PackedClass::MAX_ROBOTS {
+                let affordable: Vec<u16> =
+                    (0..1u16 << n).filter(|m| m.count_ones() <= u32::from(budget)).collect();
+                let ranks: Vec<usize> = affordable.iter().map(|&m| semantics.rank(m)).collect();
+                assert_eq!(ranks, (0..affordable.len()).collect::<Vec<_>>(), "f={budget} n={n}");
+                assert_eq!(
+                    usize::from(semantics.rank[1 << n]),
+                    affordable.len(),
+                    "R({n}, {budget})"
+                );
+            }
+        }
+        assert_eq!(CrashSemantics::new(1, fsync_goal).rank[1 << 8], 9);
+        assert_eq!(CrashSemantics::new(2, fsync_goal).rank[1 << 8], 37);
+    }
+
+    #[test]
+    fn cached_goal_bits_classify_like_the_goal_predicate() {
+        // Budget 3 over eight robots affords R(8, 3) = 93 crash masks,
+        // so terminal masks rank past the 64 cached goal bits as well.
+        let goal: Goal = |_, crashed| crashed % 3 == 0;
+        let semantics = CrashSemantics::new(3, goal);
+        let line = cfg(&[(0, 0), (2, 0), (4, 0), (6, 0), (8, 0), (10, 0), (12, 0), (14, 0)]);
+        let march = FnAlgorithm::new(1, "march-if-clear", |v: &View| {
+            (!v.neighbor(Dir::E)).then_some(Dir::E)
+        });
+        let stay_info = ClassInfo::of(&engine::compute_moves(&line, &StayAlgorithm));
+        let march_info = ClassInfo::of(&engine::compute_moves(&line, &march));
+        assert_eq!(march_info.movers, 1 << 7, "only the east end moves");
+        for info in [stay_info, march_info] {
+            let goals = semantics.goal_bits(&line, &info);
+            let node = ClassNode { key: line.canonical_key(), info, goals, cfg: None };
+            for crashed in (0..1u16 << 8).filter(|m| m.count_ones() <= 3) {
+                let want = if info.movers & !crashed != 0 {
+                    NodeKind::Inner
+                } else if goal(&line, crashed) {
+                    NodeKind::Goal
+                } else {
+                    NodeKind::Stuck
+                };
+                assert_eq!(semantics.classify(&node, crashed), want, "crashed={crashed:#b}");
             }
         }
     }

@@ -232,7 +232,7 @@ impl<'a, A: Algorithm + ?Sized> CrashChecker<'a, A> {
     }
 
     /// A point-in-time telemetry snapshot of the underlying explorer:
-    /// phase wall times, memo hit rates, verdict tallies and BFS shape
+    /// phase wall times, class-table size, verdict tallies and BFS shape
     /// histograms (see [`Explorer::metrics_snapshot`]). Strictly
     /// out-of-band — verdicts and digests never depend on it.
     #[must_use]

@@ -40,9 +40,10 @@
 //!   function.
 //! * [`visited`] — shared canonical-class memoization primitives
 //!   (packed-key [`visited::ClassSet`]/[`visited::ClassMap`] and the
-//!   interning [`visited::ClassArena`]) used by the engine's livelock
-//!   detector, the impossibility simulator and the explorer's
-//!   crash-mask-aware state interner.
+//!   interning [`visited::ClassArena`], all on the flat
+//!   [`visited::FlatKeyIndex`] that also backs the explorer's class
+//!   table and the ASYNC searches' key caches) used by the engine's
+//!   livelock detector and the impossibility simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,9 @@
 //! Memoized visited-sets over canonical configuration classes.
 //!
 //! Every component that walks the configuration space — the FSYNC
-//! engine's livelock detector, the impossibility simulator, the SSYNC
-//! adversary checker — needs the same primitive: "have I seen this
+//! engine's livelock detector, the impossibility simulator, the
+//! exploration checkers' class table and key caches — needs the same
+//! primitive: "have I seen this
 //! translation class before?". These wrappers keep the
 //! canonicalisation in one place so no caller can accidentally memoize
 //! raw (translated) configurations, and they key on the bit-packed
@@ -28,8 +29,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// representation already spreads occupancy bits across the whole
 /// word, so SipHash's collision-resistance buys nothing here — these
 /// maps are keyed by data the checker itself canonicalised, not by
-/// untrusted input — while its per-lookup cost is very visible: the
-/// explorer interns one key per edge of every per-class search. Map
+/// untrusted input — while its per-lookup cost is very visible on the
+/// hot paths that look a key up per step. Map
 /// iteration order is never observed (ids are assigned in insertion
 /// order), so the hash function cannot affect any digest.
 #[derive(Default)]
@@ -212,8 +213,12 @@ impl FlatKeyIndex {
         // table, so a pooled index can be wider than a fresh one with
         // the same key count. Recompute the size a fresh table of
         // `len()` keys would have under the load-factor rule instead.
-        Self::nominal_slots(self.keys.len()) * size_of::<u32>()
-            + self.keys.len() * size_of::<u128>()
+        Self::nominal_live_bytes(self.keys.len())
+    }
+
+    /// [`Self::live_bytes`] of an index holding `len` keys.
+    pub(crate) fn nominal_live_bytes(len: usize) -> usize {
+        Self::nominal_slots(len) * size_of::<u32>() + len * size_of::<u128>()
     }
 
     /// Probe-table length a fresh index holding `len` keys would have:
@@ -369,19 +374,16 @@ impl<V> ClassMap<V> {
 
 /// An interning arena over translation classes: every class is mapped
 /// to a dense `u32` id, with its decoded canonical representative
-/// stored exactly once. This is the explorer's state-interning
-/// substrate — the hot path hashes a packed key and never clones or
-/// canonicalises a configuration that was seen before. Backed by
+/// stored exactly once — the hot path hashes a packed key and never
+/// clones or canonicalises a configuration that was seen before. Backed by
 /// [`FlatKeyIndex`], whose dense index **is** the id, so
 /// insertion-order id assignment (the digest-stability invariant)
 /// holds by construction.
 #[derive(Default, Debug)]
 pub struct ClassArena {
     index: FlatKeyIndex,
-    /// `Arc`: callers interning the same class across many arenas (the
-    /// explorer's per-class searches) share one decoded representative
-    /// instead of re-materializing it per arena.
-    cfgs: Vec<std::sync::Arc<Configuration>>,
+    /// Decoded canonical representatives, by id.
+    cfgs: Vec<Configuration>,
 }
 
 impl ClassArena {
@@ -402,7 +404,7 @@ impl ClassArena {
     pub fn intern_key(&mut self, key: PackedClass) -> (u32, bool) {
         let (id, new) = self.index.insert_full(key.bits());
         if new {
-            self.cfgs.push(std::sync::Arc::new(key.unpack()));
+            self.cfgs.push(key.unpack());
         }
         (id, new)
     }
@@ -413,26 +415,13 @@ impl ClassArena {
         self.index.get(key.bits())
     }
 
-    /// Interns a class the caller knows is absent (see
-    /// [`Self::lookup_key`]), adopting an already-decoded shared
-    /// representative instead of unpacking a fresh one.
-    ///
-    /// # Panics
-    /// Panics if the class is already interned.
-    pub fn insert_shared(&mut self, key: PackedClass, cfg: std::sync::Arc<Configuration>) -> u32 {
-        let (id, new) = self.index.insert_full(key.bits());
-        assert!(new, "class already interned");
-        self.cfgs.push(cfg);
-        id
-    }
-
     /// The canonical representative of class `id`.
     ///
     /// # Panics
     /// Panics if `id` was not returned by this arena.
     #[must_use]
     pub fn get(&self, id: u32) -> &Configuration {
-        self.cfgs[id as usize].as_ref()
+        &self.cfgs[id as usize]
     }
 
     /// Number of distinct classes interned.
@@ -448,20 +437,17 @@ impl ClassArena {
     }
 
     /// Heap bytes reserved by the arena's index and representative
-    /// column. Decoded `Configuration` payloads are shared (`Arc`) and
-    /// counted once per distinct class at one `Arc` pointer each; the
-    /// configurations' own cell vectors are excluded (shared across
-    /// arenas, so attributing them here would double-count).
+    /// column (the representatives' own cell vectors excluded).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes() + self.cfgs.capacity() * size_of::<std::sync::Arc<Configuration>>()
+        self.index.heap_bytes() + self.cfgs.capacity() * size_of::<Configuration>()
     }
 
     /// Occupied bytes as a pure function of the class count (see
     /// [`FlatKeyIndex::live_bytes`]).
     #[must_use]
     pub fn live_bytes(&self) -> usize {
-        self.index.live_bytes() + self.cfgs.len() * size_of::<std::sync::Arc<Configuration>>()
+        self.index.live_bytes() + self.cfgs.len() * size_of::<Configuration>()
     }
 
     /// Empties the arena but keeps the allocations for reuse.

@@ -13,8 +13,9 @@
 //! `--stats` switches to single-class telemetry mode: it runs the
 //! exhaustive SSYNC adversary checker on one class (`--class`, default
 //! 0, of the `--n`-robot enumeration, default 7) and dumps the
-//! checker's telemetry snapshot — per-phase wall times, the class-info
-//! hit rate, frontier peaks — as pretty JSON plus a short human summary.
+//! checker's telemetry snapshot — per-phase wall times, the class
+//! table's size, frontier peaks — as pretty JSON plus a short human
+//! summary.
 
 use gathering::base::{determine, BaseDecision};
 use gathering::SevenGather;
@@ -57,8 +58,9 @@ fn run_stats(args: &[String]) {
         ms("explore.phase_d_ns"),
     );
     println!(
-        "class-info hit rate: {:.1}%",
-        snapshot.rate("memo.info.hit", "memo.info.miss") * 100.0
+        "class table: {} classes · {:.1} KiB",
+        snapshot.counter("explore.classes"),
+        snapshot.gauge("explore.class_table_bytes") as f64 / 1024.0
     );
     if let Some(width) = snapshot.histogram("explore.frontier_width") {
         println!(

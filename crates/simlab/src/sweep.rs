@@ -479,7 +479,7 @@ pub struct ClassOutcome {
 }
 
 /// An out-of-band telemetry reading riding along a shard record or a
-/// merged summary: phase wall times, memo hit/miss tallies, BFS shape
+/// merged summary: phase wall times, class-table size, BFS shape
 /// histograms and work-stealing pool activity (see DESIGN.md §16).
 ///
 /// Wall times and pool activity are inherently nondeterministic, so
@@ -858,7 +858,13 @@ fn run_class_async<A: Algorithm + ?Sized>(
     }
 }
 
-/// The per-shard checker of a model-checking cell, if any.
+/// The checker of a model-checking cell. [`run_sweep_with`] builds one
+/// per cell and hands it to every shard, so the algorithm's
+/// equivariance group is computed once and every search of the cell
+/// shares one class table: each class's decision data and round table
+/// are computed once per cell, not once per shard. The explorer's
+/// telemetry is cumulative, so each shard record carries the delta
+/// over its own shard.
 enum CellChecker<'a, A: Algorithm + ?Sized> {
     Adversary(Checker<'a, A>),
     Crash(CrashChecker<'a, A>),
@@ -866,12 +872,19 @@ enum CellChecker<'a, A: Algorithm + ?Sized> {
 }
 
 impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
-    /// Builds the shared checker for model-checking cells (`None` for
-    /// scheduled cells). Shared per shard so the algorithm's
-    /// equivariance group is computed once, not per class. `robots` is
-    /// the cell's robot count; the checkers keep their historical
-    /// 8-robot floor so n <= 7 cells stay byte-identical to the
-    /// pre-parameterised pipeline.
+    /// The checker of `cfg`'s cell (`None` for scheduled cells), with
+    /// the cell's per-class deadline and byte budget armed.
+    fn for_cell(algo: &'a A, cfg: &SweepConfig) -> Option<Self> {
+        let mut checker = Self::for_spec(algo, cfg.sched, cfg.n)?;
+        checker.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
+        checker.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
+        Some(checker)
+    }
+
+    /// Builds the checker for model-checking cells (`None` for
+    /// scheduled cells). `robots` is the cell's robot count; the
+    /// checkers keep their historical 8-robot floor so n <= 7 cells
+    /// stay byte-identical to the pre-parameterised pipeline.
     fn for_spec(algo: &'a A, spec: SchedSpec, robots: usize) -> Option<Self> {
         let capacity = robots.max(8);
         match spec {
@@ -924,7 +937,8 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
     }
 
     /// Telemetry snapshot of the underlying explorer (phase times,
-    /// memo hit rates, verdict tallies, BFS shape).
+    /// class-table size, verdict tallies, BFS shape), cumulative over
+    /// every check it ran.
     fn metrics_snapshot(&self) -> telemetry::Snapshot {
         match self {
             CellChecker::Adversary(c) => c.metrics_snapshot(),
@@ -939,9 +953,10 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
 /// scheduler, keeping outcomes independent of sharding and threading).
 ///
 /// For [`SchedSpec::Adversary`], [`SchedSpec::Crash`] and
-/// [`SchedSpec::LcmAsync`] this builds a throwaway checker per call;
-/// batch paths ([`run_shard`], [`find_failure`]) share one checker
-/// across the whole cell instead.
+/// [`SchedSpec::LcmAsync`] this builds a throwaway checker per call,
+/// whose class table grows only with the classes this one search
+/// reaches; batch paths share one checker instead — [`run_sweep_with`]
+/// one per cell, [`run_shard`] and [`find_failure`] one per call.
 #[must_use]
 pub fn run_class<A: Algorithm + ?Sized>(
     initial: &Configuration,
@@ -1207,11 +1222,14 @@ enum ShardProgress {
 /// optional journal checkpoints, per-class panic isolation, and a
 /// cooperative cell deadline polled between chunks. Without a journal
 /// and deadline the whole range runs as one chunk — byte-identical to
-/// the historical single-pass shard.
+/// the historical single-pass shard. `algo` and, for model-checking
+/// cells, `checker` ([`CellChecker::for_cell`]) are the cell's.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_inner(
     classes: &[Vec<Coord>],
     cfg: &SweepConfig,
+    algo: &SevenGather,
+    checker: Option<&CellChecker<'_, SevenGather>>,
     shard: usize,
     start: usize,
     end: usize,
@@ -1219,32 +1237,26 @@ fn run_shard_inner(
     prior: JournalPrefix,
     deadline: Option<Instant>,
 ) -> io::Result<ShardProgress> {
-    let algo = cfg.algo.build();
     let limits = cfg.effective_limits();
-    // Model-checking cells share one checker across the shard, so the
-    // algorithm's equivariance group is computed once, not per class.
-    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n);
-    if let Some(c) = checker.as_mut() {
-        c.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
-        c.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
-    }
-    let checker = checker;
+    // The checker's telemetry is cumulative over the cell, so the
+    // shard's reading is the delta from here.
+    let metrics_before = checker.map(CellChecker::metrics_snapshot).unwrap_or_default();
     let run_one = |offset: usize, cells: &Vec<Coord>| {
         let index = start + offset;
         // Per-class panic isolation: the unwind is caught here, before
         // the pool ever sees it, and degraded to a counted undecided
         // row. AssertUnwindSafe is sound because a panicking class
-        // leaves only the explorer's pure memo caches behind, and
-        // those are poison-tolerant by construction.
+        // leaves only the explorer's class table behind, whose entries
+        // are pure and whose index lock is poison-tolerant.
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // `sweep.class=panic:MSG@K` / `sleep:MS@K` inject a
             // poisoned or pathologically slow class deterministically.
             failpoints::fire("sweep.class");
             let initial = Configuration::new(cells.iter().copied());
-            match &checker {
+            match checker {
                 Some(checker) => checker.run_class(&initial, index, limits),
                 None => {
-                    let outcome = run_class(&initial, &algo, cfg.sched, index, limits);
+                    let outcome = run_class(&initial, algo, cfg.sched, index, limits);
                     let expanded = rounds_of(&outcome);
                     ClassOutcome {
                         index,
@@ -1310,7 +1322,8 @@ fn run_shard_inner(
         results.extend(chunk_results);
         cursor = cend;
     }
-    let mut snapshot = checker.as_ref().map(CellChecker::metrics_snapshot).unwrap_or_default();
+    let mut snapshot =
+        checker.map(|c| c.metrics_snapshot().delta_since(&metrics_before)).unwrap_or_default();
     let pool = parallel::stealing::pool_stats().delta_since(&pool_before);
     snapshot.add_counter("parallel.tasks", pool.tasks);
     snapshot.add_counter("parallel.steal_batches", pool.steal_batches);
@@ -1354,7 +1367,8 @@ fn run_shard_inner(
     Ok(ShardProgress::Done(Box::new(record)))
 }
 
-/// Runs one shard of a sweep cell over the given full class list.
+/// Runs one shard of a sweep cell over the given full class list,
+/// through a checker built for this call.
 #[must_use]
 pub fn run_shard(
     classes: &[Vec<Coord>],
@@ -1363,7 +1377,20 @@ pub fn run_shard(
     start: usize,
     end: usize,
 ) -> ShardRecord {
-    match run_shard_inner(classes, cfg, shard, start, end, None, JournalPrefix::default(), None) {
+    let algo = cfg.algo.build();
+    let checker = CellChecker::for_cell(&algo, cfg);
+    match run_shard_inner(
+        classes,
+        cfg,
+        &algo,
+        checker.as_ref(),
+        shard,
+        start,
+        end,
+        None,
+        JournalPrefix::default(),
+        None,
+    ) {
         Ok(ShardProgress::Done(record)) => *record,
         Ok(ShardProgress::DeadlineStopped { .. }) | Err(_) => {
             unreachable!("journal-free, deadline-free shard runs always complete")
@@ -1656,10 +1683,17 @@ fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
 /// the same way, so any corruption that changes the decoded content —
 /// truncation, bit flips, hand edits — breaks the digest even when the
 /// result still parses as JSON.
+///
+/// A record being sealed is still unsigned, and [`load_shard_checked`]
+/// blanks the parsed record's field in place before verifying, so
+/// neither path copies the record; only a record that still carries a
+/// digest is serialized through a blanked copy.
 fn shard_self_digest(record: &ShardRecord) -> io::Result<String> {
-    let mut unsigned = record.clone();
-    unsigned.record_digest = None;
-    let json = serde_json::to_string(&unsigned).map_err(io::Error::other)?;
+    let json = match record.record_digest {
+        None => serde_json::to_string(record),
+        Some(_) => serde_json::to_string(&ShardRecord { record_digest: None, ..record.clone() }),
+    }
+    .map_err(io::Error::other)?;
     Ok(format!("{:016x}", fnv64_of(json.as_bytes())))
 }
 
@@ -1683,13 +1717,15 @@ fn load_shard_checked(
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("unreadable: {e}")),
     };
-    let record: ShardRecord =
+    let mut record: ShardRecord =
         serde_json::from_str(&text).map_err(|e| format!("malformed JSON: {e}"))?;
-    if let Some(stored) = &record.record_digest {
+    drop(text);
+    if let Some(stored) = record.record_digest.take() {
         let computed = shard_self_digest(&record).map_err(|e| format!("digest check: {e}"))?;
-        if *stored != computed {
+        if stored != computed {
             return Err(format!("self-digest mismatch (stored {stored}, computed {computed})"));
         }
+        record.record_digest = Some(stored);
     }
     if !record.config_matches(cfg, shard, start, end) {
         return Ok(None);
@@ -1763,6 +1799,10 @@ pub fn run_sweep_with(
     std::fs::create_dir_all(out_dir)?;
     let classes = polyhex::enumerate_fixed(cfg.n);
     let ranges = shard_ranges(classes.len(), cfg.shards);
+    // One algorithm and one checker for the whole cell: every shard's
+    // searches share its class table.
+    let algo = cfg.algo.build();
+    let checker = CellChecker::for_cell(&algo, cfg);
     let deadline = cfg.cell_deadline_secs.map(|s| Instant::now() + Duration::from_secs(s));
 
     let mut records = Vec::with_capacity(ranges.len());
@@ -1797,6 +1837,8 @@ pub fn run_sweep_with(
                 match run_shard_inner(
                     &classes,
                     cfg,
+                    &algo,
+                    checker.as_ref(),
                     shard,
                     start,
                     end,
@@ -1865,12 +1907,7 @@ pub fn find_failure(cfg: &SweepConfig) -> Option<(usize, Outcome)> {
     let classes = polyhex::enumerate_fixed(cfg.n);
     let algo = cfg.algo.build();
     let limits = cfg.effective_limits();
-    let mut checker = CellChecker::for_spec(&algo, cfg.sched, cfg.n);
-    if let Some(c) = checker.as_mut() {
-        c.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
-        c.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
-    }
-    let checker = checker;
+    let checker = CellChecker::for_cell(&algo, cfg);
     let indexed: Vec<(usize, &Vec<Coord>)> = classes.iter().enumerate().collect();
     parallel::par_find_min(&indexed, cfg.threads, |&(index, cells)| {
         let initial = Configuration::new(cells.iter().copied());
@@ -2343,6 +2380,28 @@ mod tests {
             std::env::temp_dir().join(format!("trigather-sweep-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn one_checker_serves_every_shard_of_a_cell() {
+        // Every shard of a cell runs through the cell's one checker, so
+        // its class table — and the merged class count — does not grow
+        // with the shard count, and the per-shard metric deltas merge
+        // back to the cell's exact state count.
+        let read = |shards: usize| {
+            let sched = SchedSpec::parse("crash:1").expect("known scheduler");
+            let cfg = SweepConfig { n: 6, shards, sched, ..SweepConfig::default() };
+            let dir = temp_sweep_dir(&format!("cell-checker-{shards}"));
+            let outcome = run_sweep(&cfg, &dir, false, |_, _, _| {}).expect("sweep runs");
+            let _ = std::fs::remove_dir_all(&dir);
+            let snapshot = outcome.summary.metrics.expect("metrics are on").snapshot;
+            let states = snapshot.counter("explore.states");
+            assert_eq!(states, outcome.expanded, "{shards} shards: states summed exactly once");
+            (snapshot.counter("explore.classes"), states, outcome.digest)
+        };
+        let one = read(1);
+        assert_eq!(one.0, 814, "each connected n = 6 class enters the table once");
+        assert_eq!(read(4), one);
     }
 
     #[test]

@@ -368,6 +368,31 @@ impl Snapshot {
         }
     }
 
+    /// What was tallied between an `earlier` reading of the same
+    /// source and this one: counters and histogram counts, sums and
+    /// buckets subtract, so merging the deltas of consecutive intervals
+    /// gives back the whole. Gauges and histogram maxima are high-water
+    /// marks and cannot be split, so they keep this reading's value.
+    #[must_use]
+    pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
+        let mut delta = self.clone();
+        for c in &mut delta.counters {
+            c.value -= earlier.counter(&c.name).min(c.value);
+        }
+        for h in &mut delta.histograms {
+            let Some(before) = earlier.histogram(&h.name) else { continue };
+            h.count -= before.count.min(h.count);
+            h.sum -= before.sum.min(h.sum);
+            for b in &mut h.buckets {
+                if let Some(e) = before.buckets.iter().find(|e| e.log2 == b.log2) {
+                    b.count -= e.count.min(b.count);
+                }
+            }
+            h.buckets.retain(|b| b.count > 0);
+        }
+        delta
+    }
+
     /// True when no entry has a nonzero reading.
     pub fn is_empty(&self) -> bool {
         self.counters.iter().all(|c| c.value == 0)
@@ -422,6 +447,38 @@ mod tests {
         assert_eq!(w.count, 3);
         assert_eq!(w.sum, 19);
         assert_eq!(w.max, 9);
+    }
+
+    #[test]
+    fn interval_deltas_merge_back_to_the_whole() {
+        let (c, h, g) = (Counter::new(), Histogram::new(), Gauge::new());
+        let read = || {
+            let mut s = Snapshot::new();
+            s.add_counter("c", c.get());
+            s.add_histogram(h.read("h"));
+            s.add_gauge("g", g.get());
+            s
+        };
+        let start = read();
+        c.add(3);
+        h.record(5);
+        g.record(7);
+        let mid = read();
+        c.add(4);
+        h.record(5);
+        h.record(900);
+        g.record(2);
+        let end = read();
+
+        let (first, second) = (mid.delta_since(&start), end.delta_since(&mid));
+        assert_eq!((first.counter("c"), second.counter("c")), (3, 4));
+        let later = second.histogram("h").unwrap();
+        assert_eq!((later.count, later.sum), (2, 905));
+        assert_eq!(second.gauge("g"), 7, "gauges keep the high-water mark");
+        let mut whole = first;
+        whole.merge(&second);
+        assert_eq!(whole.counter("c"), end.counter("c"));
+        assert_eq!(whole.histogram("h"), end.histogram("h"));
     }
 
     #[test]
