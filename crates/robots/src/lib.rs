@@ -39,11 +39,10 @@
 //!   replay over the shared [`async_model::advance_phase`] successor
 //!   function.
 //! * [`visited`] — shared canonical-class memoization primitives
-//!   (packed-key [`visited::ClassSet`]/[`visited::ClassMap`] and the
-//!   interning [`visited::ClassArena`], all on the flat
-//!   [`visited::FlatKeyIndex`] that also backs the explorer's class
-//!   table and the ASYNC searches' key caches) used by the engine's
-//!   livelock detector and the impossibility simulator.
+//!   (packed-key [`visited::ClassSet`]/[`visited::ClassMap`], both on
+//!   the flat [`visited::FlatKeyIndex`] that also backs the explorer's
+//!   class table and the ASYNC searches' key caches) used by the
+//!   engine's livelock detector and the impossibility simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,14 +11,14 @@
 //! `Vec<Coord>`, and no canonical configuration is ever materialized
 //! on the lookup path.
 //!
-//! The hot interning structures ([`ClassMap`], [`ClassSet`],
-//! [`ClassArena`]) are built on [`FlatKeyIndex`], a flat
-//! open-addressed table that assigns **insertion-order dense
-//! indices**: the k-th distinct key inserted gets index k, exactly as
-//! the previous `HashMap`-backed arenas assigned ids from a push
-//! counter. That invariant is what keeps every committed verdict
-//! digest byte-identical across the storage swap — ids are a pure
-//! function of the insertion sequence, never of hash or probe order.
+//! [`ClassMap`] and [`ClassSet`] (like the explorer's class table) are
+//! built on [`FlatKeyIndex`], a flat open-addressed table that assigns
+//! **insertion-order dense indices**: the k-th distinct key inserted
+//! gets index k, exactly as the previous `HashMap`-backed arenas
+//! assigned ids from a push counter. That invariant is what keeps
+//! every committed verdict digest byte-identical across the storage
+//! swap — ids are a pure function of the insertion sequence, never of
+//! hash or probe order.
 
 use crate::config::PackedClass;
 use crate::Configuration;
@@ -372,91 +372,6 @@ impl<V> ClassMap<V> {
     }
 }
 
-/// An interning arena over translation classes: every class is mapped
-/// to a dense `u32` id, with its decoded canonical representative
-/// stored exactly once — the hot path hashes a packed key and never
-/// clones or canonicalises a configuration that was seen before. Backed by
-/// [`FlatKeyIndex`], whose dense index **is** the id, so
-/// insertion-order id assignment (the digest-stability invariant)
-/// holds by construction.
-#[derive(Default, Debug)]
-pub struct ClassArena {
-    index: FlatKeyIndex,
-    /// Decoded canonical representatives, by id.
-    cfgs: Vec<Configuration>,
-}
-
-impl ClassArena {
-    /// An empty arena.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns the class of `cfg` (which may be arbitrarily
-    /// translated); returns its dense id and whether it was new.
-    pub fn intern(&mut self, cfg: &Configuration) -> (u32, bool) {
-        self.intern_key(cfg.canonical_key())
-    }
-
-    /// Interns an already-packed class key. The decoded canonical
-    /// representative is materialized only on first sight.
-    pub fn intern_key(&mut self, key: PackedClass) -> (u32, bool) {
-        let (id, new) = self.index.insert_full(key.bits());
-        if new {
-            self.cfgs.push(key.unpack());
-        }
-        (id, new)
-    }
-
-    /// The dense id of `key`'s class, if already interned.
-    #[must_use]
-    pub fn lookup_key(&self, key: PackedClass) -> Option<u32> {
-        self.index.get(key.bits())
-    }
-
-    /// The canonical representative of class `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` was not returned by this arena.
-    #[must_use]
-    pub fn get(&self, id: u32) -> &Configuration {
-        &self.cfgs[id as usize]
-    }
-
-    /// Number of distinct classes interned.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cfgs.len()
-    }
-
-    /// Whether the arena is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cfgs.is_empty()
-    }
-
-    /// Heap bytes reserved by the arena's index and representative
-    /// column (the representatives' own cell vectors excluded).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.index.heap_bytes() + self.cfgs.capacity() * size_of::<Configuration>()
-    }
-
-    /// Occupied bytes as a pure function of the class count (see
-    /// [`FlatKeyIndex::live_bytes`]).
-    #[must_use]
-    pub fn live_bytes(&self) -> usize {
-        self.index.live_bytes() + self.cfgs.len() * size_of::<Configuration>()
-    }
-
-    /// Empties the arena but keeps the allocations for reuse.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.cfgs.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,24 +427,6 @@ mod tests {
         assert!(!set.insert(&eleven.translate(Coord::new(-2, 0))));
         assert!(set.contains(&eleven));
         assert_eq!(set.len(), 1);
-    }
-
-    #[test]
-    fn arena_interns_each_class_once() {
-        let mut arena = ClassArena::new();
-        let (a, new_a) = arena.intern(&two());
-        assert!(new_a);
-        let (b, new_b) = arena.intern(&two().translate(Coord::new(6, 2)));
-        assert!(!new_b);
-        assert_eq!(a, b);
-        assert_eq!(arena.get(a), &two().canonical());
-        assert_eq!(arena.len(), 1);
-        assert!(!arena.is_empty());
-        let (c, new_c) = arena.intern_key(crate::config::hexagon(ORIGIN).canonical_key());
-        assert!(new_c);
-        assert_ne!(a, c);
-        assert_eq!(arena.get(c), &crate::config::hexagon(ORIGIN).canonical());
-        assert_eq!(arena.len(), 2);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! returned dense ids, and on the new/known flag — and ids must be
 //! assigned in insertion order (the digest-stability invariant the
 //! explorer's state numbering rests on). The configuration-keyed
-//! wrappers ([`ClassArena`], [`ClassMap`], [`ClassSet`]) are pinned at
-//! every supported robot count, and the unpacked-key fallback path of
-//! [`ClassMap`] is exercised with beyond-window configurations.
+//! wrappers ([`ClassMap`], [`ClassSet`]) are pinned at every supported
+//! robot count, and the unpacked-key fallback path of [`ClassMap`] is
+//! exercised with beyond-window configurations.
 
 use proptest::prelude::*;
-use robots::visited::{ClassArena, ClassMap, ClassSet, FlatKeyIndex};
+use robots::visited::{ClassMap, ClassSet, FlatKeyIndex};
 use robots::{Configuration, PackedClass};
 use std::collections::HashMap;
 use trigrid::Dir;
@@ -105,40 +105,6 @@ proptest! {
             prop_assert_eq!(pooled.insert_full(key), fresh.insert_full(key));
             prop_assert_eq!(pooled.live_bytes(), fresh.live_bytes());
         }
-    }
-
-    /// [`ClassArena`] interning agrees with a key-level model at every
-    /// supported robot count: dense ids in insertion order, lookups
-    /// stable, the stored representative canonical.
-    #[test]
-    fn class_arena_matches_model_across_robot_counts(
-        n in 2usize..PackedClass::MAX_ROBOTS + 1,
-        choices in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0usize..6), PackedClass::MAX_ROBOTS - 1),
-            24,
-        ),
-    ) {
-        let mut arena = ClassArena::new();
-        let mut model: HashMap<u128, u32> = HashMap::new();
-        for raw in &choices {
-            let cfg = grow_connected(&raw[..n - 1]);
-            let key = cfg.canonical_key();
-            prop_assert_eq!(arena.lookup_key(key), model.get(&key.bits()).copied());
-            let (id, new) = arena.intern(&cfg);
-            match model.get(&key.bits()) {
-                Some(&known) => {
-                    prop_assert!(!new);
-                    prop_assert_eq!(id, known);
-                }
-                None => {
-                    prop_assert!(new);
-                    prop_assert_eq!(id as usize, model.len(), "ids follow insertion order");
-                    model.insert(key.bits(), id);
-                }
-            }
-            prop_assert_eq!(arena.get(id), &cfg.canonical());
-        }
-        prop_assert_eq!(arena.len(), model.len());
     }
 
     /// [`ClassMap`] insert/get (including overwrites) agree with a

@@ -3,11 +3,11 @@
 //! canonical configurations, `canonical_key()` agrees with the
 //! materializing `canonical().pack()` path on arbitrary translates of
 //! random connected polyhexes, and key equality is exactly class
-//! equality. The `ClassArena` built on the keys must intern every
-//! class once.
+//! equality: every enumerated class space maps to as many distinct
+//! keys as it has classes.
 
 use proptest::prelude::*;
-use robots::visited::{ClassArena, ClassMap, ClassSet};
+use robots::visited::{ClassMap, ClassSet, FlatKeyIndex};
 use robots::{Configuration, PackedClass};
 use trigrid::{Coord, Dir};
 
@@ -128,19 +128,11 @@ proptest! {
     }
 
     #[test]
-    fn arena_and_class_map_agree_on_interning(
+    fn class_set_and_map_agree_on_interning(
         cfg in connected_config(7),
         d in delta(),
     ) {
         let translated = cfg.translate(d);
-        let mut arena = ClassArena::new();
-        let (id_a, new_a) = arena.intern(&cfg);
-        let (id_b, new_b) = arena.intern(&translated);
-        prop_assert!(new_a);
-        prop_assert!(!new_b, "a translate must hit the interned class");
-        prop_assert_eq!(id_a, id_b);
-        prop_assert_eq!(arena.get(id_a), &cfg.canonical());
-
         let mut set = ClassSet::new();
         prop_assert!(set.insert(&cfg));
         prop_assert!(!set.insert(&translated));
@@ -157,15 +149,15 @@ proptest! {
 /// classes map to 3652 distinct keys, every one of which roundtrips.
 #[test]
 fn all_seven_robot_classes_have_distinct_roundtripping_keys() {
-    let mut arena = ClassArena::new();
+    let mut keys = FlatKeyIndex::new();
     for cells in polyhex::enumerate_fixed(7) {
         let cfg = Configuration::new(cells);
         let key = cfg.canonical_key();
         assert_eq!(key.unpack(), cfg, "enumerated classes are canonical already");
-        let (_, new) = arena.intern_key(key);
+        let (_, new) = keys.insert_full(key.bits());
         assert!(new, "distinct classes must intern to distinct keys: {cfg:?}");
     }
-    assert_eq!(arena.len(), 3652);
+    assert_eq!(keys.len(), 3652);
 }
 
 /// The same exhaustive pin across every class space the sweeps cover
@@ -174,14 +166,14 @@ fn all_seven_robot_classes_have_distinct_roundtripping_keys() {
 #[test]
 fn enumerated_classes_have_distinct_keys_per_count() {
     for (n, expected) in [(2, 3usize), (3, 11), (4, 44), (5, 186), (6, 814), (8, 16_689)] {
-        let mut arena = ClassArena::new();
+        let mut keys = FlatKeyIndex::new();
         for cells in polyhex::enumerate_fixed(n) {
             let cfg = Configuration::new(cells);
             let key = cfg.canonical_key();
             assert_eq!(key.unpack(), cfg, "n={n}: enumerated classes are canonical already");
-            let (_, new) = arena.intern_key(key);
+            let (_, new) = keys.insert_full(key.bits());
             assert!(new, "n={n}: distinct classes must intern to distinct keys: {cfg:?}");
         }
-        assert_eq!(arena.len(), expected, "n={n}");
+        assert_eq!(keys.len(), expected, "n={n}");
     }
 }

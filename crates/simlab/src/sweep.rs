@@ -16,9 +16,11 @@
 //!   ([`parallel::par_map`]; the per-class checker runs of the
 //!   model-checking cells are wildly skewed: a proof explores
 //!   thousands of states where a refutation stops at its first bad
-//!   terminal) and persisted as a serde-serialised [`ShardRecord`].
-//!   Work items carry their class index and results are merged in
-//!   index order, so the record stream is **byte-identical for every
+//!   terminal) and persisted as a **record**: the shard's journal of
+//!   framed JSON lines (a header, one line per chunk of
+//!   [`ClassOutcome`]s, a metrics footer), completed and renamed into
+//!   place. Work items carry their class index and results are merged
+//!   in index order, so the result stream is **byte-identical for every
 //!   worker-thread count** — `tests/determinism.rs` pins this for the
 //!   model-checking cells;
 //! * a **merge** step loads the shard records, checks they tile the
@@ -35,16 +37,17 @@
 //!
 //! Long cells survive crashes, kills and poisoned classes:
 //!
-//! * shard records are published **atomically** (tmp file + fsync +
-//!   rename) and carry a **self-digest** verified on resume; records
-//!   that fail to parse, fail their digest, or hold inconsistent
-//!   results are **quarantined** to `<record>.corrupt` with a warning
-//!   and recomputed;
 //! * each computing shard appends completed class chunks to an
 //!   intra-shard **journal** (`*.journal`, length-and-digest-framed
 //!   JSONL), so a killed process resumes mid-shard instead of
 //!   re-running the whole range; the torn tail of a journal is
 //!   detected by its framing and dropped;
+//! * a completed journal is published **atomically** as the shard's
+//!   record (metrics footer + fsync + rename + directory fsync), so
+//!   every class result is serialized exactly once; on resume a record
+//!   with a torn, corrupt, missing, duplicated or reordered line, or
+//!   bytes after its footer, is **quarantined** to `<record>.corrupt`
+//!   with a warning and recomputed;
 //! * a **panicking class** is caught per item, degraded to a counted
 //!   [`Outcome::Undecided`] row carrying the panic payload, and the
 //!   rest of the shard keeps draining;
@@ -423,16 +426,18 @@ impl SweepConfig {
         }
     }
 
-    /// Path of the record file for `shard`.
+    /// Path of the published record for `shard`: the shard's completed
+    /// journal, renamed here. Records written as pretty `.json` files
+    /// by older builds sit at a different path and are never opened.
     #[must_use]
     pub fn shard_path(&self, out_dir: &Path, shard: usize) -> PathBuf {
-        out_dir.join(format!("sweep-{}-shard{:04}of{:04}.json", self.slug(), shard, self.shards))
+        out_dir.join(format!("sweep-{}-shard{:04}of{:04}.record", self.slug(), shard, self.shards))
     }
 
     /// Path of the intra-shard progress journal for `shard`: completed
     /// class chunks land here while the shard computes, and a resumed
-    /// run continues from the journal's longest valid prefix. Deleted
-    /// once the shard's record is published.
+    /// run continues from the journal's longest valid prefix. Publishing
+    /// the record renames it to [`SweepConfig::shard_path`].
     #[must_use]
     pub fn journal_path(&self, out_dir: &Path, shard: usize) -> PathBuf {
         out_dir.join(format!("sweep-{}-shard{:04}of{:04}.journal", self.slug(), shard, self.shards))
@@ -501,7 +506,8 @@ impl PartialEq for MetricsBlock {
     }
 }
 
-/// The persisted result of one shard of a sweep cell.
+/// The result of one shard of a sweep cell, as computed or as loaded
+/// back from its published record.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ShardRecord {
     /// Algorithm name ([`AlgoSpec::name`]).
@@ -528,29 +534,20 @@ pub struct ShardRecord {
     /// matching, merging or digests).
     #[serde(default)]
     pub metrics: Option<MetricsBlock>,
-    /// FNV-1a self-digest (16 hex digits) over the record's canonical
-    /// compact serialization with this field blank, written at publish
-    /// time and verified on resume: silent on-disk corruption that
-    /// still parses as JSON cannot sneak back into a merged summary.
-    /// Absent in records written before the fault-tolerance layer;
-    /// those are accepted after the structural checks alone.
+    /// Unused: never set or read. Records are no longer sealed with a
+    /// self-digest, because every line of a published record carries
+    /// its own length and FNV-1a digest. The field stays only so that
+    /// code outside this crate building a `ShardRecord` by struct
+    /// literal (the benchmark harness) still compiles.
     #[serde(default)]
     pub record_digest: Option<String>,
 }
 
 impl ShardRecord {
     /// Whether this record is a complete, consistent result for
-    /// `shard` of the given sweep cell (used by resume).
+    /// `shard` of the given sweep cell.
     #[must_use]
     pub fn matches(&self, cfg: &SweepConfig, shard: usize, start: usize, end: usize) -> bool {
-        self.config_matches(cfg, shard, start, end) && self.validate_results(cfg).is_ok()
-    }
-
-    /// The cheap identity half of [`ShardRecord::matches`]: does this
-    /// record describe `shard` of this cell at all? A mismatch here is
-    /// a *stale* record (different config), not a corrupt one, so
-    /// resume silently recomputes instead of quarantining.
-    fn config_matches(&self, cfg: &SweepConfig, shard: usize, start: usize, end: usize) -> bool {
         self.algo == cfg.algo.name()
             && self.sched == cfg.sched.name()
             && self.robots == cfg.n
@@ -559,6 +556,7 @@ impl ShardRecord {
             && self.shards == cfg.shards
             && self.start == start
             && self.end == end
+            && self.validate_results(cfg).is_ok()
     }
 
     /// Deep per-record validation of the result rows: the range must
@@ -798,62 +796,15 @@ fn rounds_of(outcome: &Outcome) -> usize {
     }
 }
 
-/// Runs one class of an adversary cell through a shared checker.
-#[must_use]
-fn run_class_checked<A: Algorithm + ?Sized>(
-    initial: &Configuration,
-    checker: &Checker<'_, A>,
-    index: usize,
-    limits: Limits,
-) -> ClassOutcome {
-    let report = checker.check(initial);
+/// A result row with no verdict column and no panic payload.
+fn row(index: usize, outcome: Outcome, expanded: usize) -> ClassOutcome {
     ClassOutcome {
         index,
-        outcome: outcome_of_verdict(&report.verdict, limits),
-        expanded: report.classes,
-        verdict: Some(report.verdict),
-        crash: None,
-        lcm_async: None,
-        panic: None,
-    }
-}
-
-/// Runs one class of a crash cell through a shared crash checker.
-#[must_use]
-fn run_class_crashed<A: Algorithm + ?Sized>(
-    initial: &Configuration,
-    checker: &CrashChecker<'_, A>,
-    index: usize,
-    limits: Limits,
-) -> ClassOutcome {
-    let report = checker.check(initial);
-    ClassOutcome {
-        index,
-        outcome: outcome_of_crash_verdict(&report.verdict, limits),
-        expanded: report.states,
-        verdict: None,
-        crash: Some(report.verdict),
-        lcm_async: None,
-        panic: None,
-    }
-}
-
-/// Runs one class of an lcm-async cell through a shared ASYNC checker.
-#[must_use]
-fn run_class_async<A: Algorithm + ?Sized>(
-    initial: &Configuration,
-    checker: &AsyncChecker<'_, A>,
-    index: usize,
-    limits: Limits,
-) -> ClassOutcome {
-    let report = checker.check(initial);
-    ClassOutcome {
-        index,
-        outcome: outcome_of_async_verdict(&report.verdict, limits),
-        expanded: report.states,
+        outcome,
+        expanded,
         verdict: None,
         crash: None,
-        lcm_async: Some(report.verdict),
+        lcm_async: None,
         panic: None,
     }
 }
@@ -908,11 +859,32 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
         }
     }
 
+    /// Checks one class: its row carries the verdict in the cell's
+    /// column and, as `expanded`, the classes (adversary) or states
+    /// (crash, lcm-async) the search explored.
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
         match self {
-            CellChecker::Adversary(c) => run_class_checked(initial, c, index, limits),
-            CellChecker::Crash(c) => run_class_crashed(initial, c, index, limits),
-            CellChecker::Async(c) => run_class_async(initial, c, index, limits),
+            CellChecker::Adversary(c) => {
+                let report = c.check(initial);
+                let outcome = outcome_of_verdict(&report.verdict, limits);
+                ClassOutcome {
+                    verdict: Some(report.verdict),
+                    ..row(index, outcome, report.classes)
+                }
+            }
+            CellChecker::Crash(c) => {
+                let report = c.check(initial);
+                let outcome = outcome_of_crash_verdict(&report.verdict, limits);
+                ClassOutcome { crash: Some(report.verdict), ..row(index, outcome, report.states) }
+            }
+            CellChecker::Async(c) => {
+                let report = c.check(initial);
+                let outcome = outcome_of_async_verdict(&report.verdict, limits);
+                ClassOutcome {
+                    lcm_async: Some(report.verdict),
+                    ..row(index, outcome, report.states)
+                }
+            }
         }
     }
 
@@ -1058,6 +1030,23 @@ impl JournalHeader {
             end,
         }
     }
+
+    /// The record of the shard this header names, holding `results`.
+    fn record(self, results: Vec<ClassOutcome>, metrics: MetricsBlock) -> ShardRecord {
+        ShardRecord {
+            algo: self.algo,
+            sched: self.sched,
+            robots: self.robots,
+            max_rounds: self.max_rounds,
+            shard: self.shard,
+            shards: self.shards,
+            start: self.start,
+            end: self.end,
+            results,
+            metrics: Some(metrics),
+            record_digest: None,
+        }
+    }
 }
 
 /// One completed chunk of classes, appended to the journal after the
@@ -1069,14 +1058,29 @@ struct JournalEntry {
     results: Vec<ClassOutcome>,
 }
 
-/// The longest valid prefix recovered from a shard journal: the
-/// results it covers (contiguous from the shard start) and how many
-/// bytes of the file they occupy, so a resumed writer can truncate a
-/// torn tail before appending.
+/// Last line of a completed journal: the shard's telemetry reading.
+/// Header and entry lines lack its one field and it lacks theirs, so
+/// every line parses as exactly one of the three line types.
+#[derive(Debug, Serialize, Deserialize)]
+struct JournalFooter {
+    metrics: MetricsBlock,
+}
+
+/// What [`scan_journal`] recovers from a journal or record file. A
+/// resumed shard continues from its journal's `results`, truncating the
+/// file to `valid_len` before appending.
 #[derive(Debug, Default)]
-struct JournalPrefix {
+struct JournalScan {
+    /// The header, if the first line is a valid frame holding one.
+    header: Option<JournalHeader>,
+    /// The results of the contiguous entries after a header naming the
+    /// wanted shard, from its start.
     results: Vec<ClassOutcome>,
+    /// Bytes occupied by that header and those entries.
     valid_len: u64,
+    /// The footer's reading and the offset just past it, if the line
+    /// after those entries is a footer.
+    footer: Option<(MetricsBlock, usize)>,
 }
 
 /// Frames one journal line: `<json-byte-len>:<fnv64-hex>:<json>\n`.
@@ -1086,16 +1090,36 @@ fn frame_line(json: &str) -> String {
     format!("{}:{:016x}:{json}\n", json.len(), fnv64_of(json.as_bytes()))
 }
 
-/// Parses one framed journal line back to its JSON body; `None` marks
-/// the line (and everything after it) as the invalid tail.
-fn unframe_line(line: &[u8]) -> Option<String> {
-    let text = std::str::from_utf8(line).ok()?;
-    let (len_s, rest) = text.split_once(':')?;
-    let (digest_s, json) = rest.split_once(':')?;
-    let len: usize = len_s.parse().ok()?;
-    let digest = u64::from_str_radix(digest_s, 16).ok()?;
-    (digest_s.len() == 16 && json.len() == len && fnv64_of(json.as_bytes()) == digest)
-        .then(|| json.to_string())
+/// The JSON bodies of the intact [`frame_line`] lines at the start of
+/// `bytes`, each with the offset just past its newline. Stops at the
+/// first line whose length or digest does not match its body, and at
+/// a last line without its newline.
+fn framed_lines(bytes: &[u8]) -> impl Iterator<Item = (String, usize)> + '_ {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let nl = bytes[pos..].iter().position(|&b| b == b'\n')?;
+        let line = std::str::from_utf8(&bytes[pos..pos + nl]).ok()?;
+        let (len, rest) = line.split_once(':')?;
+        let (digest, json) = rest.split_once(':')?;
+        let intact = len.parse() == Ok(json.len())
+            && digest.len() == 16
+            && u64::from_str_radix(digest, 16) == Ok(fnv64_of(json.as_bytes()));
+        intact.then(|| {
+            pos += nl + 1;
+            (json.to_string(), pos)
+        })
+    })
+}
+
+/// Fsyncs the directory holding `path`, so a rename into it is
+/// durable. Best-effort: a rename lost to a power cut only costs
+/// re-running one shard or re-merging the summary.
+fn sync_parent_dir(path: &Path) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
 }
 
 /// Append-only writer for a shard journal. Appends are plain writes
@@ -1104,6 +1128,7 @@ fn unframe_line(line: &[u8]) -> Option<String> {
 /// classes of the lost tail — never trusting them.
 struct JournalWriter {
     file: std::fs::File,
+    path: PathBuf,
 }
 
 impl JournalWriter {
@@ -1112,22 +1137,20 @@ impl JournalWriter {
     fn create(path: &Path, header: &JournalHeader) -> io::Result<JournalWriter> {
         let file =
             std::fs::OpenOptions::new().write(true).create(true).truncate(true).open(path)?;
-        let mut writer = JournalWriter { file };
+        let mut writer = JournalWriter { file, path: path.to_path_buf() };
         let json = serde_json::to_string(header).map_err(io::Error::other)?;
         writer.append_line(&json, false)?;
         Ok(writer)
     }
 
     /// Reopens an existing journal whose first `valid_len` bytes were
-    /// verified, truncating the invalid tail so new entries never
+    /// verified, truncating the invalid tail (or the footer of a
+    /// journal killed before its rename) so new lines never
     /// concatenate onto torn bytes.
     fn resume(path: &Path, valid_len: u64) -> io::Result<JournalWriter> {
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
+        let file = std::fs::OpenOptions::new().append(true).open(path)?;
         file.set_len(valid_len)?;
-        use std::io::Seek as _;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))?;
-        Ok(JournalWriter { file })
+        Ok(JournalWriter { file, path: path.to_path_buf() })
     }
 
     fn append_entry(&mut self, entry: &JournalEntry) -> io::Result<()> {
@@ -1149,69 +1172,93 @@ impl JournalWriter {
         }
         self.file.write_all(line.as_bytes())
     }
+
+    /// Completes the journal and publishes it as the shard's record:
+    /// appends `footer`, fsyncs the data, renames the journal over
+    /// `record` and fsyncs the directory. A reader of `record` sees the
+    /// previous file, the complete new record or no file, never a
+    /// prefix.
+    fn publish(mut self, footer: &JournalFooter, record: &Path) -> io::Result<()> {
+        let json = serde_json::to_string(footer).map_err(io::Error::other)?;
+        self.append_line(&json, false)?;
+        // `shard.write=torn:N` leaves N bytes of the finished journal
+        // at the record path and carries on none the wiser, as a
+        // non-atomic writer caught by a crash would. Resume must
+        // quarantine the stump.
+        if let Some(failpoints::Fault::Torn(n)) = failpoints::fire("shard.write") {
+            let len = self.file.metadata()?.len();
+            self.file.set_len(len.min(n as u64))?;
+            return std::fs::rename(&self.path, record);
+        }
+        self.file.sync_all()?;
+        // `shard.rename=abort` dies with the journal complete and
+        // durable but unpublished: resume reuses all of its classes.
+        failpoints::fire("shard.rename");
+        std::fs::rename(&self.path, record)?;
+        sync_parent_dir(record);
+        Ok(())
+    }
 }
 
-/// Recovers the longest valid prefix of a shard journal: a framed
-/// header binding this exact cell and range, followed by contiguous,
-/// index-aligned entries. Scanning stops at the first torn, corrupt,
-/// foreign or non-contiguous line; everything before it is trusted
-/// (each line carries its own digest), everything after is dropped.
+/// The one reader of journals and records: a framed header, framed
+/// entries tiling the shard's range from its start with consecutive
+/// indices, and (once the shard is complete) a framed footer. Scanning
+/// stops at the first torn, corrupt, foreign or non-contiguous line and
+/// at the footer. Everything before the stop is trusted, because each
+/// line carries its own length and digest. Entries are read only after
+/// a header equal to `want`.
+fn scan_journal(bytes: &[u8], want: &JournalHeader) -> JournalScan {
+    let mut scan = JournalScan::default();
+    let mut lines = framed_lines(bytes);
+    let Some((json, header_end)) = lines.next() else {
+        return scan;
+    };
+    scan.header = serde_json::from_str(&json).ok();
+    if scan.header.as_ref() != Some(want) {
+        return scan;
+    }
+    scan.valid_len = header_end as u64;
+    for (json, line_end) in lines {
+        let Ok(entry) = serde_json::from_str::<JournalEntry>(&json) else {
+            scan.footer =
+                serde_json::from_str::<JournalFooter>(&json).ok().map(|f| (f.metrics, line_end));
+            break;
+        };
+        let contiguous = entry.start == want.start + scan.results.len()
+            && entry.end > entry.start
+            && entry.end <= want.end
+            && entry.results.len() == entry.end - entry.start
+            && entry.results.iter().zip(entry.start..entry.end).all(|(r, i)| r.index == i);
+        if !contiguous {
+            break;
+        }
+        scan.results.extend(entry.results);
+        scan.valid_len = line_end as u64;
+    }
+    scan
+}
+
+/// Recovers the longest valid prefix of a shard journal. It stops
+/// before any footer: a journal killed between its fsync and its
+/// rename resumes with every class, and the resumed writer truncates
+/// the old footer and publishes again.
 fn read_journal(
     path: &Path,
     cfg: &SweepConfig,
     shard: usize,
     start: usize,
     end: usize,
-) -> JournalPrefix {
-    let empty = JournalPrefix::default();
+) -> JournalScan {
     let Ok(bytes) = std::fs::read(path) else {
-        return empty;
+        return JournalScan::default();
     };
-    let mut results: Vec<ClassOutcome> = Vec::new();
-    let mut expected = start;
-    let mut saw_header = false;
-    let mut pos = 0usize;
-    let mut consumed = 0usize;
-    while let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') {
-        let Some(json) = unframe_line(&bytes[pos..pos + nl]) else {
-            break;
-        };
-        if !saw_header {
-            let Ok(header) = serde_json::from_str::<JournalHeader>(&json) else {
-                break;
-            };
-            if header != JournalHeader::for_cell(cfg, shard, start, end) {
-                break;
-            }
-            saw_header = true;
-        } else {
-            let Ok(entry) = serde_json::from_str::<JournalEntry>(&json) else {
-                break;
-            };
-            let contiguous = entry.start == expected
-                && entry.end > entry.start
-                && entry.end <= end
-                && entry.results.len() == entry.end - entry.start
-                && entry.results.iter().zip(entry.start..entry.end).all(|(r, i)| r.index == i);
-            if !contiguous {
-                break;
-            }
-            expected = entry.end;
-            results.extend(entry.results);
-        }
-        pos += nl + 1;
-        consumed = pos;
-    }
-    if !saw_header {
-        return empty;
-    }
-    JournalPrefix { results, valid_len: consumed as u64 }
+    scan_journal(&bytes, &JournalHeader::for_cell(cfg, shard, start, end))
 }
 
 /// How far [`run_shard_inner`] got.
 enum ShardProgress {
-    /// The shard completed; the record is ready to publish (boxed —
-    /// a full record dwarfs the other variant).
+    /// The shard completed, and with a journal its record is published
+    /// (boxed — a full record dwarfs the other variant).
     Done(Box<ShardRecord>),
     /// The cell deadline passed at a chunk boundary; `journaled`
     /// classes are checkpointed in the journal for the next resume.
@@ -1220,10 +1267,12 @@ enum ShardProgress {
 
 /// The full shard engine behind [`run_shard`]: chunked execution with
 /// optional journal checkpoints, per-class panic isolation, and a
-/// cooperative cell deadline polled between chunks. Without a journal
-/// and deadline the whole range runs as one chunk — byte-identical to
-/// the historical single-pass shard. `algo` and, for model-checking
-/// cells, `checker` ([`CellChecker::for_cell`]) are the cell's.
+/// cooperative cell deadline polled between chunks. With `out_dir` the
+/// shard journals into it and, once complete, publishes the journal as
+/// its record. Without a journal and deadline the whole range runs as
+/// one chunk — byte-identical to the historical single-pass shard.
+/// `algo` and, for model-checking cells, `checker`
+/// ([`CellChecker::for_cell`]) are the cell's.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_inner(
     classes: &[Vec<Coord>],
@@ -1233,8 +1282,8 @@ fn run_shard_inner(
     shard: usize,
     start: usize,
     end: usize,
-    journal_path: Option<&Path>,
-    prior: JournalPrefix,
+    out_dir: Option<&Path>,
+    prior: JournalScan,
     deadline: Option<Instant>,
 ) -> io::Result<ShardProgress> {
     let limits = cfg.effective_limits();
@@ -1258,15 +1307,7 @@ fn run_shard_inner(
                 None => {
                     let outcome = run_class(&initial, algo, cfg.sched, index, limits);
                     let expanded = rounds_of(&outcome);
-                    ClassOutcome {
-                        index,
-                        outcome,
-                        expanded,
-                        verdict: None,
-                        crash: None,
-                        lcm_async: None,
-                        panic: None,
-                    }
+                    row(index, outcome, expanded)
                 }
             }
         })) {
@@ -1288,11 +1329,10 @@ fn run_shard_inner(
     if !results.is_empty() {
         eprintln!("  shard {shard}: journal resumes {} of {} classes", results.len(), end - start);
     }
-    let mut writer = match journal_path {
-        Some(path) if !results.is_empty() => Some(JournalWriter::resume(path, prior.valid_len)?),
-        Some(path) => {
-            Some(JournalWriter::create(path, &JournalHeader::for_cell(cfg, shard, start, end))?)
-        }
+    let header = JournalHeader::for_cell(cfg, shard, start, end);
+    let mut writer = match out_dir.map(|dir| cfg.journal_path(dir, shard)) {
+        Some(path) if !results.is_empty() => Some(JournalWriter::resume(&path, prior.valid_len)?),
+        Some(path) => Some(JournalWriter::create(&path, &header)?),
         None => None,
     };
     let chunk = if writer.is_some() || deadline.is_some() {
@@ -1310,16 +1350,15 @@ fn run_shard_inner(
         // order-preserved records under every schedule.
         let base = cursor - start;
         let indexed: Vec<(usize, &Vec<Coord>)> = classes[cursor..cend].iter().enumerate().collect();
-        let chunk_results =
-            parallel::par_map(&indexed, cfg.threads, |&(o, c)| run_one(base + o, c));
+        let entry = JournalEntry {
+            start: cursor,
+            end: cend,
+            results: parallel::par_map(&indexed, cfg.threads, |&(o, c)| run_one(base + o, c)),
+        };
         if let Some(w) = writer.as_mut() {
-            w.append_entry(&JournalEntry {
-                start: cursor,
-                end: cend,
-                results: chunk_results.clone(),
-            })?;
+            w.append_entry(&entry)?;
         }
-        results.extend(chunk_results);
+        results.extend(entry.results);
         cursor = cend;
     }
     let mut snapshot =
@@ -1350,21 +1389,11 @@ fn run_shard_inner(
     if over_budget > 0 {
         snapshot.add_counter("sweep.classes_mem_budget", over_budget);
     }
-    let mut record = ShardRecord {
-        algo: cfg.algo.name(),
-        sched: cfg.sched.name(),
-        robots: cfg.n,
-        max_rounds: cfg.limits.max_rounds,
-        shard,
-        shards: cfg.shards,
-        start,
-        end,
-        results,
-        metrics: Some(MetricsBlock { snapshot }),
-        record_digest: None,
-    };
-    record.record_digest = shard_self_digest(&record).ok();
-    Ok(ShardProgress::Done(Box::new(record)))
+    let footer = JournalFooter { metrics: MetricsBlock { snapshot } };
+    if let (Some(writer), Some(dir)) = (writer, out_dir) {
+        writer.publish(&footer, &cfg.shard_path(dir, shard))?;
+    }
+    Ok(ShardProgress::Done(Box::new(header.record(results, footer.metrics))))
 }
 
 /// Runs one shard of a sweep cell over the given full class list,
@@ -1388,7 +1417,7 @@ pub fn run_shard(
         start,
         end,
         None,
-        JournalPrefix::default(),
+        JournalScan::default(),
         None,
     ) {
         Ok(ShardProgress::Done(record)) => *record,
@@ -1518,16 +1547,9 @@ pub fn merge_shards(cfg: &SweepConfig, records: &[ShardRecord]) -> Result<SweepS
             }
         }
     }
-    // The digest is computed over the class-ordered record stream, so
-    // it is independent of the order the caller handed the shards in.
-    let digest = acc.any_verdict.then(|| {
-        let mut h = adversary::Fnv64::new();
-        digest_cell_header(&mut h, cfg.n);
-        for res in sorted.iter().flat_map(|r| r.results.iter()) {
-            digest_class(&mut h, res);
-        }
-        format!("{:016x}", h.finish())
-    });
+    // Every record was checked to be this cell's above, so the digest
+    // is the cell's, over the class-ordered result stream.
+    let digest = acc.any_verdict.then(|| format!("{:016x}", verdict_digest(records)));
 
     // Fold the shard telemetry readings (if any) into one cell-level
     // snapshot; merge is associative and commutative, so shard order
@@ -1568,17 +1590,6 @@ pub fn merge_shards(cfg: &SweepConfig, records: &[ShardRecord]) -> Result<SweepS
         digest,
         metrics,
     })
-}
-
-/// Prefixes a cell digest with its robot count. The n=7 digests
-/// predate the `n` axis and stay byte-identical (no prefix); every
-/// other count contributes a `0x4E` ('N') tag byte plus the count, so
-/// cells over different class spaces can never collide by accident.
-fn digest_cell_header(h: &mut adversary::Fnv64, robots: usize) {
-    if robots != 7 {
-        h.write(0x4E);
-        h.write(robots as u8);
-    }
 }
 
 /// Mixes one class's verdicts into the running digest. Adversary and
@@ -1622,9 +1633,10 @@ fn digest_class(h: &mut adversary::Fnv64, res: &ClassOutcome) {
 /// model-checking (adversary, crash or lcm-async) cell: index, verdict
 /// kind, and — for refutations — the counterexample schedule
 /// (including crash assignments; ASYNC tick schedules hash through the
-/// same [`faults::schedule_hash`] under their own tag bytes). Records are digested in class order (shards
-/// sorted by their start index, exactly as [`merge_shards`] does for
-/// [`SweepSummary::digest`]), so the value depends only on the
+/// same [`faults::schedule_hash`] under their own tag bytes). Records
+/// are digested in class order (shards sorted by their start index;
+/// [`merge_shards`] calls this for [`SweepSummary::digest`]), so the
+/// value depends only on the
 /// classification, never on the order the caller collected the
 /// shards in. Two runs agree on this digest iff they classified every
 /// class identically; the release golden tests pin it for the full
@@ -1636,23 +1648,29 @@ pub fn verdict_digest(records: &[ShardRecord]) -> u64 {
     let mut sorted: Vec<&ShardRecord> = records.iter().collect();
     sorted.sort_by_key(|r| r.start);
     let mut h = adversary::Fnv64::new();
-    digest_cell_header(&mut h, sorted.first().map_or(7, |r| r.robots));
+    let robots = sorted.first().map_or(7, |r| r.robots);
+    if robots != 7 {
+        h.write(0x4E);
+        h.write(robots as u8);
+    }
     for res in sorted.iter().flat_map(|r| r.results.iter()) {
         digest_class(&mut h, res);
     }
     h.finish()
 }
 
-/// Crash-safe JSON publish: serialize, write to a sibling tmp file,
-/// fsync the data, rename over the target, then fsync the directory so
-/// the rename itself is durable. A reader never observes a half-written
-/// record — it sees the old file, the new file, or no file.
+/// Crash-safe JSON publish of the merged summary: serialize pretty,
+/// write to a sibling tmp file, fsync the data, rename over the target,
+/// then fsync the directory so the rename itself is durable. A reader
+/// never observes a half-written summary — it sees the old file, the
+/// new file, or no file. It hits the failpoint sites of shard
+/// publication (`shard.write`, `shard.rename`), one hit each after the
+/// last shard's.
 fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| io::Error::other(format!("serialise {}: {e}", path.display())))?;
-    // `shard.write=torn:N` models the pre-atomic writer a crash caught
-    // mid-write: N bytes land in the FINAL path and the caller carries
-    // on none the wiser. Resume must detect and quarantine the stump.
+    // `shard.write=torn:N`: N bytes land in the final path and the
+    // caller carries on none the wiser.
     if let Some(failpoints::Fault::Torn(n)) = failpoints::fire("shard.write") {
         return std::fs::write(path, &json.as_bytes()[..n.min(json.len())]);
     }
@@ -1663,48 +1681,23 @@ fn write_json_atomic<T: Serialize>(path: &Path, value: &T) -> io::Result<()> {
         file.write_all(json.as_bytes())?;
         file.sync_all()?;
     }
-    // `shard.rename=abort` dies with the tmp durable but the record
-    // unpublished — the cleanest possible kill point for resume tests.
     failpoints::fire("shard.rename");
     std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        // Best-effort: a lost rename after a power cut only costs
-        // re-running one shard, so failure here is not fatal.
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    sync_parent_dir(path);
     Ok(())
 }
 
-/// The self-digest a shard record carries ([`ShardRecord::record_digest`]):
-/// FNV-1a over the record's canonical compact serialization with the
-/// digest field blank. Verification re-serializes the *parsed* record
-/// the same way, so any corruption that changes the decoded content —
-/// truncation, bit flips, hand edits — breaks the digest even when the
-/// result still parses as JSON.
-///
-/// A record being sealed is still unsigned, and [`load_shard_checked`]
-/// blanks the parsed record's field in place before verifying, so
-/// neither path copies the record; only a record that still carries a
-/// digest is serialized through a blanked copy.
-fn shard_self_digest(record: &ShardRecord) -> io::Result<String> {
-    let json = match record.record_digest {
-        None => serde_json::to_string(record),
-        Some(_) => serde_json::to_string(&ShardRecord { record_digest: None, ..record.clone() }),
-    }
-    .map_err(io::Error::other)?;
-    Ok(format!("{:016x}", fnv64_of(json.as_bytes())))
-}
-
-/// Loads and fully validates a shard record for resume.
+/// Loads and fully validates a published shard record for resume,
+/// through the journal reader ([`scan_journal`]).
 ///
 /// * `Ok(Some(record))` — trustworthy and reusable for this exact cell.
-/// * `Ok(None)` — missing, or *stale* (a different cell/config wrote
-///   it); recompute silently, exactly as resume always has.
-/// * `Err(why)` — present and claiming to be this shard, but corrupt:
-///   unparseable, failing its self-digest, or holding inconsistent
-///   results. The caller quarantines it and recomputes.
+/// * `Ok(None)` — missing, or *stale*: its header names a different
+///   cell, layout or round cap. Recompute silently, exactly as resume
+///   always has.
+/// * `Err(why)` — present but corrupt: anything short of a header for
+///   this shard, entries tiling its range, a footer and the end of the
+///   file, or results failing [`ShardRecord::validate_results`]. The
+///   caller quarantines it and recomputes.
 fn load_shard_checked(
     path: &Path,
     cfg: &SweepConfig,
@@ -1712,26 +1705,32 @@ fn load_shard_checked(
     start: usize,
     end: usize,
 ) -> Result<Option<ShardRecord>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
+    let bytes = match std::fs::read(path) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("unreadable: {e}")),
     };
-    let mut record: ShardRecord =
-        serde_json::from_str(&text).map_err(|e| format!("malformed JSON: {e}"))?;
-    drop(text);
-    if let Some(stored) = record.record_digest.take() {
-        let computed = shard_self_digest(&record).map_err(|e| format!("digest check: {e}"))?;
-        if stored != computed {
-            return Err(format!("self-digest mismatch (stored {stored}, computed {computed})"));
+    let want = JournalHeader::for_cell(cfg, shard, start, end);
+    let scan = scan_journal(&bytes, &want);
+    match &scan.header {
+        None => return Err("no valid header line".to_string()),
+        Some(header) if *header != want => return Ok(None),
+        Some(_) => {}
+    }
+    let covered = scan.results.len();
+    match scan.footer {
+        Some((metrics, footer_end)) if covered == end - start && footer_end == bytes.len() => {
+            let record = want.record(scan.results, metrics);
+            record.validate_results(cfg).map_err(|why| format!("inconsistent results: {why}"))?;
+            Ok(Some(record))
         }
-        record.record_digest = Some(stored);
+        Some((_, footer_end)) => Err(format!(
+            "footer after {covered} of {} classes, then {} more bytes",
+            end - start,
+            bytes.len() - footer_end
+        )),
+        None => Err(format!("no footer after {covered} of {} classes", end - start)),
     }
-    if !record.config_matches(cfg, shard, start, end) {
-        return Ok(None);
-    }
-    record.validate_results(cfg).map_err(|why| format!("inconsistent results: {why}"))?;
-    Ok(Some(record))
 }
 
 /// Moves a corrupt shard record out of the way (to `<record>.corrupt`)
@@ -1778,8 +1777,9 @@ pub enum SweepRun {
 /// merges, writes the summary, and returns both.
 ///
 /// With `resume`, shards whose on-disk record already matches the cell
-/// (including its self-digest and per-record result validation) are
-/// loaded instead of re-run; corrupt records are quarantined to
+/// (every line's framing digest, the line structure and per-record
+/// result validation) are loaded instead of re-run; corrupt records
+/// are quarantined to
 /// `<record>.corrupt` with a warning and recomputed; a partially
 /// computed shard continues from its journal's valid prefix. Without
 /// `resume` every shard is recomputed.
@@ -1823,8 +1823,8 @@ pub fn run_sweep_with(
         };
         let (record, status) = match reused {
             Some(r) => {
-                // A stale journal next to a complete record is noise
-                // from a kill between publish and cleanup.
+                // A journal next to a reusable record was left by a
+                // later run killed mid-shard; the record wins.
                 let _ = std::fs::remove_file(&journal_path);
                 (r, ShardStatus::Reused)
             }
@@ -1832,7 +1832,7 @@ pub fn run_sweep_with(
                 let prior = if resume {
                     read_journal(&journal_path, cfg, shard, start, end)
                 } else {
-                    JournalPrefix::default()
+                    JournalScan::default()
                 };
                 match run_shard_inner(
                     &classes,
@@ -1842,15 +1842,11 @@ pub fn run_sweep_with(
                     shard,
                     start,
                     end,
-                    Some(&journal_path),
+                    Some(out_dir),
                     prior,
                     deadline,
                 )? {
-                    ShardProgress::Done(r) => {
-                        write_json_atomic(&path, &*r)?;
-                        let _ = std::fs::remove_file(&journal_path);
-                        (*r, ShardStatus::Computed)
-                    }
+                    ShardProgress::Done(r) => (*r, ShardStatus::Computed),
                     ShardProgress::DeadlineStopped { journaled } => {
                         return Ok(SweepRun::DeadlineStopped {
                             completed_shards: shard,
@@ -1897,11 +1893,11 @@ pub fn run_sweep(
 }
 
 /// Early-exit search for the **lowest-indexed** non-gathering class of
-/// a sweep cell (for adversary and crash cells: the lowest class that
-/// is not proof), via [`parallel::par_find_min`] — deterministic
-/// regardless of thread count. Returns `None` when the cell's claim
-/// holds for every class. Orders of magnitude faster than a full sweep
-/// when a regression makes many classes fail.
+/// a sweep cell (for the adversary, crash and lcm-async cells: the
+/// lowest class that is not proof), via [`parallel::par_find_min`] —
+/// deterministic regardless of thread count. Returns `None` when the
+/// cell's claim holds for every class. Orders of magnitude faster than
+/// a full sweep when a regression makes many classes fail.
 #[must_use]
 pub fn find_failure(cfg: &SweepConfig) -> Option<(usize, Outcome)> {
     let classes = polyhex::enumerate_fixed(cfg.n);
@@ -2405,21 +2401,112 @@ mod tests {
     }
 
     #[test]
-    fn shard_records_carry_a_verifiable_self_digest() {
+    fn published_records_resume_as_reused_with_identical_results() {
+        // Every record a sweep publishes reloads through the journal
+        // reader to exactly the records the computing run held, in
+        // every verdict column, and the directory keeps no journal or
+        // tmp file once the cell is done.
+        for spec in ["adversary", "crash:1", "lcm-async", "fsync"] {
+            let sched = SchedSpec::parse(spec).expect("known scheduler");
+            let cfg = SweepConfig {
+                n: 4,
+                shards: 3,
+                sched,
+                journal_chunk: Some(4),
+                ..SweepConfig::default()
+            };
+            let dir = temp_sweep_dir(&format!("roundtrip-{}", spec.replace(':', "_")));
+            let mut computed = Vec::new();
+            let first = run_sweep(&cfg, &dir, false, |_, _, r| computed.push(r.clone()))
+                .expect("first run");
+            let mut reloaded = Vec::new();
+            let second = run_sweep(&cfg, &dir, true, |_, _, r| reloaded.push(r.clone()))
+                .expect("resumed run");
+            assert!(second.shard_status.iter().all(|s| *s == ShardStatus::Reused), "{spec}");
+            assert_eq!(first.summary, second.summary, "{spec}");
+            assert_eq!(first.digest, second.digest, "{spec}");
+            let json =
+                |records: &[ShardRecord]| serde_json::to_string(records).expect("serializes");
+            assert_eq!(json(&computed), json(&reloaded), "{spec}: records reload unchanged");
+            let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+                .expect("out dir")
+                .map(|e| e.expect("dir entry").path())
+                .collect();
+            files.sort();
+            let mut expected: Vec<PathBuf> = (0..3).map(|s| cfg.shard_path(&dir, s)).collect();
+            expected.push(cfg.summary_path(&dir));
+            expected.sort();
+            assert_eq!(files, expected, "{spec}: records and summary only");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn old_json_records_are_neither_reused_nor_quarantined() {
+        // Older builds published pretty `.json` records. Records moved
+        // to a new path, so such a file is never opened: its shard is
+        // recomputed as if no record existed, and the file stays put.
+        let dir = temp_sweep_dir("migration");
+        std::fs::create_dir_all(&dir).expect("mkdir");
         let cfg = SweepConfig { n: 4, shards: 1, ..SweepConfig::default() };
         let classes = polyhex::enumerate_fixed(4);
-        let record = run_shard(&classes, &cfg, 0, 0, classes.len());
-        let stored = record.record_digest.clone().expect("records are sealed at build time");
-        assert_eq!(stored, shard_self_digest(&record).expect("digestible"));
-        // The digest survives a JSON round-trip (what resume does).
-        let json = serde_json::to_string_pretty(&record).expect("serializes");
-        let reread: ShardRecord = serde_json::from_str(&json).expect("parses");
-        assert_eq!(reread.record_digest.as_deref(), Some(stored.as_str()));
-        assert_eq!(stored, shard_self_digest(&reread).expect("digestible"));
-        // Tampering with decoded content breaks it.
-        let mut tampered = record;
-        tampered.results[0].expanded += 1;
-        assert_ne!(stored, shard_self_digest(&tampered).expect("digestible"));
+        let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
+        record.results[0].outcome = Outcome::Gathered { rounds: 4242 };
+        let old = cfg.shard_path(&dir, 0).with_extension("json");
+        let pretty = serde_json::to_string_pretty(&record).expect("serializes");
+        std::fs::write(&old, &pretty).expect("plant the old record");
+        let run = run_sweep(&cfg, &dir, true, |_, _, _| {}).expect("resumed run");
+        assert_eq!(run.shard_status, vec![ShardStatus::Computed]);
+        assert_ne!(run.summary.max_rounds, 4242, "the old record is never reused");
+        assert_eq!(std::fs::read_to_string(&old).expect("old record stays"), pretty);
+        assert!(!PathBuf::from(format!("{}.corrupt", old.display())).exists());
+        assert!(cfg.shard_path(&dir, 0).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_with_damaged_line_structure_are_corrupt() {
+        // A record must be a header, entries tiling the range with
+        // consecutive indices, a footer and the end of the file. Every
+        // damage below leaves each remaining line's framing intact, so
+        // only the structure checks can catch it.
+        let dir = temp_sweep_dir("structure");
+        let cfg =
+            SweepConfig { n: 4, shards: 1, journal_chunk: Some(10), ..SweepConfig::default() };
+        let total = polyhex::enumerate_fixed(4).len();
+        run_sweep(&cfg, &dir, false, |_, _, _| {}).expect("first run");
+        let path = cfg.shard_path(&dir, 0);
+        let text = std::fs::read_to_string(&path).expect("record exists");
+        let lines: Vec<&str> = text.split_inclusive('\n').collect();
+        assert_eq!(lines.len(), 7, "header, five entries of up to 10 classes, footer");
+        let load = |body: &str| {
+            std::fs::write(&path, body).expect("rewrite");
+            load_shard_checked(&path, &cfg, 0, 0, total)
+        };
+        assert!(load(&text).expect("intact").is_some());
+        let pick = |order: &[usize]| order.iter().map(|&i| lines[i]).collect::<String>();
+        let damaged = [
+            ("no header", pick(&[1, 2, 3, 4, 5, 6])),
+            ("a missing entry", pick(&[0, 1, 2, 4, 5, 6])),
+            ("a duplicated entry", pick(&[0, 1, 1, 2, 3, 4, 5, 6])),
+            ("reordered entries", pick(&[0, 2, 1, 3, 4, 5, 6])),
+            ("no footer", pick(&[0, 1, 2, 3, 4, 5])),
+            ("a line after the footer", pick(&[0, 1, 2, 3, 4, 5, 6, 5])),
+            ("bytes after the footer", format!("{text}x")),
+        ];
+        for (what, body) in &damaged {
+            assert!(load(body).is_err(), "a record with {what} must be corrupt");
+        }
+        // Read as a journal, a complete record yields every class and
+        // stops before its footer, so a resumed writer drops it.
+        std::fs::write(&path, &text).expect("restore");
+        let prefix = read_journal(&path, &cfg, 0, 0, total);
+        assert_eq!(prefix.results.len(), total);
+        assert_eq!(prefix.valid_len, (text.len() - lines[6].len()) as u64);
+        // A record whose header names another cell is stale, not corrupt.
+        let other = SweepConfig { algo: AlgoSpec::Paper, ..cfg.clone() };
+        assert!(load_shard_checked(&path, &other, 0, 0, total).expect("stale").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2447,15 +2534,15 @@ mod tests {
         let dir = temp_sweep_dir("digestcheck");
         let cfg = SweepConfig { n: 4, shards: 1, ..SweepConfig::default() };
         let first = run_sweep(&cfg, &dir, false, |_, _, _| {}).expect("first run");
-        // Flip decoded content while keeping the JSON well-formed and
-        // the structure valid: bump one class's `expanded` count. Only
-        // the self-digest can catch this.
+        // Flip one digit inside a record line's JSON, keeping its
+        // length: the JSON stays well-formed and the structure valid,
+        // so only the line's digest can catch it.
         let victim = cfg.shard_path(&dir, 0);
-        let text = std::fs::read_to_string(&victim).expect("record exists");
-        let mut record: ShardRecord = serde_json::from_str(&text).expect("parses");
-        record.results[3].expanded += 1;
-        let tampered = serde_json::to_string_pretty(&record).expect("serializes");
-        std::fs::write(&victim, tampered).expect("rewrite");
+        let mut bytes = std::fs::read(&victim).expect("record exists");
+        let key = b"\"expanded\":";
+        let at = bytes.windows(key.len()).position(|w| w == key).expect("a result row") + key.len();
+        bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
+        std::fs::write(&victim, bytes).expect("rewrite");
         let second = run_sweep(&cfg, &dir, true, |_, _, _| {}).expect("resume succeeds anyway");
         assert!(second.shard_status.iter().all(|s| *s == ShardStatus::Computed));
         assert_eq!(first.summary, second.summary);
@@ -2641,7 +2728,6 @@ mod tests {
             let classes = polyhex::enumerate_fixed(4);
             let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
             record.results[5] = panicked_outcome(5, sched, "injected".into());
-            record.record_digest = Some(shard_self_digest(&record).expect("digestible"));
             assert!(record.matches(&cfg, 0, 0, classes.len()), "{spec}: row stays consistent");
             let summary =
                 merge_shards(&cfg, std::slice::from_ref(&record)).expect("poisoned row merges");

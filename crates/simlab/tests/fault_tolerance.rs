@@ -6,10 +6,12 @@
 //!
 //! The contract under test (ISSUE 9 / DESIGN.md §17): a sweep killed
 //! mid-shard and resumed produces **byte-identical classifications**
-//! to an uninterrupted run; an injected per-class panic degrades to a
-//! counted undecided row without killing the cell; torn or tampered
-//! shard records are quarantined to `*.corrupt` and recomputed; the
-//! cell deadline exits with the dedicated code 3 and resumes cleanly.
+//! to an uninterrupted run, and one killed between a completed
+//! journal's fsync and its rename resumes every class of it; an
+//! injected per-class panic degrades to a counted undecided row without
+//! killing the cell; torn or tampered shard records are quarantined to
+//! `*.corrupt` and recomputed; the cell deadline exits with the
+//! dedicated code 3 and resumes cleanly.
 
 use simlab::sweep::{SchedSpec, SweepConfig};
 use std::path::{Path, PathBuf};
@@ -228,6 +230,39 @@ fn torn_record_is_quarantined_and_recomputed_on_resume() {
     assert!(
         PathBuf::from(format!("{}.corrupt", victim.display())).exists(),
         "the torn record is preserved as *.corrupt for triage"
+    );
+    assert_eq!(baseline, summary_sans_metrics(&cfg.summary_path(&dir)));
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kill_between_journal_fsync_and_rename_resumes_every_class() {
+    let args = ["--algo", "verified", "--sched", "adversary", "--n", "4", "--shards", "2"];
+    let clean_dir = temp_dir("rename-clean");
+    let clean = sweep(&clean_dir, &args, None);
+    assert!(clean.status.success(), "clean run: {}", stderr_of(&clean));
+    let cfg = cell("adversary", 2);
+    let baseline = summary_sans_metrics(&cfg.summary_path(&clean_dir));
+
+    // Die after shard 0's journal is complete (footer included) and
+    // fsynced, but before it is renamed to the record path.
+    let dir = temp_dir("rename-kill");
+    let killed = sweep(&dir, &args, Some("shard.rename=abort@1"));
+    assert!(!killed.status.success(), "the armed abort failpoint must kill the run");
+    assert!(cfg.journal_path(&dir, 0).exists(), "shard 0's journal is complete");
+    assert!(!cfg.shard_path(&dir, 0).exists(), "shard 0's record is unpublished");
+
+    let mut resume_args: Vec<&str> = args.to_vec();
+    resume_args.push("--resume");
+    let resumed = sweep(&dir, &resume_args, None);
+    assert!(resumed.status.success(), "resume completes: {}", stderr_of(&resumed));
+    // The 44 n = 4 classes split 22 + 22: every class of shard 0 comes
+    // back from its journal, none is recomputed.
+    assert!(
+        stderr_of(&resumed).contains("shard 0: journal resumes 22 of 22 classes"),
+        "the journal is resumed whole: {}",
+        stderr_of(&resumed)
     );
     assert_eq!(baseline, summary_sans_metrics(&cfg.summary_path(&dir)));
     let _ = std::fs::remove_dir_all(&clean_dir);
