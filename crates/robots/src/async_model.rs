@@ -24,7 +24,13 @@
 //! tripped). States are `(canonical class, packed pending vector)` — see
 //! [`PackedPending`] — actions are single-robot phase advances, and
 //! every walk (the explorer's, [`run_async`]'s, and the replayer's)
-//! steps through the one [`advance_phase`] successor function.
+//! steps through the one [`advance_phase`] successor function. The
+//! explorer reads each move from its class's move table in the
+//! explorer's class table: one entry per `(slot, direction)`, filled
+//! on first read by `advance_phase` on the class's decoded
+//! representative, naming the successor by class id and the mover's
+//! new slot. An edge then costs a table read and a pending-vector
+//! relabelling: no configuration, connectivity flood, key or lock.
 //!
 //! Fairness in ASYNC means every robot's phase advances infinitely
 //! often (every robot completes infinitely many LCM cycles); the
@@ -36,15 +42,16 @@ use crate::config::{PackedClass, PackedPending};
 use crate::engine::{self, Execution, Limits, Outcome, RoundCollision};
 use crate::explore::{
     canonical_action, ClassInfo, ClassNode, EdgeCert, ExploreOptions, Explorer, NodeKind, Search,
-    Semantics,
+    Semantics, MAX_CLASSES,
 };
 use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration, View};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use trigrid::transform::PointSymmetry;
-use trigrid::Coord;
+use trigrid::{Coord, Dir};
 
 pub use crate::explore::{ExploreReport as AsyncReport, ExploreVerdict as AsyncVerdict};
 
@@ -178,7 +185,8 @@ pub fn advance_phase<A: Algorithm + ?Sized>(
 /// Outcomes: [`Outcome::Gathered`]/[`Outcome::StuckFixpoint`] when no
 /// robot has a pending move and a fresh Look would move nobody;
 /// [`Outcome::Collision`] when a (stale) move lands on an occupied node;
-/// [`Outcome::Disconnected`] when the adjacency graph splits;
+/// [`Outcome::Disconnected`] when the adjacency graph splits (its round
+/// counts the disconnecting move, as [`run_async_schedule`] does);
 /// [`Outcome::StepLimit`] otherwise. Livelock detection is unsound under
 /// a non-deterministic adversary and is not attempted.
 #[must_use]
@@ -232,7 +240,8 @@ pub fn run_async<A: Algorithm + ?Sized, S: AsyncScheduler>(
                 cfg = config;
                 pending = remapped;
                 if !cfg.is_connected() {
-                    return finish(cfg, Outcome::Disconnected { round: tick });
+                    // The move itself is a tick, as in the replayer.
+                    return finish(cfg, Outcome::Disconnected { round: tick + 1 });
                 }
             }
         }
@@ -240,11 +249,144 @@ pub fn run_async<A: Algorithm + ?Sized, S: AsyncScheduler>(
     finish(cfg, Outcome::StepLimit { rounds: limits.max_rounds })
 }
 
+/// A move-table entry that is not filled yet.
+const MOVE_UNFILLED: u32 = u32::MAX;
+/// A move-table entry whose move lands on an occupied node.
+const MOVE_COLLIDES: u32 = u32::MAX - 1;
+/// A move-table entry whose move disconnects the configuration.
+const MOVE_DISCONNECTS: u32 = u32::MAX - 2;
+/// A successor entry holds the mover's new slot from this bit up, and
+/// the successor's class id below it.
+const MOVE_SLOT_SHIFT: u32 = 24;
+
+// Every class id fits below the slot bits, and no successor entry
+// reaches the sentinels.
+const _: () = assert!(MAX_CLASSES <= 1 << MOVE_SLOT_SHIFT);
+const _: () = assert!((PackedClass::MAX_ROBOTS as u32) < MOVE_DISCONNECTS >> MOVE_SLOT_SHIFT);
+
+/// What one pending robot's move does from a class, as the class's move
+/// table records it: a pure function of the class, the robot's slot and
+/// the move's direction (the other robots' pendings only ride along).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum MoveEntry {
+    /// The robot lands on an occupied node.
+    Collides,
+    /// The configuration splits.
+    Disconnects,
+    /// The successor class, and the mover's row-major slot in it.
+    Succ {
+        /// The successor's class table id.
+        class: u32,
+        /// The mover's slot in the successor.
+        slot: usize,
+    },
+}
+
+impl MoveEntry {
+    fn pack(self) -> u32 {
+        match self {
+            MoveEntry::Collides => MOVE_COLLIDES,
+            MoveEntry::Disconnects => MOVE_DISCONNECTS,
+            MoveEntry::Succ { class, slot } => (slot as u32) << MOVE_SLOT_SHIFT | class,
+        }
+    }
+
+    fn unpack(bits: u32) -> MoveEntry {
+        match bits {
+            MOVE_COLLIDES => MoveEntry::Collides,
+            MOVE_DISCONNECTS => MoveEntry::Disconnects,
+            _ => MoveEntry::Succ {
+                class: bits & ((1 << MOVE_SLOT_SHIFT) - 1),
+                slot: (bits >> MOVE_SLOT_SHIFT) as usize,
+            },
+        }
+    }
+}
+
+/// The move table of class `id`: one entry per `(slot, direction)` at
+/// `slot * 6 + direction index`, every one unfilled until first read
+/// ([`read_move`]).
+fn move_table<'e, A: Algorithm + ?Sized>(
+    explorer: &'e Explorer<'_, A, AsyncSemantics>,
+    id: u32,
+) -> &'e [AtomicU32] {
+    explorer.class_table(id, |node| {
+        (0..node.info().robots() * Dir::ALL.len()).map(|_| AtomicU32::new(MOVE_UNFILLED)).collect()
+    })
+}
+
+/// The entry of `table` (class `key`'s move table) for the robot in
+/// slot `slot` moving towards `dir`, filled on first read through
+/// [`step_class`]. Racing fills store the same value. The store
+/// releases and the load acquires, so a reader that sees a successor
+/// id also sees that class's node.
+fn read_move<A: Algorithm + ?Sized>(
+    explorer: &Explorer<'_, A, AsyncSemantics>,
+    table: &[AtomicU32],
+    key: PackedClass,
+    slot: usize,
+    dir: Dir,
+) -> MoveEntry {
+    let entry = &table[slot * Dir::ALL.len() + dir.index()];
+    let bits = entry.load(Ordering::Acquire);
+    if bits != MOVE_UNFILLED {
+        return MoveEntry::unpack(bits);
+    }
+    let step = step_class(explorer, key, slot, dir);
+    entry.store(step.pack(), Ordering::Release);
+    step
+}
+
+/// Steps class `key`'s decoded representative through [`advance_phase`]
+/// with only slot `slot` pending, towards `dir`: the one ASYNC
+/// successor function fills the move table too.
+fn step_class<A: Algorithm + ?Sized>(
+    explorer: &Explorer<'_, A, AsyncSemantics>,
+    key: PackedClass,
+    slot: usize,
+    dir: Dir,
+) -> MoveEntry {
+    let cfg = key.unpack();
+    let pending = PackedPending::IDLE.with(slot, Some(dir));
+    match advance_phase(&cfg, pending, slot, explorer.algorithm()) {
+        Err(_) => MoveEntry::Collides,
+        Ok(PhaseAdvance::Moved { config, .. }) if !config.is_connected() => MoveEntry::Disconnects,
+        Ok(PhaseAdvance::Moved { config, .. }) => {
+            let target = cfg.positions()[slot].step(dir);
+            let landed = config
+                .positions()
+                .iter()
+                .position(|&p| p == target)
+                .expect("the mover lands on its target");
+            MoveEntry::Succ { class: explorer.class_id(config.canonical_key()), slot: landed }
+        }
+        Ok(_) => unreachable!("a pending robot always moves"),
+    }
+}
+
+/// The pending vector of an `n`-robot class after the robot in slot
+/// `from` executes its move and lands in slot `to` of the successor.
+/// The mover turns idle, and the stationary robots keep their
+/// row-major order around it: old slot `k` becomes `k' + [k' ≥ to]`,
+/// where `k' = k − [k > from]`.
+fn remap_pending(pending: PackedPending, n: usize, from: usize, to: usize) -> PackedPending {
+    let mut remapped = PackedPending::IDLE;
+    for k in (0..n).filter(|&k| k != from) {
+        if let Some(dir) = pending.get(k) {
+            let rest = k - usize::from(k > from);
+            remapped = remapped.with(rest + usize::from(rest >= to), Some(dir));
+        }
+    }
+    remapped
+}
+
 /// The ASYNC instantiation of the exploration layer's [`Semantics`]:
 /// states are `(canonical class, packed pending vector)`, actions are
 /// single-robot phase advances (one-hot [`CrashRound::activate`]
 /// masks, never a crash injection), and successors are
-/// [`advance_phase`].
+/// [`advance_phase`]: a look updates the pending vector in place, and a
+/// move is read from the class's move table, which `advance_phase`
+/// fills.
 ///
 /// Idle robots whose fresh decision is *stay* offer no action — their
 /// full LCM cycle is a no-effect self-loop, excluded from expansion
@@ -272,6 +414,7 @@ impl AsyncSemantics {
 
 impl Semantics for AsyncSemantics {
     type Aux = PackedPending;
+    type Entry = AtomicU32;
 
     fn root_aux(&self) -> PackedPending {
         PackedPending::IDLE
@@ -318,13 +461,16 @@ impl Semantics for AsyncSemantics {
         search: &mut Search<'_, '_, A, Self>,
         initial: &Configuration,
     ) -> usize {
-        search.intern_state(initial, PackedPending::IDLE, 0, None).0
+        let id = search.explorer().class_id(initial.canonical_key());
+        let class = search.local_class(id);
+        search.intern_variant(class, PackedPending::IDLE, 0, None).0
     }
 
-    /// Expands the phase advance of every robot with an action: a
-    /// pending robot executes its (possibly stale) move through
-    /// [`advance_phase`]; an idle mover captures its decision. Rounds
-    /// count *ticks* — every phase advance is one.
+    /// Expands the phase advance of every robot with an action: an idle
+    /// mover captures its decision; a pending robot executes its
+    /// (possibly stale) move, read from the class's move table, and the
+    /// other pendings follow their robots into the successor's slots.
+    /// Rounds count *ticks* — every phase advance is one.
     fn expand<A: Algorithm + ?Sized>(
         &self,
         search: &mut Search<'_, '_, A, Self>,
@@ -332,14 +478,17 @@ impl Semantics for AsyncSemantics {
         queue: &mut Vec<u32>,
     ) -> Option<AsyncVerdict> {
         let (class, pending, rounds) = search.state(id);
-        let info = search.info(class);
+        let node = search.node(class);
+        let info = *node.info();
         let n = info.robots();
         let explorer = search.explorer();
         let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(search.node(class).key(), pending)
+            explorer.stabilizer_perms(node.key(), pending)
         } else {
             Vec::new()
         };
+        let moves =
+            if pending.is_idle() { &[][..] } else { move_table(explorer, search.table_id(class)) };
         for slot in 0..n {
             let action = CrashRound { crash: 0, activate: 1 << slot };
             match pending.get(slot) {
@@ -366,29 +515,36 @@ impl Semantics for AsyncSemantics {
                     }
                     search.push_edge(id, action, succ);
                 }
-                Some(_) => {
+                Some(dir) => {
                     if !perms.is_empty() && canonical_action(action, &perms) != action {
                         search.bump_deduped();
                         continue;
                     }
-                    let cfg = search.class_cfg(class);
-                    match advance_phase(cfg, pending, slot, explorer.algorithm()) {
-                        Err(collision) => {
+                    match read_move(explorer, moves, node.key(), slot, dir) {
+                        MoveEntry::Collides => {
+                            // Ends the search, so the representative is
+                            // decoded at most once per search.
+                            let cfg = node.key().unpack();
+                            let Err(collision) =
+                                advance_phase(&cfg, pending, slot, explorer.algorithm())
+                            else {
+                                unreachable!("the move table records a collision");
+                            };
                             let outcome = Outcome::Collision { round: rounds, collision };
                             return Some(search.refute(id, action, outcome));
                         }
-                        Ok(PhaseAdvance::Moved { config: next, pending: remapped }) => {
+                        MoveEntry::Disconnects => {
                             search.bump_edges();
-                            if !next.is_connected() {
-                                let outcome = Outcome::Disconnected { round: rounds + 1 };
-                                return Some(search.refute(id, action, outcome));
-                            }
-                            let (succ, new) = search.intern_state(
-                                &next,
-                                remapped,
-                                rounds + 1,
-                                Some((id, action)),
-                            );
+                            let outcome = Outcome::Disconnected { round: rounds + 1 };
+                            return Some(search.refute(id, action, outcome));
+                        }
+                        MoveEntry::Succ { class: to, slot: landed } => {
+                            search.bump_edges();
+                            let remapped = remap_pending(pending, n, slot, landed);
+                            let to = search.local_class(to);
+                            let parent = Some((id, action));
+                            let (succ, new) =
+                                search.intern_variant(to, remapped, rounds + 1, parent);
                             if new {
                                 if search.node_kind(succ) == NodeKind::Stuck {
                                     let outcome = Outcome::StuckFixpoint { rounds: rounds + 1 };
@@ -398,7 +554,6 @@ impl Semantics for AsyncSemantics {
                             }
                             search.push_edge(id, action, succ);
                         }
-                        Ok(_) => unreachable!("a pending robot always moves"),
                     }
                 }
             }
@@ -813,6 +968,25 @@ mod tests {
     }
 
     #[test]
+    fn run_async_counts_the_disconnecting_move_like_the_replayer() {
+        let flee = FnAlgorithm::new(1, "flee", |v: &View| {
+            (v.neighbor(Dir::W) && !v.neighbor(Dir::E)).then_some(Dir::E)
+        });
+        struct EastOnly;
+        impl AsyncScheduler for EastOnly {
+            fn pick(&mut self, _tick: usize, _n: usize) -> usize {
+                1
+            }
+        }
+        let two = cfg(&[(0, 0), (2, 0)]);
+        let walked = run_async(&two, &flee, &mut EastOnly, Limits::default());
+        let east = CrashRound { crash: 0, activate: 0b10 };
+        let replayed = run_async_schedule(&two, &flee, &[east, east], Limits::default());
+        assert_eq!(walked.outcome, Outcome::Disconnected { round: 2 }, "look, then the move");
+        assert_eq!(walked.outcome, replayed.execution.outcome);
+    }
+
+    #[test]
     fn round_robin_async_executes_trains_safely() {
         // march-east under round-robin: index 0 is the westmost robot,
         // so it moves onto the east robot's still-occupied node — ASYNC
@@ -860,6 +1034,75 @@ mod tests {
         assert_eq!(config, cfg(&[(0, 0), (2, 0), (6, 0)]));
         assert_eq!(pending.get(0), Some(Dir::E), "the west pending survives in place");
         assert_eq!(pending.get(2), None, "the mover returns to idle");
+    }
+
+    /// ASYNC's analogue of `tests/round_table.rs`: every move-table
+    /// entry of every class of up to six robots, and of every 37th
+    /// seven-robot class, equals the single-robot [`advance_phase`]
+    /// step followed by `is_connected` and `canonical_key`; and the
+    /// pending remap built from a successor entry equals the one
+    /// `advance_phase` makes, over random pending vectors.
+    #[test]
+    fn move_table_entries_match_advance_phase() {
+        let explorer = Explorer::with_semantics(
+            &StayAlgorithm,
+            ExploreOptions::lcm_async(),
+            AsyncSemantics::gathering(),
+        );
+        let mut rng = StdRng::seed_from_u64(20);
+        let mut checked = [0usize; 3];
+        for n in 1..=7 {
+            let stride = if n == 7 { 37 } else { 1 };
+            for cells in polyhex::enumerate_fixed(n).iter().step_by(stride) {
+                let cfg = Configuration::new(cells.iter().copied()).canonical();
+                let key = cfg.canonical_key();
+                let table = move_table(&explorer, explorer.class_id(key));
+                assert_eq!(table.len(), n * Dir::ALL.len());
+                for (slot, dir) in (0..n).flat_map(|s| Dir::ALL.into_iter().map(move |d| (s, d))) {
+                    let entry = &table[slot * Dir::ALL.len() + dir.index()];
+                    assert_eq!(entry.load(Ordering::Relaxed), MOVE_UNFILLED, "read lazily");
+                    let lone = PackedPending::IDLE.with(slot, Some(dir));
+                    let want = match advance_phase(&cfg, lone, slot, &StayAlgorithm) {
+                        Err(_) => MoveEntry::Collides,
+                        Ok(PhaseAdvance::Moved { config, .. }) if !config.is_connected() => {
+                            MoveEntry::Disconnects
+                        }
+                        Ok(PhaseAdvance::Moved { config, .. }) => {
+                            let target = cfg.positions()[slot].step(dir);
+                            let landed = config.positions().iter().position(|&p| p == target);
+                            let class = explorer.class_id(config.canonical_key());
+                            MoveEntry::Succ { class, slot: landed.expect("the mover lands") }
+                        }
+                        Ok(_) => unreachable!("a pending robot always moves"),
+                    };
+                    // The fill, then the filled entry.
+                    assert_eq!(read_move(&explorer, table, key, slot, dir), want, "{cfg:?}");
+                    assert_eq!(read_move(&explorer, table, key, slot, dir), want, "{cfg:?}");
+                    let MoveEntry::Succ { slot: landed, .. } = want else {
+                        checked[usize::from(want == MoveEntry::Disconnects)] += 1;
+                        continue;
+                    };
+                    checked[2] += 1;
+                    for _ in 0..4 {
+                        let mut pending = lone;
+                        for k in (0..n).filter(|&k| k != slot) {
+                            let d = Dir::ALL[rng.random_range(0..Dir::ALL.len())];
+                            pending = pending.with(k, rng.random_bool(0.5).then_some(d));
+                        }
+                        let Ok(PhaseAdvance::Moved { pending: remapped, .. }) =
+                            advance_phase(&cfg, pending, slot, &StayAlgorithm)
+                        else {
+                            panic!("other robots' pendings never change the move");
+                        };
+                        assert_eq!(remap_pending(pending, n, slot, landed), remapped, "{cfg:?}");
+                    }
+                }
+            }
+        }
+        assert!(checked.iter().all(|&c| c > 0), "collisions, splits and successors: {checked:?}");
+        let last =
+            MoveEntry::Succ { class: MAX_CLASSES as u32 - 1, slot: PackedClass::MAX_ROBOTS - 1 };
+        assert_eq!(MoveEntry::unpack(last.pack()), last);
     }
 
     #[test]

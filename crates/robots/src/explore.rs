@@ -60,26 +60,26 @@
 //! share — in a sweep, one per cell (DESIGN.md §11). A translation class
 //! gets a dense `u32` id the first time any search meets it, from one
 //! mutex-guarded [`FlatKeyIndex`] over the lossless packed
-//! [`PackedClass`] keys. Its node — the decision vector, the goal
-//! verdicts of its terminal states and, for semantics that expand
-//! through a materialized configuration (ASYNC), the decoded canonical
-//! representative — is computed once, through a `OnceLock` outside
-//! that lock. For the crash semantics (and so the SSYNC adversary) the
-//! class also carries its round table ([`engine::RoundTable`]: every
-//! activation subset of its movers stepped once through the scalar
-//! engine), stored as `RoundStep`s that name the successor by its
-//! class id. Entries live in fixed segments that never move, so reading
-//! a node or a round table takes no lock and no reference count.
+//! [`PackedClass`] keys. Its node — the decision vector and the goal
+//! verdicts of its terminal states — is computed once, through a
+//! `OnceLock` outside that lock. Each class also has one table of the
+//! semantics' choosing ([`Semantics::Entry`]) that names successors by
+//! class id: for the crash semantics (and so the SSYNC adversary) its
+//! round table ([`engine::RoundTable`]: every activation subset of its
+//! movers stepped once through the scalar engine), stored as
+//! [`RoundStep`]s; for ASYNC its single-robot moves, one entry per
+//! `(slot, direction)`, each filled on first read through
+//! [`advance_phase`](crate::async_model::advance_phase). Entries live
+//! in fixed segments that never move, so reading a node or a table
+//! takes no lock and no reference count.
 //!
-//! A crash-semantics search resolves each successor by reading that id
-//! and finds the successor's local state through two flat per-search
-//! arrays: a sparse set from class id to local class (Briggs & Torczon,
-//! *An efficient representation for sparse sets*, ACM LOPLAS 1993) and
-//! one state slot per `(local class, crash-mask rank)`. No edge and no
-//! state costs a hash, a lock or a refcount. The ASYNC semantics keeps a
-//! per-search key cache and per-class pending-vector chains, because its
-//! successors are materialized single-robot moves; it reads class data
-//! from the same table.
+//! A search resolves each successor by reading that id and finds the
+//! successor's local class through a sparse set from class id to local
+//! class (Briggs & Torczon, *An efficient representation for sparse
+//! sets*, ACM LOPLAS 1993). A crash-semantics state then sits at one
+//! slot per `(local class, crash-mask rank)`; an ASYNC state is found
+//! on its local class's pending-vector chain. No edge costs a hash, a
+//! lock or a refcount, and no state a hash or a lock.
 //!
 //! Class ids depend on thread timing, so nothing observable depends on
 //! them: local class and state ids follow each search's own discovery
@@ -418,10 +418,6 @@ pub struct ClassNode {
     /// Goal verdicts of the class's terminal states: bit `r` for the
     /// terminal aux key the semantics ranks `r` ([`Semantics::goal_bits`]).
     goals: u64,
-    /// The decoded canonical representative, kept only for semantics
-    /// that expand through a materialized configuration (those without
-    /// [`Semantics::ROUND_TABLE`]).
-    cfg: Option<Configuration>,
 }
 
 impl ClassNode {
@@ -443,10 +439,11 @@ impl ClassNode {
 }
 
 /// One activation subset of a class's round table, as the class table
-/// stores it: an [`engine::RoundEntry`] whose successor is named by its
-/// class id instead of its 16-byte key. 16 bytes.
+/// stores it for the crash semantics ([`Semantics::Entry`]): an
+/// [`engine::RoundEntry`] whose successor is named by its class id
+/// instead of its 16-byte key. 16 bytes.
 #[derive(Clone, Copy)]
-pub(crate) struct RoundStep {
+pub struct RoundStep {
     /// Each robot's slot in the successor ([`engine::RoundEntry::slots`]).
     slots: u64,
     /// The successor's class id; meaningful only for [`engine::RoundKind::Succ`].
@@ -466,12 +463,17 @@ impl RoundStep {
     }
 }
 
-/// One entry of a `ClassTable`: the class's node, and its round table
-/// for semantics that expand through one.
-#[derive(Default)]
-struct ClassSlot {
+/// One entry of a `ClassTable`: the class's node, and its table of the
+/// semantics' entries ([`Semantics::Entry`]).
+struct ClassSlot<E> {
     node: std::sync::OnceLock<ClassNode>,
-    steps: std::sync::OnceLock<Box<[RoundStep]>>,
+    table: std::sync::OnceLock<Box<[E]>>,
+}
+
+impl<E> Default for ClassSlot<E> {
+    fn default() -> Self {
+        ClassSlot { node: std::sync::OnceLock::new(), table: std::sync::OnceLock::new() }
+    }
 }
 
 /// Entries per `ClassTable` segment.
@@ -481,30 +483,36 @@ const SEGMENT_SLOTS: usize = 1024;
 /// connected class of up to [`PackedClass::MAX_ROBOTS`] robots together.
 const TABLE_SEGMENTS: usize = 4096;
 
+/// The most classes one `ClassTable` holds: every class id is below it.
+pub(crate) const MAX_CLASSES: usize = SEGMENT_SLOTS * TABLE_SEGMENTS;
+
+/// One `ClassTable` segment, allocated on first use.
+type Segment<E> = std::sync::OnceLock<Box<[ClassSlot<E>]>>;
+
 /// The class table one explorer's searches share: class key → dense
-/// id, and per id a [`ClassNode`] plus (for the crash semantics) the
-/// class's `RoundStep`s.
+/// id, and per id a [`ClassNode`] plus the class's table of the
+/// semantics' entries `E` (round-table steps, or ASYNC moves).
 ///
 /// * Ids come from one mutex-guarded [`FlatKeyIndex`], in the order
 ///   classes are first met, so they depend on thread timing: nothing
 ///   may iterate the table to produce output.
-/// * Nodes and round tables initialize through `OnceLock`s outside
-///   that lock; a racing reader waits for the one initializer.
+/// * Nodes and tables initialize through `OnceLock`s outside that
+///   lock; a racing reader waits for the one initializer.
 /// * Entries live in fixed-size segments that are allocated on first
 ///   use and never move, so reads take no lock.
 ///
 /// The table grows only with classes that searches reach.
-pub(crate) struct ClassTable {
+pub(crate) struct ClassTable<E> {
     index: std::sync::Mutex<FlatKeyIndex>,
-    segments: Box<[std::sync::OnceLock<Box<[ClassSlot]>>]>,
-    /// Heap bytes retained: segments, round tables, node payloads.
+    segments: Box<[Segment<E>]>,
+    /// Heap bytes retained: segments and the classes' tables.
     bytes: std::sync::atomic::AtomicUsize,
 }
 
-impl ClassTable {
+impl<E> ClassTable<E> {
     fn new() -> Self {
         let segments: Box<[_]> = (0..TABLE_SEGMENTS).map(|_| std::sync::OnceLock::new()).collect();
-        let bytes = segments.len() * size_of::<std::sync::OnceLock<Box<[ClassSlot]>>>();
+        let bytes = segments.len() * size_of::<Segment<E>>();
         ClassTable {
             index: std::sync::Mutex::new(FlatKeyIndex::new()),
             segments,
@@ -528,20 +536,19 @@ impl ClassTable {
         let (seg, off) = (id as usize / SEGMENT_SLOTS, id as usize % SEGMENT_SLOTS);
         assert!(seg < TABLE_SEGMENTS, "the class table holds at most 2^22 classes");
         let segment = self.segments[seg].get_or_init(|| {
-            self.add_bytes(SEGMENT_SLOTS * size_of::<ClassSlot>());
+            self.add_bytes(SEGMENT_SLOTS * size_of::<ClassSlot<E>>());
             (0..SEGMENT_SLOTS).map(|_| ClassSlot::default()).collect()
         });
         segment[off].node.get_or_init(|| {
             let node = build();
             debug_assert_eq!(node.key, key);
-            self.add_bytes(node.cfg.as_ref().map_or(0, |c| c.len() * size_of::<Coord>()));
             node
         });
         (id, new)
     }
 
     /// The entry of an id [`Self::resolve`] returned.
-    fn slot(&self, id: u32) -> &ClassSlot {
+    fn slot(&self, id: u32) -> &ClassSlot<E> {
         let segment = self.segments[id as usize / SEGMENT_SLOTS].get().expect("an issued class id");
         &segment[id as usize % SEGMENT_SLOTS]
     }
@@ -551,12 +558,12 @@ impl ClassTable {
         self.slot(id).node.get().expect("issued class ids have nodes")
     }
 
-    /// The round table of class `id`, built with `build` on first use.
-    fn steps(&self, id: u32, build: impl FnOnce() -> Box<[RoundStep]>) -> &[RoundStep] {
-        self.slot(id).steps.get_or_init(|| {
-            let steps = build();
-            self.add_bytes(steps.len() * size_of::<RoundStep>());
-            steps
+    /// The table of class `id`, built with `build` on first use.
+    fn table(&self, id: u32, build: impl FnOnce() -> Box<[E]>) -> &[E] {
+        self.slot(id).table.get_or_init(|| {
+            let table = build();
+            self.add_bytes(size_of_val(&*table));
+            table
         })
     }
 
@@ -593,6 +600,12 @@ pub trait Semantics: Sync + Sized {
     /// translation-class equality.
     type Aux: Copy + Eq + std::fmt::Debug + Send + Sync;
 
+    /// One entry of the table each class keeps in the explorer's
+    /// `ClassTable`, naming successors by class id: a [`RoundStep`] of
+    /// the crash semantics, a single-robot move of ASYNC. Expansion
+    /// builds (or fills) it on first use.
+    type Entry: Send + Sync;
+
     /// The auxiliary key of an initial state (nothing crashed, every
     /// robot idle).
     fn root_aux(&self) -> Self::Aux;
@@ -626,13 +639,6 @@ pub trait Semantics: Sync + Sized {
     /// [`NodeKind::Inner`] when adversary actions remain, otherwise
     /// goal or stuck.
     fn classify(&self, node: &ClassNode, aux: Self::Aux) -> NodeKind;
-
-    /// Whether expansion reads each class's round table. The
-    /// `ClassTable` then stores it, once per class, with successor
-    /// class ids; states are indexed densely by `(class, aux rank)`, and
-    /// nodes keep no decoded representative. Semantics without it keep
-    /// one per node and intern states through a per-search key cache.
-    const ROUND_TABLE: bool = false;
 
     /// Interns the initial state `(initial's class, root aux)` of a
     /// search and returns its id.
@@ -864,28 +870,25 @@ mod nominal {
 /// a sweep cell's ~77k per-class searches re-allocate these buffers
 /// once per worker instead of once per class. Soundness of the reuse
 /// is structural: [`SearchScratch::clear`] empties every collection
-/// that is read without a cross-check (`FlatKeyIndex::clear` resets its
-/// probe slots), the sparse side of the class set is validated against
-/// its dense side on every read, and no search ever reads an index it
-/// did not itself intern — so stale capacity can never leak state
-/// between classes. The deterministic budget accounting
+/// that is read without a cross-check, the sparse side of the class set
+/// is validated against its dense side on every read, and no search
+/// ever reads an index it did not itself intern — so stale capacity can
+/// never leak state between classes. The deterministic budget accounting
 /// ([`Search::live_bytes`]) reads occupied counts, never capacities, so
 /// pooling is invisible to verdicts.
 struct SearchScratch<Aux> {
     states: StateStore<Aux>,
     /// The search's local classes, in discovery order: local class `l`
     /// is class table id `classes[l]`. This is the dense side of the
-    /// crash semantics' sparse set, and parallel to `keys` for ASYNC.
+    /// class set.
     classes: Vec<u32>,
-    /// Sparse side of the class set (crash semantics): class table id
-    /// → local class, valid only where `classes` confirms it. Never
-    /// cleared, so a search pays nothing to reset it.
+    /// Sparse side of the class set: class table id → local class,
+    /// valid only where `classes` confirms it. Never cleared, so a
+    /// search pays nothing to reset it.
     sparse: Vec<u32>,
     /// Crash semantics: the state id of `(local class l, aux rank r)` at
     /// `l * width + r`, or [`NO_STATE`].
     slots: Vec<u32>,
-    /// ASYNC: packed class key → local class.
-    keys: FlatKeyIndex,
     /// ASYNC: head link of each local class's aux-variant chain
     /// ([`NO_VARIANT`] when empty).
     variant_head: Vec<u32>,
@@ -908,7 +911,6 @@ impl<Aux> Default for SearchScratch<Aux> {
             classes: Vec::new(),
             sparse: Vec::new(),
             slots: Vec::new(),
-            keys: FlatKeyIndex::new(),
             variant_head: Vec::new(),
             variant_pool: Vec::new(),
             edge_pool: Vec::new(),
@@ -924,7 +926,6 @@ impl<Aux> SearchScratch<Aux> {
         self.states.clear();
         self.classes.clear();
         self.slots.clear();
-        self.keys.clear();
         self.variant_head.clear();
         self.variant_pool.clear();
         self.edge_pool.clear();
@@ -932,11 +933,10 @@ impl<Aux> SearchScratch<Aux> {
     }
 
     /// Heap bytes reserved by the class index: local classes, the
-    /// sparse set, the state slots and the key cache.
+    /// sparse set and the state slots.
     fn class_index_bytes(&self) -> usize {
         (self.classes.capacity() + self.sparse.capacity() + self.slots.capacity())
             * size_of::<u32>()
-            + self.keys.heap_bytes()
     }
 
     /// Heap bytes reserved by the visited-state storage: state columns
@@ -1055,11 +1055,11 @@ pub(crate) struct ExploreMetrics {
     /// Classes added to the explorer's `ClassTable` (so the counter
     /// reads the table's size).
     pub(crate) classes: telemetry::Counter,
-    /// Heap bytes the `ClassTable` retains: segments, round tables
-    /// and node payloads.
+    /// Heap bytes the `ClassTable` retains: segments and the classes'
+    /// tables (crash round tables, ASYNC move tables).
     pub(crate) class_table_bytes: telemetry::Gauge,
     /// Peak heap bytes reserved by one check's class index (local
-    /// classes, sparse set, state slots, key cache).
+    /// classes, sparse set, state slots).
     pub(crate) arena_bytes: telemetry::Gauge,
     /// Peak heap bytes reserved by one check's visited-state storage
     /// (state columns, aux-variant chains).
@@ -1127,9 +1127,9 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     max_robots: usize,
     /// The class table every search of this explorer shares — in a
     /// sweep, every search of the cell. Each class's decision data and
-    /// (for [`Semantics::ROUND_TABLE`]) round table are computed once
-    /// per explorer, when some search first meets the class.
-    table: ClassTable,
+    /// table ([`Semantics::Entry`]) are computed once per explorer,
+    /// when some search first needs them.
+    table: ClassTable<S::Entry>,
     /// Pool of cleared [`SearchScratch`] buffers: each `check` leases
     /// one and returns it, so successive per-class searches reuse
     /// their grown allocations instead of rebuilding them per class.
@@ -1170,6 +1170,26 @@ impl<'a, A: Algorithm + ?Sized> Explorer<'a, A, CrashSemantics> {
     #[must_use]
     pub fn budget(&self) -> u8 {
         self.semantics.budget
+    }
+
+    /// The round table of class `id`, built on first use: the
+    /// reference stepper [`engine::RoundTable`], with each successor
+    /// key resolved to its class id.
+    pub(crate) fn round_steps(&self, id: u32) -> &[RoundStep] {
+        self.class_table(id, |node| {
+            let cfg = node.key.unpack();
+            let table = engine::RoundTable::new(&cfg, &node.info.moves[..cfg.len()]);
+            table
+                .entries()
+                .iter()
+                .map(|e| RoundStep {
+                    slots: e.slots,
+                    succ: if e.kind == engine::RoundKind::Succ { self.class_id(e.key) } else { 0 },
+                    mask: e.mask,
+                    kind: e.kind,
+                })
+                .collect()
+        })
     }
 }
 
@@ -1274,7 +1294,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             let cfg = key.unpack();
             let info = ClassInfo::of(&engine::compute_moves(&cfg, self.algo));
             let goals = self.semantics.goal_bits(&cfg, &info);
-            ClassNode { key, info, goals, cfg: (!S::ROUND_TABLE).then_some(cfg) }
+            ClassNode { key, info, goals }
         });
         if new {
             self.metrics.classes.inc();
@@ -1282,25 +1302,14 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         id
     }
 
-    /// The round table of class `id`, built on first use: the
-    /// reference stepper [`engine::RoundTable`], with each successor
-    /// key resolved to its class id.
-    pub(crate) fn round_steps(&self, id: u32) -> &[RoundStep] {
-        self.table.steps(id, || {
-            let node = self.table.node(id);
-            let cfg = node.key.unpack();
-            let table = engine::RoundTable::new(&cfg, &node.info.moves[..cfg.len()]);
-            table
-                .entries()
-                .iter()
-                .map(|e| RoundStep {
-                    slots: e.slots,
-                    succ: if e.kind == engine::RoundKind::Succ { self.class_id(e.key) } else { 0 },
-                    mask: e.mask,
-                    kind: e.kind,
-                })
-                .collect()
-        })
+    /// The table of class `id`, built by `build` from the class's node
+    /// on first use.
+    pub(crate) fn class_table(
+        &self,
+        id: u32,
+        build: impl FnOnce(&ClassNode) -> Box<[S::Entry]>,
+    ) -> &[S::Entry] {
+        self.table.table(id, || build(self.table.node(id)))
     }
 
     /// Classifies `initial` under the exhaustive adversary of this
@@ -1478,7 +1487,8 @@ pub struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
     /// level buffers (see [`SearchScratch`]).
     scratch: SearchScratch<S::Aux>,
     /// State slots per local class in the dense `(class, aux rank)`
-    /// index ([`Self::intern_slot`]); unused by keyed semantics.
+    /// index ([`Self::intern_slot`]); zero for ASYNC, whose states sit
+    /// on per-class aux-variant chains.
     width: usize,
     edges: usize,
     deduped: usize,
@@ -1524,13 +1534,6 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// The class table id of local class `class`.
     pub(crate) fn table_id(&self, class: u32) -> u32 {
         self.scratch.classes[class as usize]
-    }
-
-    /// The canonical representative of local class `class`, for
-    /// semantics whose nodes keep one (those without
-    /// [`Semantics::ROUND_TABLE`]).
-    pub(crate) fn class_cfg(&self, class: u32) -> &'c Configuration {
-        self.node(class).cfg.as_ref().expect("nodes of keyed semantics keep their representative")
     }
 
     /// The per-class decision data of local class `class`.
@@ -1688,7 +1691,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
 
     /// The local class of class table id `id`, added on first sight —
     /// a sparse-set lookup: `sparse` proposes a local index and
-    /// `classes` confirms it.
+    /// `classes` confirms it. A new local class gets its `width` empty
+    /// state slots and an empty aux-variant chain.
     pub(crate) fn local_class(&mut self, id: u32) -> u32 {
         let s = &mut self.scratch;
         if let Some(&local) = s.sparse.get(id as usize) {
@@ -1703,6 +1707,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         s.sparse[id as usize] = local;
         s.classes.push(id);
         s.slots.resize(s.slots.len() + self.width, NO_STATE);
+        s.variant_head.push(NO_VARIANT);
         local
     }
 
@@ -1727,41 +1732,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         (id, true)
     }
 
-    /// Interns a packed canonical class key through the search's key
-    /// cache; a class new to the search takes its table id from the
-    /// explorer's `ClassTable` — the only shared lookup a class
-    /// costs this search.
-    fn intern_class_key(&mut self, key: PackedClass) -> u32 {
-        let (class, new) = self.scratch.keys.insert_full(key.bits());
-        if new {
-            let id = self.explorer.class_id(key);
-            self.scratch.classes.push(id);
-            self.scratch.variant_head.push(NO_VARIANT);
-        }
-        class
-    }
-
-    /// Interns the state `(class of raw, aux)` where `aux` is already
-    /// expressed over `raw`'s row-major slots. Returns
-    /// `(id, newly_inserted)`. Row-major order is translation-invariant
-    /// and canonicalisation only translates, so a slot index in `raw`
-    /// is its slot in the canonical representative — no canonical
-    /// configuration is materialized here.
-    pub(crate) fn intern_state(
-        &mut self,
-        raw: &Configuration,
-        aux: S::Aux,
-        rounds: usize,
-        parent: Option<(usize, CrashRound)>,
-    ) -> (usize, bool) {
-        let class = self.intern_class_key(raw.canonical_key());
-        self.intern_variant(class, aux, rounds, parent)
-    }
-
-    /// Interns the state `(class, aux)` for an already-interned class
-    /// through its aux-variant chain — the fast path for actions that
-    /// leave the configuration (and thus the slot indexing of the aux)
-    /// unchanged.
+    /// Interns the state `(class, aux)` of a local class through the
+    /// class's aux-variant chain (ASYNC). Returns `(id, newly_inserted)`.
     pub(crate) fn intern_variant(
         &mut self,
         class: u32,
@@ -2510,6 +2482,7 @@ fn collision(node: &ClassNode, mask: u16) -> engine::RoundCollision {
 
 impl Semantics for CrashSemantics {
     type Aux = u16;
+    type Entry = RoundStep;
 
     fn root_aux(&self) -> u16 {
         0
@@ -2564,8 +2537,6 @@ impl Semantics for CrashSemantics {
             NodeKind::Stuck
         }
     }
-
-    const ROUND_TABLE: bool = true;
 
     /// The root `(class, no crash)`; the class's robot count fixes the
     /// dense slots per class, R(n, f), for the whole search.
@@ -2847,7 +2818,7 @@ mod tests {
         assert_eq!(march_info.movers, 1 << 7, "only the east end moves");
         for info in [stay_info, march_info] {
             let goals = semantics.goal_bits(&line, &info);
-            let node = ClassNode { key: line.canonical_key(), info, goals, cfg: None };
+            let node = ClassNode { key: line.canonical_key(), info, goals };
             for crashed in (0..1u16 << 8).filter(|m| m.count_ones() <= 3) {
                 let want = if info.movers & !crashed != 0 {
                     NodeKind::Inner
@@ -2920,6 +2891,15 @@ mod tests {
             member = edge.to;
         }
         assert_eq!((member, assign, served), (0, identity_assign(3), all));
+    }
+
+    #[test]
+    fn class_slots_hold_a_node_and_one_table() {
+        // The table grows by one slot per class a cell reaches, so its
+        // size is resident memory: a node and one boxed table, nothing
+        // per semantics beyond that.
+        assert_eq!(size_of::<ClassSlot<RoundStep>>(), 96);
+        assert_eq!(size_of::<ClassSlot<std::sync::atomic::AtomicU32>>(), 96);
     }
 
     #[test]

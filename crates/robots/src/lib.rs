@@ -41,8 +41,8 @@
 //! * [`visited`] — shared canonical-class memoization primitives
 //!   (packed-key [`visited::ClassSet`]/[`visited::ClassMap`], both on
 //!   the flat [`visited::FlatKeyIndex`] that also backs the explorer's
-//!   class table and the ASYNC searches' key caches) used by the
-//!   engine's livelock detector and the impossibility simulator.
+//!   class table) used by the engine's livelock detector and the
+//!   impossibility simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,9 +2,8 @@
 //!
 //! Every component that walks the configuration space — the FSYNC
 //! engine's livelock detector, the impossibility simulator, the
-//! exploration checkers' class table and key caches — needs the same
-//! primitive: "have I seen this
-//! translation class before?". These wrappers keep the
+//! exploration checkers' class table — needs the same primitive: "have
+//! I seen this translation class before?". These wrappers keep the
 //! canonicalisation in one place so no caller can accidentally memoize
 //! raw (translated) configurations, and they key on the bit-packed
 //! [`PackedClass`] form: membership tests hash 16 bytes instead of a

@@ -2442,6 +2442,38 @@ mod tests {
     }
 
     #[test]
+    fn records_with_non_ascii_panic_messages_resume_as_reused() {
+        // A panic payload is free text. A record row carrying one with
+        // 2-, 3- and 4-byte characters next to escapes reloads as the
+        // very row that was published.
+        let dir = temp_sweep_dir("utf8-panic");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let sched = SchedSpec::parse("lcm-async").expect("known scheduler");
+        let cfg = SweepConfig { n: 4, shards: 1, sched, ..SweepConfig::default() };
+        let classes = polyhex::enumerate_fixed(4);
+        let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
+        let msg = "bööm: ¬ℵ “quoted” 😀\n\"escaped\"😀";
+        record.results[5] = panicked_outcome(5, sched, msg.into());
+        let header = JournalHeader::for_cell(&cfg, 0, 0, classes.len());
+        let mut writer =
+            JournalWriter::create(&cfg.journal_path(&dir, 0), &header).expect("create");
+        let entry = JournalEntry { start: 0, end: classes.len(), results: record.results.clone() };
+        writer.append_entry(&entry).expect("append");
+        let footer = JournalFooter { metrics: record.metrics.clone().expect("shard metrics") };
+        writer.publish(&footer, &cfg.shard_path(&dir, 0)).expect("publish");
+
+        let mut reloaded = Vec::new();
+        let run =
+            run_sweep(&cfg, &dir, true, |_, _, r| reloaded.push(r.clone())).expect("resumed run");
+        assert_eq!(run.shard_status, vec![ShardStatus::Reused]);
+        assert_eq!(reloaded[0].results[5].panic.as_deref(), Some(msg));
+        let json = |rows: &[ClassOutcome]| serde_json::to_string(rows).expect("serializes");
+        assert_eq!(json(&reloaded[0].results), json(&record.results), "rows reload unchanged");
+        assert_eq!(run.digest, verdict_digest(std::slice::from_ref(&record)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn old_json_records_are_neither_reused_nor_quarantined() {
         // Older builds published pretty `.json` records. Records moved
         // to a new path, so such a file is never opened: its shard is

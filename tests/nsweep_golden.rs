@@ -14,6 +14,12 @@
 //!   `undecided`/`step_limit`, and the pinned rows record those
 //!   columns exactly.
 //!
+//! Cross-model pins hold the proof sets of the model checkers against
+//! each other at every n ≤ 8: lcm-async proofs and crash:1 proofs are
+//! each a subset of the SSYNC adversary's. The n ≤ 6 pins run in the
+//! debug tier (on the same cells as the golden rows), n = 7 and 8 in
+//! release only.
+//!
 //! All rows live in `tests/golden/nsweep-verified.json`. Regenerate
 //! after an intentional checker change with:
 //!
@@ -22,7 +28,10 @@
 //! ```
 
 use gathering::SevenGather;
-use simlab::sweep::{merge_shards, run_class, run_shard, SchedSpec, SweepConfig};
+use robots::{AdversaryVerdict, AsyncVerdict, CrashVerdict};
+use simlab::sweep::{merge_shards, run_class, run_shard, SchedSpec, ShardRecord, SweepConfig};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const GOLDEN: &str = include_str!("golden/nsweep-verified.json");
 
@@ -60,15 +69,39 @@ const SUBSET_ROWS: &[(usize, &str, usize)] = &[
     (9, "adversary", 1201),
 ];
 
+/// The one-shard record of a full cell. Cells up to n = 8 are computed
+/// once per test process, so the golden rows and the cross-model pins
+/// share them; the n = 9 cells are not kept.
+fn full_record(n: usize, spec: &str) -> Arc<ShardRecord> {
+    type Cells = Mutex<HashMap<(usize, String), Arc<OnceLock<Arc<ShardRecord>>>>>;
+    static CELLS: OnceLock<Cells> = OnceLock::new();
+    let compute = || {
+        let sched = SchedSpec::parse(spec).expect("known scheduler");
+        let cfg = SweepConfig { n, sched, shards: 1, ..SweepConfig::default() };
+        cfg.validate().expect("supported cell");
+        let classes = polyhex::enumerate_fixed(n);
+        Arc::new(run_shard(&classes, &cfg, 0, 0, classes.len()))
+    };
+    if n > 8 {
+        return compute();
+    }
+    let cell = CELLS
+        .get_or_init(Cells::default)
+        .lock()
+        .expect("no test panics while holding the cell map")
+        .entry((n, spec.to_string()))
+        .or_default()
+        .clone();
+    cell.get_or_init(compute).clone()
+}
+
 /// Runs one full cell and renders its pinned row: verdict tallies and
 /// digest for model-checking cells, the outcome breakdown for FSYNC.
 fn full_row(n: usize, spec: &str) -> serde_json::Value {
     let sched = SchedSpec::parse(spec).expect("known scheduler");
     let cfg = SweepConfig { n, sched, shards: 1, ..SweepConfig::default() };
-    cfg.validate().expect("supported cell");
-    let classes = polyhex::enumerate_fixed(n);
-    let record = run_shard(&classes, &cfg, 0, 0, classes.len());
-    let summary = merge_shards(&cfg, std::slice::from_ref(&record)).expect("consistent shard");
+    let record = full_record(n, spec);
+    let summary = merge_shards(&cfg, std::slice::from_ref(&*record)).expect("consistent shard");
     let mut entry = vec![
         ("n".to_string(), serde_json::Value::UInt(n as u64)),
         ("sched".to_string(), serde_json::Value::Str(sched.name())),
@@ -228,6 +261,73 @@ fn large_n_full_cells_match_golden_rows() {
         let name = SchedSpec::parse(spec).expect("known scheduler").name();
         let expected = fixture_row(&golden, n, &name, false);
         assert_eq!(expected, &full_row(n, spec), "full row n={n} sched={name} diverged");
+    }
+}
+
+/// The measured proof counts of the verified rules, `(n, [adversary,
+/// lcm-async, crash:1])`: what the cross-model pins compare.
+const PROOF_COUNTS: &[(usize, [usize; 3])] = &[
+    (2, [3, 3, 3]),
+    (3, [11, 11, 11]),
+    (4, [9, 9, 9]),
+    (5, [117, 92, 59]),
+    (6, [498, 169, 35]),
+    (7, [1869, 543, 11]),
+    (8, [8573, 2275, 5349]),
+];
+
+/// The enumeration indices of a full cell's proof classes.
+fn proof_classes(n: usize, spec: &str) -> BTreeSet<usize> {
+    let record = full_record(n, spec);
+    let proof = |res: &simlab::sweep::ClassOutcome| match spec {
+        "adversary" => matches!(res.verdict, Some(AdversaryVerdict::Proof)),
+        "lcm-async" => matches!(res.lcm_async, Some(AsyncVerdict::Proof)),
+        "crash:1" => matches!(res.crash, Some(CrashVerdict::Proof)),
+        other => panic!("no proof column for {other}"),
+    };
+    record.results.iter().filter(|res| proof(res)).map(|res| res.index).collect()
+}
+
+/// Empirical cross-model pins at `n`: every lcm-async proof class and
+/// every crash:1 proof class is also an adversary proof class.
+///
+/// * crash:1 ⊆ adversary is expected by construction: with nothing
+///   crashed, the relaxed goal is the gathering goal, and every SSYNC
+///   schedule is a crash schedule that crashes no robot.
+/// * lcm-async ⊆ adversary is not a theorem (a simultaneous SSYNC round
+///   is not an ASYNC interleaving; `tests/async_golden.rs` explains).
+///   The pin records the measured relation on these rules, so a checker
+///   change that flips it is noticed.
+///
+/// The proof counts are pinned too, so the inclusions cannot hold
+/// vacuously.
+fn assert_proofs_nest(n: usize) {
+    let (_, counts) = PROOF_COUNTS.iter().find(|(m, _)| *m == n).expect("a pinned n");
+    let adversary = proof_classes(n, "adversary");
+    assert_eq!(adversary.len(), counts[0], "n={n}: adversary proof count");
+    for (spec, count) in [("lcm-async", counts[1]), ("crash:1", counts[2])] {
+        let proofs = proof_classes(n, spec);
+        assert_eq!(proofs.len(), count, "n={n}: {spec} proof count");
+        let outside: Vec<&usize> = proofs.difference(&adversary).collect();
+        assert!(outside.is_empty(), "n={n}: {spec} proof classes not adversary-proof: {outside:?}");
+    }
+}
+
+#[test]
+fn small_n_proofs_nest_across_models() {
+    for n in 2..=6 {
+        assert_proofs_nest(n);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the n = 7 and n = 8 cross-model pins are release-only; run cargo test --release"
+)]
+fn large_n_proofs_nest_across_models() {
+    for n in 7..=8 {
+        assert_proofs_nest(n);
     }
 }
 
