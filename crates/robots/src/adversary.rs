@@ -59,7 +59,7 @@
 //! with the algorithm.
 
 use crate::engine::{Limits, Outcome};
-use crate::explore::{ExploreOptions, ExploreVerdict, Explorer, UndecidedReason};
+use crate::explore::{ExploreOptions, ExploreReport, ExploreVerdict, Explorer, UndecidedReason};
 use crate::sched::{self, CrashRound, ScheduleReplay};
 use crate::{Algorithm, Configuration, Execution};
 use serde::{Deserialize, Serialize};
@@ -346,7 +346,37 @@ impl<'a, A: Algorithm + ?Sized> Checker<'a, A> {
     /// [`for_robots`](Checker::for_robots)).
     #[must_use]
     pub fn check(&self, initial: &Configuration) -> AdversaryReport {
-        let report = self.explorer.check(initial);
+        Self::report(self.explorer.check(initial))
+    }
+
+    /// Builds the class data a walk from `initial` reads first (see
+    /// [`Explorer::prepare`]); safe to run from a pool.
+    pub fn prepare(&self, initial: &Configuration) {
+        self.explorer.prepare(initial);
+    }
+
+    /// Labels the cell's state graph from `roots` (see
+    /// [`Explorer::label`]), so that [`decide`](Checker::decide) can
+    /// settle them without a search.
+    pub fn label<C: std::borrow::Borrow<Configuration>>(
+        &mut self,
+        roots: impl IntoIterator<Item = C>,
+    ) {
+        self.explorer.label(roots);
+    }
+
+    /// Classifies `initial` exactly as [`check`](Checker::check) does,
+    /// from its label where one applies (see [`Explorer::decide`]).
+    ///
+    /// # Panics
+    /// As [`check`](Checker::check).
+    #[must_use]
+    pub fn decide(&self, initial: &Configuration) -> AdversaryReport {
+        Self::report(self.explorer.decide(initial))
+    }
+
+    /// The SSYNC view of an explorer report: activation masks only.
+    fn report(report: ExploreReport) -> AdversaryReport {
         let verdict = match report.verdict {
             ExploreVerdict::Proof => AdversaryVerdict::Proof,
             ExploreVerdict::Undecided { reason } => AdversaryVerdict::Undecided { reason },

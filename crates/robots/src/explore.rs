@@ -89,6 +89,20 @@
 //! the caller's, across classes, sharing one explorer. The per-state
 //! aux ([`Semantics::Aux`]) is a `Copy` bit-packed value whose raw bits
 //! fold into the quotient orbit keys.
+//!
+//! # One labeled graph per cell
+//!
+//! For the crash semantics the explorer can also decide classes
+//! without searching them: [`Explorer::label`] walks the cell's state
+//! graph once and labels each state with its distance to a refuting
+//! action and whether it is doomed, and [`Explorer::decide`] settles a
+//! labeled root as a proof, through a tight BFS, or through
+//! [`Explorer::check`] (DESIGN.md §19). The search, the walk and the
+//! tight BFS enumerate actions through one function,
+//! `CrashSemantics::actions`, and decide fair cycles through one
+//! product, `fair_pump`.
+
+mod labels;
 
 use crate::config::PackedClass;
 use crate::engine::{self, Outcome};
@@ -147,9 +161,12 @@ impl Default for ExploreOptions {
 }
 
 impl ExploreOptions {
-    /// Budgets sized for crash instantiations: each crash placement
-    /// opens its own copy of the class graph, so the state and edge
-    /// caps are an order of magnitude above the fault-free defaults.
+    /// Budgets sized for crash instantiations of up to seven robots:
+    /// each crash placement opens its own copy of the class graph, so
+    /// the state and edge caps are an order of magnitude above the
+    /// fault-free defaults. Wider cells take
+    /// [`CrashOptions::for_robots`](crate::faults::CrashOptions::for_robots),
+    /// whose caps cover their whole crash state space.
     #[must_use]
     pub fn crash() -> Self {
         ExploreOptions { max_states: 65_536, max_edges: 16_000_000, ..ExploreOptions::default() }
@@ -690,6 +707,9 @@ pub struct CrashSemantics {
     /// class. Numeric order on masks is colex order on sets, so ranks
     /// do not depend on `n`.
     rank: Box<[u16]>,
+    /// `masks[r]`: the affordable crash mask of rank `r` (the inverse of
+    /// `rank`).
+    masks: Box<[u16]>,
 }
 
 impl CrashSemantics {
@@ -708,19 +728,34 @@ impl CrashSemantics {
             PackedClass::MAX_ROBOTS
         );
         let mut rank = Vec::with_capacity((1 << PackedClass::MAX_ROBOTS) + 1);
-        let mut next = 0u16;
+        let mut masks = Vec::new();
         for mask in 0..=1u32 << PackedClass::MAX_ROBOTS {
-            rank.push(next);
+            rank.push(masks.len() as u16);
             if mask.count_ones() <= u32::from(budget) {
-                next += 1;
+                masks.push(mask as u16);
             }
         }
-        CrashSemantics { budget, goal, rank: rank.into_boxed_slice() }
+        CrashSemantics {
+            budget,
+            goal,
+            rank: rank.into_boxed_slice(),
+            masks: masks.into_boxed_slice(),
+        }
     }
 
     /// The state slot of crash mask `crashed` within its class.
-    fn rank(&self, crashed: u16) -> usize {
+    pub(crate) fn rank(&self, crashed: u16) -> usize {
         usize::from(self.rank[usize::from(crashed)])
+    }
+
+    /// The crash mask of state slot `rank` (the inverse of [`Self::rank`]).
+    pub(crate) fn mask(&self, rank: usize) -> u16 {
+        self.masks[rank]
+    }
+
+    /// State slots per `n`-robot class: R(n, f) = Σ_{k ≤ f} C(n, k).
+    pub(crate) fn width(&self, n: usize) -> usize {
+        usize::from(self.rank[1 << n])
     }
 }
 
@@ -970,7 +1005,7 @@ struct PackedEdge {
 }
 
 /// Packs a [`CrashRound`] into the edge/parent action word.
-fn pack_action(action: CrashRound) -> u32 {
+pub(crate) fn pack_action(action: CrashRound) -> u32 {
     (u32::from(action.crash) << 16) | u32::from(action.activate)
 }
 
@@ -992,6 +1027,33 @@ pub struct EdgeCert {
     /// moves / advances a phase, is seen deciding to stay (and is thus
     /// activatable for free), or is crashed and exempt.
     pub(crate) flags: u16,
+}
+
+/// The certificate of an edge out of class `key` into class `to`:
+/// `step` receives the source's positions (slot-indexed), applies the
+/// action's semantics-specific effect to them and returns the slots that
+/// satisfy fairness; re-sorting the moved positions into row-major order
+/// then yields the slot permutation (the identity when no robot moved).
+pub(crate) fn edge_cert(
+    key: PackedClass,
+    to: PackedClass,
+    step: impl FnOnce(&mut [Coord]) -> u16,
+) -> EdgeCert {
+    let n = key.robots();
+    let mut pos = key.cells();
+    let flags = step(&mut pos[..n]);
+    let mut order: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
+    order[..n].sort_unstable_by_key(|&s| polyhex::key(pos[s]));
+    let mut perm = [0u8; PackedClass::MAX_ROBOTS];
+    for (slot, &s) in order[..n].iter().enumerate() {
+        perm[s] = slot as u8;
+    }
+    debug_assert_eq!(
+        PackedClass::of_cells(&pos[..n]),
+        to,
+        "edge certificate diverged from the state graph"
+    );
+    EdgeCert { perm, flags }
 }
 
 /// Lock-free observability tallies for one [`Explorer`], accumulated
@@ -1069,6 +1131,23 @@ pub(crate) struct ExploreMetrics {
     /// Peak heap bytes reserved by one whole check (class index +
     /// visited + frontier + edge pool).
     pub(crate) peak_bytes: telemetry::Gauge,
+    /// Classes [`Explorer::decide`] proved from their label, with no
+    /// search.
+    pub(crate) decided_graph_proof: telemetry::Counter,
+    /// Classes [`Explorer::decide`] refuted by a tight BFS.
+    pub(crate) decided_tight_bfs: telemetry::Counter,
+    /// Classes [`Explorer::decide`] sent to the per-class search.
+    pub(crate) decided_search: telemetry::Counter,
+    /// Classes [`Explorer::decide`] refuted as stuck at the root.
+    pub(crate) decided_stuck_root: telemetry::Counter,
+    /// States the cell walks labeled ([`Explorer::label`]).
+    pub(crate) graph_states: telemetry::Counter,
+    /// Edges the cell walks followed, counted as a search counts them.
+    pub(crate) graph_edges: telemetry::Counter,
+    /// Cyclic SCCs the cell walks decided by Phase D.
+    pub(crate) graph_products: telemetry::Counter,
+    /// Wall time in the cell walks, nanoseconds.
+    pub(crate) graph_ns: telemetry::Counter,
 }
 
 impl ExploreMetrics {
@@ -1094,6 +1173,14 @@ impl ExploreMetrics {
         s.add_counter("explore.undecided.mem_budget", self.undecided_mem_budget.get());
         s.add_counter("explore.undecided.panicked", self.undecided_panicked.get());
         s.add_counter("explore.classes", self.classes.get());
+        s.add_counter("explore.decided.graph_proof", self.decided_graph_proof.get());
+        s.add_counter("explore.decided.tight_bfs", self.decided_tight_bfs.get());
+        s.add_counter("explore.decided.search", self.decided_search.get());
+        s.add_counter("explore.decided.stuck_root", self.decided_stuck_root.get());
+        s.add_counter("explore.graph_states", self.graph_states.get());
+        s.add_counter("explore.graph_edges", self.graph_edges.get());
+        s.add_counter("explore.graph_products", self.graph_products.get());
+        s.add_counter("explore.graph_ns", self.graph_ns.get());
         s.add_histogram(self.frontier_width.read("explore.frontier_width"));
         s.add_histogram(self.arena_classes.read("explore.arena_classes"));
         s.add_histogram(self.states_per_check.read("explore.states_per_check"));
@@ -1135,6 +1222,10 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     /// their grown allocations instead of rebuilding them per class.
     /// Depth is bounded by the number of concurrent `check` calls.
     scratch: std::sync::Mutex<Vec<SearchScratch<S::Aux>>>,
+    /// The labels of the cell's state graph, grown by
+    /// [`Explorer::label`] and read by [`Explorer::decide`] (crash
+    /// semantics only; DESIGN.md §19).
+    labels: labels::CellLabels,
     /// Out-of-band observability tallies (see [`ExploreMetrics`]).
     metrics: ExploreMetrics,
 }
@@ -1232,6 +1323,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             max_robots: max_robots.max(8),
             table: ClassTable::new(),
             scratch: std::sync::Mutex::new(Vec::new()),
+            labels: labels::CellLabels::default(),
             metrics: ExploreMetrics::default(),
         }
     }
@@ -1321,14 +1413,17 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     /// [`Self::with_semantics_for_robots`]).
     #[must_use]
     pub fn check(&self, initial: &Configuration) -> ExploreReport {
-        assert!(
-            initial.len() <= self.max_robots,
-            "this explorer was built for at most {} robots (got {}); \
-             construct it with new_for_robots / with_semantics_for_robots",
-            self.max_robots,
-            initial.len()
-        );
-        assert!(initial.is_connected(), "the paper's model starts connected");
+        self.search(initial, |search| search.run(initial))
+    }
+
+    /// Runs `run` on a fresh search with a leased scratch, and reports
+    /// it: [`Self::check`]'s search, or a labeled root's tight BFS.
+    fn search<'c>(
+        &'c self,
+        initial: &Configuration,
+        run: impl FnOnce(&mut Search<'c, 'a, A, S>) -> ExploreVerdict,
+    ) -> ExploreReport {
+        self.assert_checkable(initial);
         // Lease a scratch from the pool (cleared on return, so a
         // leased buffer is always empty) instead of growing a fresh
         // one: across the ~77k classes of a sweep cell this is the
@@ -1349,7 +1444,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             deadline: self.opts.class_timeout.map(|t| std::time::Instant::now() + t),
             deadline_ticks: std::cell::Cell::new(0),
         };
-        let verdict = search.run(initial);
+        let verdict = run(&mut search);
 
         // Out-of-band bookkeeping on the finished search; none of it
         // can reach the report or any digest.
@@ -1399,6 +1494,19 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         report
     }
 
+    /// Panics unless `initial` is connected and within this explorer's
+    /// robot capacity.
+    fn assert_checkable(&self, initial: &Configuration) {
+        assert!(
+            initial.len() <= self.max_robots,
+            "this explorer was built for at most {} robots (got {}); \
+             construct it with new_for_robots / with_semantics_for_robots",
+            self.max_robots,
+            initial.len()
+        );
+        assert!(initial.is_connected(), "the paper's model starts connected");
+    }
+
     /// Index permutations induced on class `key` by its stabilizer
     /// within the equivariance subgroup (identity omitted), restricted
     /// to permutations that also fix the auxiliary key — a symmetry
@@ -1441,6 +1549,27 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
             perms.push(perm);
         }
         perms
+    }
+}
+
+impl<A: Algorithm + ?Sized, S: Semantics> Explorer<'_, A, S> {
+    /// [`Self::stabilizer_perms`] as the fixed slot arrays the Phase D
+    /// product takes as ε-edges.
+    pub(crate) fn stabilizer_slots(
+        &self,
+        key: PackedClass,
+        aux: S::Aux,
+    ) -> Vec<[u8; PackedClass::MAX_ROBOTS]> {
+        self.stabilizer_perms(key, aux)
+            .into_iter()
+            .map(|perm| {
+                let mut p = [0u8; PackedClass::MAX_ROBOTS];
+                for (i, &j) in perm.iter().enumerate() {
+                    p[i] = j as u8;
+                }
+                p
+            })
+            .collect()
     }
 }
 
@@ -1549,6 +1678,11 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// Counts one action skipped by the stabilizer reduction.
     pub(crate) fn bump_deduped(&mut self) {
         self.deduped += 1;
+    }
+
+    /// Counts `count` actions skipped by the stabilizer reduction.
+    pub(crate) fn add_deduped(&mut self, count: usize) {
+        self.deduped += count;
     }
 
     /// Occupied bytes of the search's live storage, as a **pure
@@ -1757,34 +1891,15 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// Shared scaffolding of an edge certificate
-    /// ([`Semantics::traverse`]) for the edge `from → to`: `step`
-    /// receives the source state's positions (slot-indexed), applies
-    /// the action's semantics-specific effect to them and returns the
-    /// slots that satisfy fairness; re-sorting the moved positions into
-    /// row-major order then yields the slot permutation (the identity
-    /// when no robot moved).
+    /// ([`Semantics::traverse`]) for the edge `from → to`: see
+    /// [`edge_cert`].
     pub(crate) fn traverse_roles(
         &self,
         from: usize,
         to: usize,
         step: impl FnOnce(&mut [Coord]) -> u16,
     ) -> EdgeCert {
-        let key = self.node(self.state(from).0).key;
-        let n = key.robots();
-        let mut pos = key.cells();
-        let flags = step(&mut pos[..n]);
-        let mut order: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
-        order[..n].sort_unstable_by_key(|&s| polyhex::key(pos[s]));
-        let mut perm = [0u8; PackedClass::MAX_ROBOTS];
-        for (slot, &s) in order[..n].iter().enumerate() {
-            perm[s] = slot as u8;
-        }
-        debug_assert_eq!(
-            PackedClass::of_cells(&pos[..n]),
-            self.node(self.state(to).0).key,
-            "edge certificate diverged from the state graph"
-        );
-        EdgeCert { perm, flags }
+        edge_cert(self.node(self.state(from).0).key, self.node(self.state(to).0).key, step)
     }
 
     /// Actions from the initial state to `id`, via BFS parents.
@@ -2132,7 +2247,6 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// reported undecided instead of guessed.
     fn product_fair_cycle(&self, scc: &[usize]) -> ProductOutcome {
         let n = self.info(self.scratch.states.class[scc[0]]).robots();
-        let all_roles: u16 = (1u16 << n) - 1;
         let semantics = self.explorer.semantics();
         let edges: Vec<Vec<ProductEdge>> = scc
             .iter()
@@ -2148,50 +2262,20 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                     .collect()
             })
             .collect();
-
-        // Pass 1: edge permutations only — coverage here stitches into
-        // a concrete (deduped-action-free) refutation schedule.
-        let mut product = Product::new(&edges, None, n);
-        match product.sweep(all_roles, || self.deadline_tripped()) {
-            None => return ProductOutcome::Undecided,
-            Some(true) => {
-                return self
-                    .stitch_product_cycle(scc[0], &mut product, all_roles)
-                    .map_or(ProductOutcome::Undecided, ProductOutcome::Refuted);
-            }
-            Some(false) => {}
-        }
-
-        // Pass 2: widen with stabilizer ε-edges before claiming a
-        // proof. When no SCC state has a nontrivial stabilizer the
-        // products coincide and the sweep is skipped.
-        let eps: Vec<Vec<[u8; PackedClass::MAX_ROBOTS]>> = scc
-            .iter()
-            .map(|&u| {
-                let (class, aux, _) = self.state(u);
-                self.explorer
-                    .stabilizer_perms(self.node(class).key, aux)
-                    .into_iter()
-                    .map(|perm| {
-                        let mut p = [0u8; PackedClass::MAX_ROBOTS];
-                        for (i, &j) in perm.iter().enumerate() {
-                            p[i] = j as u8;
-                        }
-                        p
-                    })
-                    .collect()
-            })
-            .collect();
-        if eps.iter().all(Vec::is_empty) {
-            return ProductOutcome::NoFairCycle;
-        }
-        match Product::new(&edges, Some(&eps), n).sweep(all_roles, || self.deadline_tripped()) {
-            Some(false) => ProductOutcome::NoFairCycle,
-            // Coverage: a fair pump exists up to symmetry, but its
-            // concrete schedule would use actions the dedup skipped —
-            // honest undecided rather than an unreplayable refutation.
-            // No answer: the product outgrew its caps.
-            Some(true) | None => ProductOutcome::Undecided,
+        let eps = || {
+            scc.iter()
+                .map(|&u| {
+                    let (class, aux, _) = self.state(u);
+                    self.explorer.stabilizer_slots(self.node(class).key, aux)
+                })
+                .collect()
+        };
+        match fair_pump(&edges, eps, n, || self.deadline_tripped()) {
+            Pump::Fair(mut product) => self
+                .stitch_product_cycle(scc[0], &mut product, (1u16 << n) - 1)
+                .map_or(ProductOutcome::Undecided, ProductOutcome::Refuted),
+            Pump::NoFairCycle => ProductOutcome::NoFairCycle,
+            Pump::Undecided => ProductOutcome::Undecided,
         }
     }
 
@@ -2223,15 +2307,70 @@ enum ProductOutcome {
     Undecided,
 }
 
+/// Phase D's decision on one cyclic SCC, before any schedule is
+/// stitched ([`fair_pump`]).
+pub(crate) enum Pump<'e> {
+    /// The product reachable from `(member 0, identity)` covers every
+    /// role without ε-edges: a fair pump exists, and the product
+    /// stitches it into a lasso.
+    Fair(Product<'e>),
+    /// No fair schedule can stay inside the SCC forever.
+    NoFairCycle,
+    /// The product outgrew its caps, `expired` fired, or coverage held
+    /// only through stabilizer relabelings.
+    Undecided,
+}
+
+/// Phase D on one cyclic SCC, given as its members' certified internal
+/// edges (`edges[i]`: member `i`'s edges to other members, in
+/// exploration order) and, built only when Pass 1 finds no coverage, the
+/// members' stabilizer slot permutations (`eps`). The per-class search
+/// and the cell walk both decide their SCCs here, on the same product.
+///
+/// Pass 1 sweeps the product over edge permutations only: coverage there
+/// stitches into a concrete (deduped-action-free) refutation schedule.
+/// Pass 2 widens it with the stabilizer ε-edges before claiming that no
+/// fair pump exists; when no member has a nontrivial stabilizer the
+/// products coincide and the sweep is skipped. Coverage only in Pass 2
+/// means a fair pump exists up to symmetry, but its concrete schedule
+/// would use actions the dedup skipped: an honest undecided rather than
+/// an unreplayable refutation.
+///
+/// The verdict does not depend on which member is `edges[0]` (DESIGN.md
+/// §19): the product reachable from another entry is a role relabeling
+/// of this one, of the same size.
+pub(crate) fn fair_pump<'e>(
+    edges: &'e [Vec<ProductEdge>],
+    eps: impl FnOnce() -> Vec<Vec<[u8; PackedClass::MAX_ROBOTS]>>,
+    n: usize,
+    expired: impl Fn() -> bool,
+) -> Pump<'e> {
+    let all_roles: u16 = (1u16 << n) - 1;
+    let mut product = Product::new(edges, None, n);
+    match product.sweep(all_roles, &expired) {
+        None => return Pump::Undecided,
+        Some(true) => return Pump::Fair(product),
+        Some(false) => {}
+    }
+    let eps = eps();
+    if eps.iter().all(Vec::is_empty) {
+        return Pump::NoFairCycle;
+    }
+    match Product::new(edges, Some(&eps), n).sweep(all_roles, expired) {
+        Some(false) => Pump::NoFairCycle,
+        Some(true) | None => Pump::Undecided,
+    }
+}
+
 /// One SCC-internal edge of the base graph, annotated with its
 /// certificate (slot-indexed at the source state).
-struct ProductEdge {
+pub(crate) struct ProductEdge {
     /// The action, packed like [`PackedEdge::action`].
-    action: u32,
-    /// Successor, as an index into the sorted SCC member list.
-    to: u32,
+    pub(crate) action: u32,
+    /// Successor, as an index into the SCC member list.
+    pub(crate) to: u32,
     /// The edge's permutation and fairness flags.
-    cert: EdgeCert,
+    pub(crate) cert: EdgeCert,
 }
 
 /// Identity slot → role assignment, nibble-packed (role `s` at slot
@@ -2281,7 +2420,7 @@ type ProductArc = (u32, u32, u16);
 /// explored graph, never on how much of the product was expanded
 /// before it, which is why stopping the sweep early leaves every
 /// stitched lasso unchanged.
-struct Product<'e> {
+pub(crate) struct Product<'e> {
     /// Certified SCC-internal edges, per SCC member.
     edges: &'e [Vec<ProductEdge>],
     /// Stabilizer slot permutations per SCC member, folded in as
@@ -2480,6 +2619,189 @@ fn collision(node: &ClassNode, mask: u16) -> engine::RoundCollision {
         .expect_err("the round table records a collision")
 }
 
+/// Where one adversary action of a crash-semantics state leads
+/// ([`CrashSemantics::actions`]). A colliding or disconnecting action is
+/// *bad*: reaching it refutes. So is an action into a stuck state, a
+/// property of the successor state itself ([`Semantics::classify`]):
+/// the search learns it when it interns the state, the cell walk when
+/// it visits it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Target {
+    /// The successor state `(class id, crash mask)`. Injection-only
+    /// actions lead to a terminal one, of their own class.
+    Succ(u32, u16),
+    /// The activation collides.
+    Collides,
+    /// The activation disconnects the swarm.
+    Disconnects,
+}
+
+impl RoundStep {
+    /// Where this step leads after the crash set `after`: crashed robots
+    /// never move, so their slot bits follow them into the successor's
+    /// order.
+    fn target(self, after: u16) -> Target {
+        match self.kind {
+            engine::RoundKind::Collides => Target::Collides,
+            engine::RoundKind::Disconnects => Target::Disconnects,
+            engine::RoundKind::Succ => {
+                let mut aux = 0u16;
+                let mut bits = after;
+                while bits != 0 {
+                    aux |= 1 << self.slot(bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+                Target::Succ(self.succ, aux)
+            }
+        }
+    }
+}
+
+impl CrashSemantics {
+    /// Every adversary action of the inner state `(class id, crashed)`,
+    /// in the one expansion order that the per-class search, the cell
+    /// walk and the tight BFS share (DESIGN.md §19): affordable crash
+    /// sets of the live robots ascending; within each, the class's
+    /// round-table steps that spare every crashed robot (the nonzero
+    /// submasks of the surviving movers, ascending), or the injection
+    /// alone when it leaves no live mover; then the stabilizer dedup,
+    /// which skips every action that is not the least of its orbit.
+    ///
+    /// `visit` sees each kept action with its [`Target`] and returns
+    /// whether to go on. Returns how many actions the dedup skipped
+    /// before the enumeration ended.
+    pub(crate) fn actions<A: Algorithm + ?Sized>(
+        &self,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        crashed: u16,
+        mut visit: impl FnMut(CrashRound, Target) -> bool,
+    ) -> usize {
+        let node = explorer.table.node(id);
+        let steps = explorer.round_steps(id);
+        let perms = if explorer.group().len() > 1 {
+            explorer.stabilizer_perms(node.key, crashed)
+        } else {
+            Vec::new()
+        };
+        let skipped =
+            |action: CrashRound| !perms.is_empty() && canonical_action(action, &perms) != action;
+        let live = ((1u16 << node.info.robots()) - 1) & !crashed;
+        let avail = u32::from(self.budget.saturating_sub(crashed.count_ones() as u8));
+        let mut deduped = 0;
+        let mut crash: u16 = 0;
+        loop {
+            let after = crashed | crash;
+            // The injection froze every remaining mover: a single
+            // injection-only action to a terminal variant of this class.
+            // `crash` is nonzero then — an inner state has a live mover.
+            let frozen = node.info.movers & !after == 0;
+            let mut next = 0;
+            loop {
+                // One call site for `visit`, so that it inlines.
+                let (action, target) = if frozen {
+                    if next > 0 {
+                        break;
+                    }
+                    next = 1;
+                    (CrashRound { crash, activate: 0 }, Target::Succ(id, after))
+                } else {
+                    let Some(&step) = steps.get(next) else { break };
+                    next += 1;
+                    if step.mask & after != 0 {
+                        continue;
+                    }
+                    let action = CrashRound { crash, activate: step.mask };
+                    (action, step.target(after))
+                };
+                if skipped(action) {
+                    deduped += 1;
+                } else if !visit(action, target) {
+                    return deduped;
+                }
+            }
+            crash = next_affordable(crash, live, avail);
+            if crash == 0 {
+                return deduped;
+            }
+        }
+    }
+
+    /// The certificate of the crash-free edge that activates `activate`
+    /// out of state `(node's class, crashed)` into class `to`: the
+    /// activated movers step, and a slot is flagged when its robot
+    /// moves, decides to stay (a free activation), or is crashed —
+    /// crashed robots are exempt from fairness, so never activating
+    /// them is legitimate.
+    pub(crate) fn cert(node: &ClassNode, crashed: u16, activate: u16, to: PackedClass) -> EdgeCert {
+        let moves = node.info.moves;
+        edge_cert(node.key, to, |pos| {
+            let mut flags = crashed;
+            for (slot, p) in pos.iter_mut().enumerate() {
+                match moves[slot] {
+                    None => flags |= 1 << slot,
+                    Some(dir) if activate & (1 << slot) != 0 => {
+                        *p = p.step(dir);
+                        flags |= 1 << slot;
+                    }
+                    Some(_) => {}
+                }
+            }
+            flags
+        })
+    }
+}
+
+impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
+    /// Takes `action` from state `id`, `rounds` rounds from the root, to
+    /// its successor `(to, aux)`: counts the edge and interns the
+    /// successor with its parent and rounds (injection-only actions keep
+    /// the round count). Returns the successor's id and whether it is
+    /// new.
+    pub(crate) fn step_to(
+        &mut self,
+        id: usize,
+        rounds: usize,
+        action: CrashRound,
+        to: u32,
+        aux: u16,
+    ) -> (usize, bool) {
+        let rounds = rounds + usize::from(action.activate != 0);
+        self.bump_edges();
+        let local = self.local_class(to);
+        let rank = self.explorer.semantics.rank(aux);
+        self.intern_slot(local, rank, aux, rounds, Some((id, action)))
+    }
+
+    /// The refutation that reaches state `id` and plays the bad `action`
+    /// to `target`: a collision, a disconnection (counted as an edge, as
+    /// the search always has) or a stuck successor, which the caller has
+    /// interned through [`Self::step_to`].
+    pub(crate) fn refute_bad(
+        &mut self,
+        id: usize,
+        action: CrashRound,
+        target: Target,
+    ) -> ExploreVerdict {
+        let (class, _, rounds) = self.state(id);
+        let outcome = match target {
+            Target::Collides => {
+                let collision = collision(self.node(class), action.activate);
+                Outcome::Collision { round: rounds, collision }
+            }
+            Target::Disconnects => {
+                self.bump_edges();
+                Outcome::Disconnected { round: rounds + 1 }
+            }
+            // Injection-only actions keep the round count.
+            Target::Succ(..) => {
+                Outcome::StuckFixpoint { rounds: rounds + usize::from(action.activate != 0) }
+            }
+        };
+        self.refute(id, action, outcome)
+    }
+}
+
 impl Semantics for CrashSemantics {
     type Aux = u16;
     type Entry = RoundStep;
@@ -2545,24 +2867,20 @@ impl Semantics for CrashSemantics {
         search: &mut Search<'_, '_, A, Self>,
         initial: &Configuration,
     ) -> usize {
-        search.set_width(usize::from(self.rank[1 << initial.len()]));
+        search.set_width(self.width(initial.len()));
         let id = search.explorer().class_id(initial.canonical_key());
         let class = search.local_class(id);
         search.intern_slot(class, 0, 0, 0, None).0
     }
 
-    /// Expands every adversary action of inner state `id` in the exact
-    /// historical order: affordable crash submasks of the live robots
-    /// ascending, and within each injection the class's round-table
-    /// entries that spare every crashed robot — the nonzero submasks of
-    /// the surviving movers, ascending — or the injection alone, when
-    /// it leaves no live mover. Returns a refutation as soon as a bad
-    /// terminal is reached.
+    /// Expands every adversary action of inner state `id`, in the order
+    /// `CrashSemantics::actions` enumerates them, and returns a
+    /// refutation as soon as a bad action is reached.
     ///
     /// Each edge is read from the class table: a successor is its class
-    /// id plus the slot map that carries the crash mask over, and its
-    /// local state sits at `(local class, mask rank)` in the search's
-    /// dense index — no hash, lock or reference count per edge.
+    /// id plus the crash mask carried over, and its local state sits at
+    /// `(local class, mask rank)` in the search's dense index — no hash,
+    /// lock or reference count per edge.
     fn expand<A: Algorithm + ?Sized>(
         &self,
         search: &mut Search<'_, '_, A, Self>,
@@ -2571,103 +2889,31 @@ impl Semantics for CrashSemantics {
     ) -> Option<ExploreVerdict> {
         let (class, crashed, rounds) = search.state(id);
         let explorer = search.explorer();
-        let node = search.node(class);
-        let steps = explorer.round_steps(search.table_id(class));
-        let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(node.key, crashed)
-        } else {
-            Vec::new()
-        };
-        let deduped =
-            |action: CrashRound| !perms.is_empty() && canonical_action(action, &perms) != action;
-        let live = ((1u16 << node.info.robots()) - 1) & !crashed;
-        let avail = u32::from(self.budget.saturating_sub(crashed.count_ones() as u8));
-        let mut crash: u16 = 0;
-        loop {
-            let after = crashed | crash;
-            if node.info.movers & !after == 0 {
-                // The injection froze every remaining mover: a single
-                // injection-only action to a terminal variant of this
-                // class, at the same round count. `crash` is nonzero
-                // here — an inner state has a live mover.
-                let action = CrashRound { crash, activate: 0 };
-                if deduped(action) {
-                    search.bump_deduped();
-                } else {
-                    search.bump_edges();
-                    let (succ, new) = search.intern_slot(
-                        class,
-                        self.rank(after),
-                        after,
-                        rounds,
-                        Some((id, action)),
-                    );
-                    if new && search.node_kind(succ) == NodeKind::Stuck {
-                        return Some(search.refute(id, action, Outcome::StuckFixpoint { rounds }));
-                    }
-                    search.push_edge(id, action, succ);
-                    if let Some(verdict) = search.edge_polls() {
-                        return Some(verdict);
-                    }
-                }
-            } else {
-                for &step in steps.iter().filter(|step| step.mask & after == 0) {
-                    let action = CrashRound { crash, activate: step.mask };
-                    if deduped(action) {
-                        search.bump_deduped();
-                        continue;
-                    }
-                    match step.kind {
-                        engine::RoundKind::Collides => {
-                            let collision = collision(node, step.mask);
-                            let outcome = Outcome::Collision { round: rounds, collision };
-                            return Some(search.refute(id, action, outcome));
-                        }
-                        engine::RoundKind::Disconnects => {
-                            search.bump_edges();
-                            let outcome = Outcome::Disconnected { round: rounds + 1 };
-                            return Some(search.refute(id, action, outcome));
-                        }
-                        engine::RoundKind::Succ => {
-                            // Crashed robots never move; their slot bits
-                            // follow them into the successor's order.
-                            let mut aux = 0u16;
-                            let mut bits = after;
-                            while bits != 0 {
-                                aux |= 1 << step.slot(bits.trailing_zeros() as usize);
-                                bits &= bits - 1;
-                            }
-                            search.bump_edges();
-                            let to = search.local_class(step.succ);
-                            let parent = Some((id, action));
-                            let (succ, new) =
-                                search.intern_slot(to, self.rank(aux), aux, rounds + 1, parent);
-                            if new {
-                                if search.node_kind(succ) == NodeKind::Stuck {
-                                    let outcome = Outcome::StuckFixpoint { rounds: rounds + 1 };
-                                    return Some(search.refute(id, action, outcome));
-                                }
-                                queue.push(succ as u32);
-                            }
-                            search.push_edge(id, action, succ);
-                            if let Some(verdict) = search.edge_polls() {
-                                return Some(verdict);
-                            }
-                        }
-                    }
-                }
+        let mut verdict = None;
+        let deduped = self.actions(explorer, search.table_id(class), crashed, |action, target| {
+            let Target::Succ(to, aux) = target else {
+                verdict = Some(search.refute_bad(id, action, target));
+                return false;
+            };
+            let (succ, new) = search.step_to(id, rounds, action, to, aux);
+            // A search meets a stuck state only as a new one, and stops.
+            if new && search.node_kind(succ) == NodeKind::Stuck {
+                verdict = Some(search.refute_bad(id, action, target));
+                return false;
             }
-            crash = next_affordable(crash, live, avail);
-            if crash == 0 {
-                return None;
+            // An injection-only successor is terminal: never queued.
+            if new && action.activate != 0 {
+                queue.push(succ as u32);
             }
-        }
+            search.push_edge(id, action, succ);
+            verdict = search.edge_polls();
+            verdict.is_none()
+        });
+        search.add_deduped(deduped);
+        verdict
     }
 
-    /// Certifies one edge: the activated movers step, and a slot is
-    /// flagged when its robot moves, decides to stay (a free
-    /// activation), or is crashed — crashed robots are exempt from
-    /// fairness, so never activating them is legitimate.
+    /// Certifies one edge through `CrashSemantics::cert`.
     fn traverse<A: Algorithm + ?Sized>(
         &self,
         search: &Search<'_, '_, A, Self>,
@@ -2677,21 +2923,8 @@ impl Semantics for CrashSemantics {
     ) -> EdgeCert {
         debug_assert_eq!(action.crash, 0, "cycles never cross a crash level");
         let (class, crashed, _) = search.state(from);
-        let moves = search.info(class).moves;
-        search.traverse_roles(from, to, |pos| {
-            let mut flags = crashed;
-            for (slot, p) in pos.iter_mut().enumerate() {
-                match moves[slot] {
-                    None => flags |= 1 << slot,
-                    Some(dir) if action.activate & (1 << slot) != 0 => {
-                        *p = p.step(dir);
-                        flags |= 1 << slot;
-                    }
-                    Some(_) => {}
-                }
-            }
-            flags
-        })
+        let to = search.node(search.state(to).0).key;
+        Self::cert(search.node(class), crashed, action.activate, to)
     }
 }
 
@@ -2891,6 +3124,75 @@ mod tests {
             member = edge.to;
         }
         assert_eq!((member, assign, served), (0, identity_assign(3), all));
+    }
+
+    /// `edges` and `eps` re-indexed so that member `entry` comes first.
+    fn rotate(
+        edges: &[Vec<ProductEdge>],
+        eps: &[Vec<[u8; PackedClass::MAX_ROBOTS]>],
+        entry: usize,
+    ) -> (Vec<Vec<ProductEdge>>, Vec<Vec<[u8; PackedClass::MAX_ROBOTS]>>) {
+        let m = edges.len();
+        let old = |new: usize| (new + entry) % m;
+        let edges = (0..m)
+            .map(|i| {
+                let to = |t: u32| ((t as usize + m - entry) % m) as u32;
+                edges[old(i)]
+                    .iter()
+                    .map(|e| ProductEdge { action: e.action, to: to(e.to), cert: e.cert })
+                    .collect()
+            })
+            .collect();
+        (edges, (0..m).map(|i| eps[old(i)].clone()).collect())
+    }
+
+    #[test]
+    fn phase_d_verdicts_do_not_depend_on_the_entry_member() {
+        // The product reachable from another entry is a role relabeling
+        // of the one from member 0, of the same size: the sweep's verdict
+        // and, when it exhausts the product, the product's size agree
+        // from every entry, with and without ε-edges.
+        let swap02 = {
+            let mut p = [0u8; PackedClass::MAX_ROBOTS];
+            p[..3].copy_from_slice(&[2, 1, 0]);
+            p
+        };
+        let cases = [
+            (
+                scc_edges(&[
+                    &[(1, [1, 0, 2], 0b001)],
+                    &[(2, [0, 1, 2], 0), (0, [0, 1, 2], 0b010)],
+                    &[(0, [0, 2, 1], 0b100)],
+                ]),
+                vec![Vec::new(), vec![swap02], Vec::new()],
+            ),
+            // Robot 2 is never served, unless a stabilizer relabels it
+            // into slot 0.
+            (
+                scc_edges(&[&[(1, [0, 1, 2], 0b001)], &[(0, [0, 1, 2], 0b010)]]),
+                vec![vec![swap02], Vec::new()],
+            ),
+        ];
+        for (edges, eps) in &cases {
+            for all in [0b111, 0b011, u16::MAX] {
+                for with_eps in [false, true] {
+                    let sweep = |edges: &[Vec<ProductEdge>], eps: &[Vec<_>]| {
+                        let mut product = Product::new(edges, with_eps.then_some(eps), 3);
+                        let verdict = product.sweep(all, || false);
+                        (verdict, (verdict == Some(false)).then_some(product.nodes.len()))
+                    };
+                    let base = sweep(edges, eps);
+                    for entry in 1..edges.len() {
+                        let (edges, eps) = rotate(edges, eps, entry);
+                        assert_eq!(sweep(&edges, &eps), base, "entry {entry}, roles {all:#b}");
+                    }
+                }
+            }
+        }
+        // The second SCC covers every role only through its ε-edge.
+        let (edges, eps) = &cases[1];
+        assert_eq!(Product::new(edges, None, 3).sweep(0b111, || false), Some(false));
+        assert_eq!(Product::new(edges, Some(eps), 3).sweep(0b111, || false), Some(true));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! packing is verdict-transparent. The soundness argument is DESIGN.md
 //! §10.
 
-use crate::adversary::Fnv64;
+use crate::adversary::{AdversaryOptions, Fnv64};
 use crate::engine::{self, Execution, Limits, Outcome};
 use crate::explore::{ExploreOptions, Explorer};
 use crate::sched::{CrashRound, CrashSchedule};
@@ -66,6 +66,40 @@ impl CrashOptions {
     #[must_use]
     pub fn new(crashes: u8, _depth: usize) -> Self {
         CrashOptions { crashes, explore: ExploreOptions::crash() }
+    }
+
+    /// Options for budget `f` over an `n`-robot space. For n ≤ 7 these
+    /// are exactly [`CrashOptions::new`]'s (65,536 states, 16M edges),
+    /// the budgets the n ≤ 7 goldens were pinned under. Wider spaces
+    /// raise the caps to cover the cell's whole crash state space, so
+    /// that neither a search nor the cell's labeled graph (DESIGN.md
+    /// §19) can trip them:
+    ///
+    /// * a crash search never leaves the connected `n`-robot classes
+    ///   (collisions and disconnections refute at once, and moves keep
+    ///   the robot count), and [`AdversaryOptions::for_robots`]'s class
+    ///   cap covers them (32,768 at n = 8; 16,689 are connected);
+    /// * a class has at most R(n, f) = Σ_{k ≤ f} C(n, k) states, one per
+    ///   crash mask the budget affords;
+    /// * a state has at most R(n, f) × 2^n actions: an affordable crash
+    ///   set, then an activation subset.
+    ///
+    /// At n = 8, f = 1 that is 294,912 states and 679M edges.
+    #[must_use]
+    pub fn for_robots(crashes: u8, n: usize) -> Self {
+        if n <= 7 {
+            return CrashOptions::new(crashes, 0);
+        }
+        let mut masks = 0usize;
+        let mut choose = 1usize; // C(n, k)
+        for k in 0..=usize::from(crashes).min(n) {
+            masks += choose;
+            choose = choose * (n - k) / (k + 1);
+        }
+        let max_states = AdversaryOptions::for_robots(n).max_classes * masks;
+        let max_edges = max_states.saturating_mul(masks << n);
+        let explore = ExploreOptions { max_states, max_edges, ..ExploreOptions::crash() };
+        CrashOptions { crashes, explore }
     }
 }
 
@@ -252,6 +286,33 @@ impl<'a, A: Algorithm + ?Sized> CrashChecker<'a, A> {
         self.explorer.check(initial)
     }
 
+    /// Builds the class data a walk from `initial` reads first (see
+    /// [`Explorer::prepare`]); safe to run from a pool.
+    pub fn prepare(&self, initial: &Configuration) {
+        self.explorer.prepare(initial);
+    }
+
+    /// Labels the cell's state graph from `roots` (see
+    /// [`Explorer::label`]), so that [`decide`](CrashChecker::decide)
+    /// can settle them without a search.
+    pub fn label<C: std::borrow::Borrow<Configuration>>(
+        &mut self,
+        roots: impl IntoIterator<Item = C>,
+    ) {
+        self.explorer.label(roots);
+    }
+
+    /// Classifies `initial` exactly as [`check`](CrashChecker::check)
+    /// does, from its label where one applies (see
+    /// [`Explorer::decide`]).
+    ///
+    /// # Panics
+    /// As [`check`](CrashChecker::check).
+    #[must_use]
+    pub fn decide(&self, initial: &Configuration) -> CrashReport {
+        self.explorer.decide(initial)
+    }
+
     /// Like [`check`](CrashChecker::check), but returns a typed
     /// [`CapacityError`] instead of panicking when `initial` holds
     /// more robots than the checker was built for.
@@ -412,6 +473,16 @@ mod tests {
 
     fn cfg(cells: &[(i32, i32)]) -> Configuration {
         Configuration::new(cells.iter().map(|&(x, y)| Coord::new(x, y)))
+    }
+
+    #[test]
+    fn crash_caps_cover_the_whole_crash_space_from_eight_robots() {
+        let small = CrashOptions::for_robots(2, 7).explore;
+        assert_eq!((small.max_states, small.max_edges), (65_536, 16_000_000));
+        let n8 = CrashOptions::for_robots(1, 8).explore;
+        assert_eq!((n8.max_states, n8.max_edges), ((1 << 15) * 9, (1 << 15) * 9 * 9 * 256));
+        let n9 = CrashOptions::for_robots(2, 9).explore;
+        assert_eq!(n9.max_states, (1 << 18) * 46, "R(9, 2) = 1 + 9 + 36");
     }
 
     #[test]

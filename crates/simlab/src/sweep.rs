@@ -847,9 +847,12 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
                     Checker::for_robots(algo, AdversaryOptions::for_robots(robots), capacity);
                 Some(CellChecker::Adversary(checker))
             }
-            SchedSpec::Crash { f, depth } => {
-                let checker = CrashChecker::for_robots(algo, CrashOptions::new(f, depth), capacity);
-                Some(CellChecker::Crash(checker))
+            SchedSpec::Crash { f, .. } => {
+                // As for the adversary: from n = 8 the caps cover the
+                // whole crash state space, so the cell's labeled graph
+                // fits them.
+                let opts = CrashOptions::for_robots(f, robots);
+                Some(CellChecker::Crash(CrashChecker::for_robots(algo, opts, capacity)))
             }
             SchedSpec::LcmAsync { depth } => {
                 let checker = AsyncChecker::for_robots(algo, AsyncOptions::new(depth), capacity);
@@ -859,13 +862,33 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
         }
     }
 
+    /// Labels the cell's state graph from the roots `classes` (adversary
+    /// and crash cells; DESIGN.md §19). The roots' class data is built
+    /// through the pool first: the walk itself is sequential, and those
+    /// tables are most of its cost.
+    fn label(&mut self, classes: &[Vec<Coord>], threads: usize) {
+        let root = |cells: &Vec<Coord>| Configuration::new(cells.iter().copied());
+        match self {
+            CellChecker::Adversary(c) => {
+                parallel::par_map(classes, threads, |cells| c.prepare(&root(cells)));
+                c.label(classes.iter().map(root));
+            }
+            CellChecker::Crash(c) => {
+                parallel::par_map(classes, threads, |cells| c.prepare(&root(cells)));
+                c.label(classes.iter().map(root));
+            }
+            CellChecker::Async(_) => {}
+        }
+    }
+
     /// Checks one class: its row carries the verdict in the cell's
     /// column and, as `expanded`, the classes (adversary) or states
-    /// (crash, lcm-async) the search explored.
+    /// (crash, lcm-async) its search explored — for a class decided from
+    /// the cell's labels, the tight BFS's states, or 0 for a proof.
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
         match self {
             CellChecker::Adversary(c) => {
-                let report = c.check(initial);
+                let report = c.decide(initial);
                 let outcome = outcome_of_verdict(&report.verdict, limits);
                 ClassOutcome {
                     verdict: Some(report.verdict),
@@ -873,7 +896,7 @@ impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
                 }
             }
             CellChecker::Crash(c) => {
-                let report = c.check(initial);
+                let report = c.decide(initial);
                 let outcome = outcome_of_crash_verdict(&report.verdict, limits);
                 ClassOutcome { crash: Some(report.verdict), ..row(index, outcome, report.states) }
             }
@@ -957,8 +980,9 @@ pub fn run_class<A: Algorithm + ?Sized>(
 
 /// Default classes-per-chunk between journal checkpoints (and cell
 /// deadline polls) while a shard computes. Small enough that a kill
-/// loses under a minute of n=8 work, large enough that journal appends
-/// are noise next to the checking itself.
+/// loses one chunk — milliseconds of work in the n = 8 and n = 9 cells,
+/// whose classes check in tens of microseconds on average — and large
+/// enough that journal appends are noise next to the checking itself.
 pub const DEFAULT_JOURNAL_CHUNK: usize = 64;
 
 /// FNV-1a over a byte string, via the same hasher the verdict digests
@@ -1278,7 +1302,7 @@ fn run_shard_inner(
     classes: &[Vec<Coord>],
     cfg: &SweepConfig,
     algo: &SevenGather,
-    checker: Option<&CellChecker<'_, SevenGather>>,
+    mut checker: Option<&mut CellChecker<'_, SevenGather>>,
     shard: usize,
     start: usize,
     end: usize,
@@ -1289,7 +1313,20 @@ fn run_shard_inner(
     let limits = cfg.effective_limits();
     // The checker's telemetry is cumulative over the cell, so the
     // shard's reading is the delta from here.
-    let metrics_before = checker.map(CellChecker::metrics_snapshot).unwrap_or_default();
+    let metrics_before = checker.as_deref().map(CellChecker::metrics_snapshot).unwrap_or_default();
+    let watch = telemetry::Stopwatch::started();
+    // Telemetry bracketing: the pool totals are process-global, so the
+    // before/after delta attributes stealing activity to this shard
+    // (approximately, if other pool calls run concurrently — metrics
+    // are observability, not accounting).
+    let pool_before = parallel::stealing::pool_stats();
+    // The cell's labels grow with the roots this shard still has to
+    // check, before its first chunk (DESIGN.md §19).
+    let resumed = prior.results.len();
+    if let Some(checker) = checker.as_deref_mut() {
+        checker.label(&classes[start + resumed..end], cfg.threads);
+    }
+    let checker = checker.as_deref();
     let run_one = |offset: usize, cells: &Vec<Coord>| {
         let index = start + offset;
         // Per-class panic isolation: the unwind is caught here, before
@@ -1319,12 +1356,6 @@ fn run_shard_inner(
             }
         }
     };
-    // Telemetry bracketing: the pool totals are process-global, so the
-    // before/after delta attributes stealing activity to this shard
-    // (approximately, if other pool calls run concurrently — metrics
-    // are observability, not accounting).
-    let pool_before = parallel::stealing::pool_stats();
-    let watch = telemetry::Stopwatch::started();
     let mut results = prior.results;
     if !results.is_empty() {
         eprintln!("  shard {shard}: journal resumes {} of {} classes", results.len(), end - start);
@@ -1407,12 +1438,12 @@ pub fn run_shard(
     end: usize,
 ) -> ShardRecord {
     let algo = cfg.algo.build();
-    let checker = CellChecker::for_cell(&algo, cfg);
+    let mut checker = CellChecker::for_cell(&algo, cfg);
     match run_shard_inner(
         classes,
         cfg,
         &algo,
-        checker.as_ref(),
+        checker.as_mut(),
         shard,
         start,
         end,
@@ -1802,7 +1833,7 @@ pub fn run_sweep_with(
     // One algorithm and one checker for the whole cell: every shard's
     // searches share its class table.
     let algo = cfg.algo.build();
-    let checker = CellChecker::for_cell(&algo, cfg);
+    let mut checker = CellChecker::for_cell(&algo, cfg);
     let deadline = cfg.cell_deadline_secs.map(|s| Instant::now() + Duration::from_secs(s));
 
     let mut records = Vec::with_capacity(ranges.len());
@@ -1838,7 +1869,7 @@ pub fn run_sweep_with(
                     &classes,
                     cfg,
                     &algo,
-                    checker.as_ref(),
+                    checker.as_mut(),
                     shard,
                     start,
                     end,
