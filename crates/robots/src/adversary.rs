@@ -35,16 +35,16 @@
 //! activate no mover are self-loops; a *fair* schedule (every robot
 //! performs infinitely many cycles) cannot take them forever, so they
 //! are excluded. Reaching a collision, a disconnection or a stuck
-//! fixpoint refutes outright. If the reachable graph — quotiented by
-//! the algorithm's symmetry group, see below — is acyclic, every fair
-//! schedule reaches a terminal, and all terminals are gathered: proof.
-//! Otherwise the checker decides whether some cycle can be pumped
-//! *fairly*. Each edge inside a strongly connected component moves
-//! robots between row-major slots and serves some of them: they move,
-//! or are observed deciding to stay (such a robot can be activated for
-//! free). A product automaton that tracks which robot sits in which
-//! slot either finds a closed walk serving every robot — a lasso
-//! refutation — or proves none exists (Phase D, DESIGN.md §15).
+//! fixpoint refutes outright. If the explored graph is acyclic, every
+//! fair schedule reaches a terminal — the symmetry reduction below maps
+//! every execution onto a walk of that graph — and all terminals are
+//! gathered: proof. Otherwise the checker decides whether some cycle
+//! can be pumped *fairly*. Each edge inside a strongly connected
+//! component moves robots between row-major slots and serves some of
+//! them: they move, or are observed deciding to stay (such a robot can
+//! be activated for free). A product automaton that tracks which robot
+//! sits in which slot either finds a closed walk serving every robot —
+//! a lasso refutation — or proves none exists (Phase D, DESIGN.md §15).
 //!
 //! # Symmetry reduction
 //!

@@ -420,10 +420,6 @@ impl Semantics for AsyncSemantics {
         PackedPending::IDLE
     }
 
-    fn aux_bits(aux: PackedPending) -> u32 {
-        aux.bits()
-    }
-
     fn permute_aux(
         aux: PackedPending,
         n: usize,

@@ -1,7 +1,6 @@
 //! Robot configurations: anonymous sets of occupied nodes.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use trigrid::{path, Coord, Dir, ORIGIN};
 
@@ -359,12 +358,6 @@ impl Configuration {
     #[must_use]
     pub fn contains(&self, c: Coord) -> bool {
         self.nodes.binary_search_by_key(&polyhex::key(c), |n| polyhex::key(*n)).is_ok()
-    }
-
-    /// The occupied nodes as a hash set.
-    #[must_use]
-    pub fn to_set(&self) -> HashSet<Coord> {
-        self.nodes.iter().copied().collect()
     }
 
     /// Whether the subgraph induced by the robot nodes is connected

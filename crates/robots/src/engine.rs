@@ -273,14 +273,6 @@ pub struct RoundResult {
     pub moved: Vec<Move>,
 }
 
-impl RoundResult {
-    /// Whether any robot moved this round.
-    #[must_use]
-    pub fn progressed(&self) -> bool {
-        !self.moved.is_empty()
-    }
-}
-
 /// Validates and applies a full vector of per-robot move decisions
 /// (aligned with `config.positions()`). This is the **single**
 /// implementation of the paper's round semantics: the FSYNC runner, the

@@ -18,16 +18,16 @@
 //! The search machinery is shared by every semantics:
 //!
 //! * Phase A — BFS to the first bad terminal (a minimal refutation);
-//! * Phase B — packed quotient acyclicity (a proof);
 //! * Phase D — the complete fair-cycle decision on a role-tracking
 //!   product automaton per cyclic SCC (a stitched lasso refutation or
-//!   a proof, DESIGN.md §15);
+//!   a proof, DESIGN.md §15); a graph with no cyclic SCC is a proof
+//!   outright;
 //!
 //! plus stabilizer-subset dedup throughout. Only expansion, terminal
 //! classification and the per-edge fairness certificate
-//! ([`Semantics::traverse`]) are instantiation-specific. (There is no
-//! Phase C: the letters match the telemetry counters
-//! `explore.phase_{a,b,d}_ns`.)
+//! ([`Semantics::traverse`]) are instantiation-specific. (The letters
+//! skip B and C to match the telemetry counters
+//! `explore.phase_{a,d}_ns`.)
 //!
 //! The SSYNC adversary checker is the crash semantics with budget **0**
 //! and goal `Configuration::is_gathered` — every crash branch below is
@@ -38,11 +38,11 @@
 //! ([`crate::async_model`]) swaps in single-robot phase-advance actions
 //! over pending-move auxiliary state.
 //!
-//! Soundness of the exploration (acyclicity ⇒ proof, fair cycle ⇒
-//! refutation, stabilizer dedup) is argued in DESIGN.md §7 for the
-//! fault-free system, extended to crash faults in DESIGN.md §10 and to
-//! the ASYNC discretisation in DESIGN.md §13; the key facts used here
-//! for the crash semantics are:
+//! Soundness of the exploration (no bad terminal and no fair cycle ⇒
+//! proof, fair cycle ⇒ refutation, stabilizer dedup) is argued in
+//! DESIGN.md §7 for the fault-free system, extended to crash faults in
+//! DESIGN.md §10 and to the ASYNC discretisation in DESIGN.md §13; the
+//! key facts used here for the crash semantics are:
 //!
 //! * crash injections strictly grow the crash mask, so no cycle of the
 //!   state graph contains one — no SCC-internal edge, and hence no
@@ -87,8 +87,7 @@
 //! and ASYNC golden files pin byte-identical output. A search runs on
 //! the thread that called [`Explorer::check`]; the only parallelism is
 //! the caller's, across classes, sharing one explorer. The per-state
-//! aux ([`Semantics::Aux`]) is a `Copy` bit-packed value whose raw bits
-//! fold into the quotient orbit keys.
+//! aux ([`Semantics::Aux`]) is a `Copy` bit-packed value.
 //!
 //! # One labeled graph per cell
 //!
@@ -110,7 +109,7 @@ use crate::sched::CrashRound;
 use crate::visited::{FlatKeyIndex, PackedKeyMap};
 use crate::{view, Algorithm, Configuration, View};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use trigrid::transform::PointSymmetry;
 use trigrid::{Coord, Dir, ORIGIN};
 
@@ -627,11 +626,6 @@ pub trait Semantics: Sync + Sized {
     /// robot idle).
     fn root_aux(&self) -> Self::Aux;
 
-    /// The raw bits of an aux key, folded into packed quotient orbit
-    /// keys. Must be injective and monotone in the key's identity —
-    /// i.e. a plain re-encoding of `Aux`'s `Eq`.
-    fn aux_bits(aux: Self::Aux) -> u32;
-
     /// The image of `aux` under the point symmetry `sym`, whose induced
     /// slot permutation sends old slot `i` to new slot `map(i)`, for
     /// `n` robots. Semantics whose aux carries directions (the ASYNC
@@ -995,7 +989,7 @@ impl<Aux> SearchScratch<Aux> {
 
 /// One expanded edge in 8 bytes: the action packed as
 /// `crash << 16 | activate` plus the successor's dense state id. The
-/// graph phases (quotient acyclicity, Tarjan, the product decision)
+/// graph phases (Tarjan, the product decision)
 /// walk millions of these, so halving the former
 /// `(CrashRound, usize)` layout directly halves the resident graph.
 #[derive(Clone, Copy)]
@@ -1090,8 +1084,6 @@ pub(crate) struct ExploreMetrics {
     pub(crate) budget_edges_pct: telemetry::Histogram,
     /// Wall time in Phase A (BFS expansion), nanoseconds.
     pub(crate) phase_a_ns: telemetry::Counter,
-    /// Wall time in Phase B (quotient acyclicity), nanoseconds.
-    pub(crate) phase_b_ns: telemetry::Counter,
     /// Wall time in Phase D (fair-product decision), nanoseconds.
     pub(crate) phase_d_ns: telemetry::Counter,
     /// Checks that ended in [`ExploreVerdict::Proof`].
@@ -1161,7 +1153,6 @@ impl ExploreMetrics {
         s.add_counter("explore.deduped", self.deduped.get());
         s.add_counter("explore.levels", self.levels.get());
         s.add_counter("explore.phase_a_ns", self.phase_a_ns.get());
-        s.add_counter("explore.phase_b_ns", self.phase_b_ns.get());
         s.add_counter("explore.phase_d_ns", self.phase_d_ns.get());
         s.add_counter("explore.verdict.proof", self.verdict_proof.get());
         s.add_counter("explore.verdict.refuted", self.verdict_refuted.get());
@@ -1342,12 +1333,6 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     #[must_use]
     pub fn group(&self) -> &[PointSymmetry] {
         &self.group
-    }
-
-    /// The largest robot count this explorer accepts.
-    #[must_use]
-    pub fn max_robots(&self) -> usize {
-        self.max_robots
     }
 
     /// Arms (or clears) the cooperative per-class wall-clock deadline
@@ -1976,155 +1961,16 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             return verdict;
         }
 
-        // Phase B: no bad terminal is reachable. If the graph —
-        // quotiented by the equivariance subgroup — is acyclic, every
-        // fair schedule terminates, and all terminals are goals: proof.
-        let watch = telemetry::Stopwatch::started();
-        let acyclic = self.quotient_is_acyclic();
-        watch.flush(&metrics.phase_b_ns);
-        if acyclic {
-            return ExploreVerdict::Proof;
-        }
-        if self.deadline_passed_now() {
-            return self.timeout_undecided();
-        }
-
-        // Phase D: decide fair pumps exactly on the role-tracking
-        // product automaton — a proof or a stitched refutation lasso,
-        // undecided only if the product itself overflows its cap
-        // (DESIGN.md §15).
+        // Phase D: no bad terminal is reachable, so only a fair cycle
+        // can refute. Decide fair pumps exactly on the role-tracking
+        // product automaton of each cyclic SCC — a proof or a stitched
+        // refutation lasso, undecided only if the product itself
+        // overflows its cap (DESIGN.md §15). An acyclic graph has no
+        // cyclic SCC and is a proof outright (DESIGN.md §7).
         let watch = telemetry::Stopwatch::started();
         let verdict = self.decide_fair_product();
         watch.flush(&metrics.phase_d_ns);
         verdict
-    }
-
-    /// Whether the state graph, with nodes identified up to the
-    /// algorithm's equivariance subgroup, is acyclic. The quotient is
-    /// what must be checked: a subtree skipped by the stabilizer
-    /// reduction is isomorphic to an explored one, so cycles in the
-    /// full graph correspond exactly to closed walks in the quotient.
-    ///
-    /// Orbit keys are packed: each symmetry image is transformed,
-    /// sorted and folded into a `(u128, u32)` pair on the stack — the
-    /// class bits plus the permuted aux bits — and the orbit minimum of
-    /// those pairs names the quotient node. Packing is injective, so
-    /// the orbit partition is exactly the one unpacked
-    /// `(Vec<Coord>, aux)` keys would induce — only the (free) choice
-    /// of representative changed, which cannot affect whether the
-    /// quotient graph has a cycle.
-    fn quotient_is_acyclic(&self) -> bool {
-        if self.explorer.group.len() == 1 {
-            // Identity-only group: the orbit key of a state is the
-            // state itself, so the quotient *is* the explored graph —
-            // run the cycle DFS directly on it, skipping the per-state
-            // orbit packing and the quotient interning entirely.
-            return self.state_graph_acyclic();
-        }
-        let mut qid_of_key: HashMap<(u128, u32), usize> = HashMap::new();
-        let mut qid: Vec<usize> = Vec::with_capacity(self.scratch.states.len());
-        for i in 0..self.scratch.states.len() {
-            let (s_class, s_aux) = (self.scratch.states.class[i], self.scratch.states.aux[i]);
-            let key = self.node(s_class).key;
-            let cells = key.cells();
-            let positions = &cells[..key.robots()];
-            let n = positions.len();
-            let key = self
-                .explorer
-                .group
-                .iter()
-                .map(|sym| {
-                    let mut mapped = [ORIGIN; PackedClass::MAX_ROBOTS];
-                    for (m, &p) in mapped[..n].iter_mut().zip(positions) {
-                        *m = sym.apply(p);
-                    }
-                    // Sort slot indices by the row-major order of the
-                    // images: slot `k` of the transformed canonical
-                    // form holds the robot from original slot `idx[k]`.
-                    let mut idx: [usize; PackedClass::MAX_ROBOTS] = std::array::from_fn(|i| i);
-                    idx[..n].sort_unstable_by_key(|&i| polyhex::key(mapped[i]));
-                    let delta = mapped[idx[0]];
-                    let mut cells = [ORIGIN; PackedClass::MAX_ROBOTS];
-                    let mut inv = [0usize; PackedClass::MAX_ROBOTS];
-                    for k in 0..n {
-                        cells[k] = mapped[idx[k]] - delta;
-                        inv[idx[k]] = k;
-                    }
-                    let aux = S::permute_aux(s_aux, n, |i| inv[i], *sym);
-                    (PackedClass::of_sorted(&cells[..n]).bits(), S::aux_bits(aux))
-                })
-                .min()
-                .expect("the group contains the identity");
-            let next = qid_of_key.len();
-            qid.push(*qid_of_key.entry(key).or_insert(next));
-        }
-        let nq = qid_of_key.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nq];
-        for i in 0..self.scratch.states.len() {
-            for e in self.edges_of(i) {
-                adj[qid[i]].push(qid[e.to as usize]);
-            }
-        }
-        // Iterative three-colour DFS.
-        let mut colour = vec![0u8; nq]; // 0 white, 1 grey, 2 black
-        for start in 0..nq {
-            if colour[start] != 0 {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = 1;
-            while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                if *next < adj[node].len() {
-                    let to = adj[node][*next];
-                    *next += 1;
-                    match colour[to] {
-                        0 => {
-                            colour[to] = 1;
-                            stack.push((to, 0));
-                        }
-                        1 => return false, // back edge: cycle
-                        _ => {}
-                    }
-                } else {
-                    colour[node] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        true
-    }
-
-    /// Three-colour cycle DFS straight over the explored state graph —
-    /// the identity-group specialization of [`Self::quotient_is_acyclic`].
-    fn state_graph_acyclic(&self) -> bool {
-        let n = self.scratch.states.len();
-        let mut colour = vec![0u8; n]; // 0 white, 1 grey, 2 black
-        for start in 0..n {
-            if colour[start] != 0 {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            colour[start] = 1;
-            while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-                let es = self.edges_of(node);
-                if *next < es.len() {
-                    let to = es[*next].to as usize;
-                    *next += 1;
-                    match colour[to] {
-                        0 => {
-                            colour[to] = 1;
-                            stack.push((to, 0));
-                        }
-                        1 => return false, // back edge: cycle
-                        _ => {}
-                    }
-                } else {
-                    colour[node] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        true
     }
 
     /// The strongly connected components that contain a cycle — more
@@ -2810,10 +2656,6 @@ impl Semantics for CrashSemantics {
         0
     }
 
-    fn aux_bits(aux: u16) -> u32 {
-        u32::from(aux)
-    }
-
     fn permute_aux(aux: u16, _n: usize, map: impl Fn(usize) -> usize, _sym: PointSymmetry) -> u16 {
         let mut mapped = 0u16;
         for i in 0..MASK_ROBOTS {
@@ -3210,6 +3052,5 @@ mod tests {
         // irrelevant to a direction-free mask.
         let mapped = CrashSemantics::permute_aux(0b011, 3, |i| (i + 1) % 3, PointSymmetry::Rot(2));
         assert_eq!(mapped, 0b110);
-        assert_eq!(CrashSemantics::aux_bits(0b110), 0b110u32);
     }
 }

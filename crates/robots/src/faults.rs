@@ -38,7 +38,7 @@ use crate::adversary::{AdversaryOptions, Fnv64};
 use crate::engine::{self, Execution, Limits, Outcome};
 use crate::explore::{ExploreOptions, Explorer};
 use crate::sched::{CrashRound, CrashSchedule};
-use crate::{Algorithm, CapacityError, Configuration};
+use crate::{Algorithm, Configuration};
 use trigrid::transform::PointSymmetry;
 use trigrid::Coord;
 
@@ -311,21 +311,6 @@ impl<'a, A: Algorithm + ?Sized> CrashChecker<'a, A> {
     #[must_use]
     pub fn decide(&self, initial: &Configuration) -> CrashReport {
         self.explorer.decide(initial)
-    }
-
-    /// Like [`check`](CrashChecker::check), but returns a typed
-    /// [`CapacityError`] instead of panicking when `initial` holds
-    /// more robots than the checker was built for.
-    ///
-    /// # Errors
-    /// [`CapacityError::TooManyRobots`] when `initial.len()` exceeds
-    /// the checker's robot capacity.
-    pub fn try_check(&self, initial: &Configuration) -> Result<CrashReport, CapacityError> {
-        let max = self.explorer.max_robots();
-        if initial.len() > max {
-            return Err(CapacityError::TooManyRobots { robots: initial.len(), max });
-        }
-        Ok(self.explorer.check(initial))
     }
 }
 

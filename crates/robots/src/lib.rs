@@ -22,9 +22,9 @@
 //!   future-work question of weaker synchrony.
 //! * [`explore`] — the semantics-generic transition-system explorer:
 //!   BFS over `(canonical class, packed auxiliary key)` states with
-//!   stabilizer-subset dedup, quotient-acyclicity proofs and orbit-fair
-//!   cycle refutations, parameterized by a pluggable
-//!   [`explore::Semantics`]. All three checkers below are
+//!   stabilizer-subset dedup and one exact fair-cycle decision per
+//!   cyclic SCC (proof or lasso refutation), parameterized by a
+//!   pluggable [`explore::Semantics`]. All three checkers below are
 //!   instantiations.
 //! * [`adversary`] — an exhaustive SSYNC adversary model checker
 //!   (crash semantics with budget 0) that classifies an initial class

@@ -51,12 +51,7 @@ fn run_stats(args: &[String]) {
     println!("class {class}/{} (n={n}, {which}): verdict {:?}", classes.len(), report.verdict);
     println!("classes {} · edges {} · deduped {}", report.classes, report.edges, report.deduped);
     let ms = |name: &str| snapshot.counter(name) as f64 / 1e6;
-    println!(
-        "phases: A {:.2} ms · B {:.2} ms · D {:.2} ms",
-        ms("explore.phase_a_ns"),
-        ms("explore.phase_b_ns"),
-        ms("explore.phase_d_ns"),
-    );
+    println!("phases: A {:.2} ms · D {:.2} ms", ms("explore.phase_a_ns"), ms("explore.phase_d_ns"));
     println!(
         "class table: {} classes · {:.1} KiB",
         snapshot.counter("explore.classes"),
