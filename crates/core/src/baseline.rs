@@ -4,7 +4,8 @@
 //! algorithm for this setting), but the guards of Algorithm 1 are its
 //! entire technical substance. This baseline keeps the base-node idea
 //! and the movement preferences but drops every collision/connectivity
-//! guard; the `rules_ablation` bench and the integration tests use it to
+//! guard; experiment E2's ablation table and
+//! `baseline::tests::baseline_fails_on_some_configuration` use it to
 //! demonstrate that the guards are load-bearing (it collides or
 //! livelocks on many of the 3652 initial configurations).
 

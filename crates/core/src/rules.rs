@@ -71,7 +71,10 @@ impl RuleOptions {
     /// mutually collision-free (their occupancy guards choreograph who
     /// moves), and filtering them through the generic entry-priority
     /// protocol vetoes the standstill-breaking retreats (lines 15/25),
-    /// collapsing progress — see the `rules_ablation` bench.
+    /// collapsing progress: `sweep --algo fix25+conn+prio+compl+mirror
+    /// --sched fsync` gathers 1488 of the 3652 classes, against 1850
+    /// without `prio` (E2's pinned rung,
+    /// `experiments::tests::e2_layer_counts_are_stable`).
     pub const VERIFIED: RuleOptions = RuleOptions {
         fix_line25_misprint: true,
         connectivity_guard: true,

@@ -14,16 +14,17 @@
 //! * [`AdversaryVerdict::Undecided`] — a search budget tripped before
 //!   either verdict was certified (see [`UndecidedReason`]).
 //!
-//! Since the crash-fault subsystem landed, the BFS / fair-cycle /
-//! stabilizer-dedup machinery lives in [`crate::explore`]; this module
-//! is the **crash-budget-0** instantiation of that transition system
-//! with the paper's gathering goal. The instantiation is exact: with a
-//! zero budget every crash branch of the explorer is dead, so this
-//! checker's verdicts are byte-identical to the pre-refactor ones (the
-//! golden files in `tests/golden/adversary-*.json` pin that). The
-//! explorer's packed-state core (interned `u128` class keys —
-//! DESIGN.md §11) is likewise verdict-transparent: the same goldens pin
-//! it.
+//! The BFS / fair-cycle / stabilizer-dedup machinery lives in
+//! [`crate::explore`], and the checker itself is the one generic
+//! [`ModelChecker`] of [`crate::checker`]: [`Checker`] names it over
+//! [`SsyncModel`], the **crash-budget-0** instantiation of the crash
+//! semantics with the paper's gathering goal, whose reports keep only
+//! the activation masks. The instantiation is exact: with a zero budget
+//! every crash branch of the explorer is dead, so this checker's
+//! verdicts are byte-identical to the pre-refactor ones (the golden
+//! files in `tests/golden/adversary-*.json` pin that). The explorer's
+//! packed-state core (interned `u128` class keys — DESIGN.md §11) is
+//! likewise verdict-transparent: the same goldens pin it.
 //!
 //! # Soundness (sketch — the full argument is DESIGN.md §7)
 //!
@@ -58,16 +59,18 @@
 //! arbitrary D6 stabilizer of the configuration does **not** commute
 //! with the algorithm.
 
+use crate::checker::{Model, ModelChecker};
 use crate::engine::{Limits, Outcome};
-use crate::explore::{ExploreOptions, ExploreReport, ExploreVerdict, Explorer, UndecidedReason};
+use crate::explore::{
+    CrashSemantics, ExploreOptions, ExploreReport, ExploreVerdict, UndecidedReason,
+};
 use crate::sched::{self, CrashRound, ScheduleReplay};
 use crate::{Algorithm, Configuration, Execution};
 use serde::{Deserialize, Serialize};
-use trigrid::transform::PointSymmetry;
 
 pub use crate::explore::equivariance_group;
 
-/// Search budgets for [`Checker::check`]. All budgets are deterministic
+/// Search budgets for an SSYNC [`Checker`]. All budgets are deterministic
 /// counters, so verdicts never depend on threading or timing.
 #[derive(Clone, Copy, Debug)]
 pub struct AdversaryOptions {
@@ -110,16 +113,6 @@ impl AdversaryOptions {
             8 => AdversaryOptions { max_classes: 1 << 15, max_edges: 16_000_000, ..defaults },
             9 => AdversaryOptions { max_classes: 1 << 18, max_edges: 128_000_000, ..defaults },
             _ => AdversaryOptions { max_classes: 1 << 21, max_edges: 1_000_000_000, ..defaults },
-        }
-    }
-}
-
-impl From<AdversaryOptions> for ExploreOptions {
-    fn from(opts: AdversaryOptions) -> Self {
-        ExploreOptions {
-            max_states: opts.max_classes,
-            max_edges: opts.max_edges,
-            ..ExploreOptions::default()
         }
     }
 }
@@ -265,117 +258,27 @@ pub fn replay<A: Algorithm + ?Sized>(
     Some(sched::run_scheduled(initial, algo, &mut replayer, limits))
 }
 
-/// The goal of the fault-free instantiation: the paper's gathered
-/// hexagon (Definition 1). The crash mask is statically zero here.
-fn fsync_goal(cfg: &Configuration, _crashed: u16) -> bool {
-    cfg.is_gathered()
-}
+/// The SSYNC adversary as a [`Model`]: the crash semantics with crash
+/// budget **0** and the paper's gathering goal, reporting activation
+/// masks only.
+pub enum SsyncModel {}
 
-/// An exhaustive SSYNC adversary checker for one algorithm: the
-/// [`Explorer`] instantiated with crash budget **0** and the paper's
-/// gathering goal.
-///
-/// Construction computes the algorithm's equivariance subgroup once
-/// (it scans every view of the algorithm's radius); reuse one checker
-/// across many [`check`](Checker::check) calls.
-pub struct Checker<'a, A: Algorithm + ?Sized> {
-    explorer: Explorer<'a, A>,
-}
+impl Model for SsyncModel {
+    type Options = AdversaryOptions;
+    type Semantics = CrashSemantics;
+    type Report = AdversaryReport;
 
-impl<'a, A: Algorithm + ?Sized> Checker<'a, A> {
-    /// Builds a checker for `algo` with the given budgets. The checker
-    /// accepts configurations of up to 8 robots; use
-    /// [`for_robots`](Checker::for_robots) for larger spaces.
-    #[must_use]
-    pub fn new(algo: &'a A, opts: AdversaryOptions) -> Self {
-        Checker { explorer: Explorer::new(algo, opts.into(), 0, fsync_goal) }
+    fn explorer(opts: AdversaryOptions) -> (ExploreOptions, CrashSemantics) {
+        let explore = ExploreOptions {
+            max_states: opts.max_classes,
+            max_edges: opts.max_edges,
+            ..ExploreOptions::default()
+        };
+        // The goal is the gathered hexagon of Definition 1; the crash
+        // mask is statically zero.
+        (explore, CrashSemantics::new(0, |cfg, _crashed| cfg.is_gathered()))
     }
 
-    /// Builds a checker accepting configurations of up to `max_robots`
-    /// robots (at most [`crate::PackedClass::MAX_ROBOTS`]).
-    ///
-    /// # Panics
-    /// Panics if `max_robots` exceeds the packed-key capacity.
-    #[must_use]
-    pub fn for_robots(algo: &'a A, opts: AdversaryOptions, max_robots: usize) -> Self {
-        Checker { explorer: Explorer::new_for_robots(algo, opts.into(), 0, fsync_goal, max_robots) }
-    }
-
-    /// The algorithm's equivariance subgroup (always contains the
-    /// identity).
-    #[must_use]
-    pub fn group(&self) -> &[PointSymmetry] {
-        self.explorer.group()
-    }
-
-    /// Accepted and ignored: a class's search runs on the calling
-    /// thread, and parallelism belongs to the caller's across-class
-    /// pool (the sweep's `--threads`). Kept so existing callers keep
-    /// compiling.
-    pub fn set_threads(&mut self, _threads: usize) {}
-
-    /// Arms (or clears) the cooperative per-class wall-clock deadline
-    /// (see [`Explorer::set_class_timeout`]): an expired deadline
-    /// degrades the class to `Undecided` with
-    /// [`UndecidedReason::Timeout`] instead of running unbounded.
-    pub fn set_class_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.explorer.set_class_timeout(timeout);
-    }
-
-    /// Arms (or clears) the deterministic per-class byte budget (see
-    /// [`Explorer::set_mem_budget`]): an overrun degrades the class to
-    /// `Undecided` with [`UndecidedReason::MemBudget`].
-    pub fn set_mem_budget(&mut self, budget: Option<usize>) {
-        self.explorer.set_mem_budget(budget);
-    }
-
-    /// A point-in-time telemetry snapshot of the underlying explorer:
-    /// phase wall times, class-table size, verdict tallies and BFS shape
-    /// histograms (see [`Explorer::metrics_snapshot`]). Strictly
-    /// out-of-band — verdicts and digests never depend on it.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> telemetry::Snapshot {
-        self.explorer.metrics_snapshot()
-    }
-
-    /// Classifies `initial` under the exhaustive SSYNC adversary.
-    ///
-    /// # Panics
-    /// Panics if `initial` is disconnected or holds more robots than
-    /// the checker was built for (8 by default; see
-    /// [`for_robots`](Checker::for_robots)).
-    #[must_use]
-    pub fn check(&self, initial: &Configuration) -> AdversaryReport {
-        Self::report(self.explorer.check(initial))
-    }
-
-    /// Builds the class data a walk from `initial` reads first (see
-    /// [`Explorer::prepare`]); safe to run from a pool.
-    pub fn prepare(&self, initial: &Configuration) {
-        self.explorer.prepare(initial);
-    }
-
-    /// Labels the cell's state graph from `roots` (see
-    /// [`Explorer::label`]), so that [`decide`](Checker::decide) can
-    /// settle them without a search.
-    pub fn label<C: std::borrow::Borrow<Configuration>>(
-        &mut self,
-        roots: impl IntoIterator<Item = C>,
-    ) {
-        self.explorer.label(roots);
-    }
-
-    /// Classifies `initial` exactly as [`check`](Checker::check) does,
-    /// from its label where one applies (see [`Explorer::decide`]).
-    ///
-    /// # Panics
-    /// As [`check`](Checker::check).
-    #[must_use]
-    pub fn decide(&self, initial: &Configuration) -> AdversaryReport {
-        Self::report(self.explorer.decide(initial))
-    }
-
-    /// The SSYNC view of an explorer report: activation masks only.
     fn report(report: ExploreReport) -> AdversaryReport {
         let verdict = match report.verdict {
             ExploreVerdict::Proof => AdversaryVerdict::Proof,
@@ -400,11 +303,15 @@ impl<'a, A: Algorithm + ?Sized> Checker<'a, A> {
     }
 }
 
+/// An exhaustive SSYNC adversary checker for one algorithm.
+pub type Checker<'a, A> = ModelChecker<'a, A, SsyncModel>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Outcome;
     use crate::{FnAlgorithm, StayAlgorithm, View};
+    use trigrid::transform::PointSymmetry;
     use trigrid::{Coord, Dir, ORIGIN};
 
     fn cfg(cells: &[(i32, i32)]) -> Configuration {

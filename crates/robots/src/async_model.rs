@@ -18,7 +18,8 @@
 //! seeded random scheduler; it is now an instantiation of the generic
 //! exploration layer: [`AsyncSemantics`] plugs the phase-advance
 //! transition system into [`robots::explore`](crate::explore), and
-//! [`AsyncChecker`] classifies an initial class as **async-proof**
+//! [`AsyncChecker`], the generic [`ModelChecker`] over [`AsyncModel`],
+//! classifies an initial class as **async-proof**
 //! (every fair phase interleaving gathers), **refuted** (with a minimal
 //! replayable tick schedule) or **undecided** (a search budget
 //! tripped). States are `(canonical class, packed pending vector)` — see
@@ -38,6 +39,7 @@
 //! (Phase D) encode exactly that, with idle robots that are observed
 //! deciding to stay satisfiable for free.
 
+use crate::checker::{Model, ModelChecker};
 use crate::config::{PackedClass, PackedPending};
 use crate::engine::{self, Execution, Limits, Outcome, RoundCollision};
 use crate::explore::{
@@ -616,89 +618,26 @@ impl AsyncOptions {
     }
 }
 
-/// An exhaustive ASYNC adversary checker for one algorithm: the
-/// [`Explorer`] instantiated with [`AsyncSemantics`] and the paper's
-/// gathering goal.
-///
-/// Construction computes the algorithm's equivariance subgroup once;
-/// reuse one checker across many [`check`](AsyncChecker::check) calls.
-pub struct AsyncChecker<'a, A: Algorithm + ?Sized> {
-    explorer: Explorer<'a, A, AsyncSemantics>,
-}
+/// The ASYNC adversary as a [`Model`]: [`AsyncSemantics`] with the
+/// paper's gathering goal.
+pub enum AsyncModel {}
 
-impl<'a, A: Algorithm + ?Sized> AsyncChecker<'a, A> {
-    /// Builds a checker for `algo` with the given search options. The
-    /// checker accepts configurations of up to 8 robots; use
-    /// [`for_robots`](AsyncChecker::for_robots) for larger spaces.
-    #[must_use]
-    pub fn new(algo: &'a A, opts: AsyncOptions) -> Self {
-        AsyncChecker {
-            explorer: Explorer::with_semantics(algo, opts.explore, AsyncSemantics::gathering()),
-        }
+impl Model for AsyncModel {
+    type Options = AsyncOptions;
+    type Semantics = AsyncSemantics;
+    type Report = AsyncReport;
+
+    fn explorer(opts: AsyncOptions) -> (ExploreOptions, AsyncSemantics) {
+        (opts.explore, AsyncSemantics::gathering())
     }
 
-    /// Builds a checker accepting configurations of up to `max_robots`
-    /// robots (at most [`PackedClass::MAX_ROBOTS`]).
-    ///
-    /// # Panics
-    /// Panics if `max_robots` exceeds the packed-key capacity.
-    #[must_use]
-    pub fn for_robots(algo: &'a A, opts: AsyncOptions, max_robots: usize) -> Self {
-        AsyncChecker {
-            explorer: Explorer::with_semantics_for_robots(
-                algo,
-                opts.explore,
-                AsyncSemantics::gathering(),
-                max_robots,
-            ),
-        }
-    }
-
-    /// The algorithm's equivariance subgroup.
-    #[must_use]
-    pub fn group(&self) -> &[PointSymmetry] {
-        self.explorer.group()
-    }
-
-    /// Accepted and ignored: a class's search runs on the calling
-    /// thread, and parallelism belongs to the caller's across-class
-    /// pool (the sweep's `--threads`). Kept so existing callers keep
-    /// compiling.
-    pub fn set_threads(&mut self, _threads: usize) {}
-
-    /// Arms (or clears) the cooperative per-class wall-clock deadline
-    /// (see [`Explorer::set_class_timeout`]).
-    pub fn set_class_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.explorer.set_class_timeout(timeout);
-    }
-
-    /// Arms (or clears) the deterministic per-class byte budget (see
-    /// [`Explorer::set_mem_budget`]).
-    pub fn set_mem_budget(&mut self, budget: Option<usize>) {
-        self.explorer.set_mem_budget(budget);
-    }
-
-    /// A point-in-time telemetry snapshot of the underlying explorer:
-    /// phase wall times, class-table size, verdict tallies and BFS shape
-    /// histograms (see [`Explorer::metrics_snapshot`]). Strictly
-    /// out-of-band — verdicts and digests never depend on it.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> telemetry::Snapshot {
-        self.explorer.metrics_snapshot()
-    }
-
-    /// Classifies `initial` under the exhaustive ASYNC phase-interleaving
-    /// adversary.
-    ///
-    /// # Panics
-    /// Panics if `initial` is disconnected or holds more robots than
-    /// the checker was built for (8 by default; see
-    /// [`for_robots`](AsyncChecker::for_robots)).
-    #[must_use]
-    pub fn check(&self, initial: &Configuration) -> AsyncReport {
-        self.explorer.check(initial)
+    fn report(report: AsyncReport) -> AsyncReport {
+        report
     }
 }
+
+/// An exhaustive ASYNC adversary checker for one algorithm.
+pub type AsyncChecker<'a, A> = ModelChecker<'a, A, AsyncModel>;
 
 /// The result of replaying an ASYNC tick schedule: the execution plus
 /// the final pending vector.
@@ -1040,10 +979,11 @@ mod tests {
     /// `advance_phase` makes, over random pending vectors.
     #[test]
     fn move_table_entries_match_advance_phase() {
-        let explorer = Explorer::with_semantics(
+        let explorer = Explorer::new(
             &StayAlgorithm,
             ExploreOptions::lcm_async(),
             AsyncSemantics::gathering(),
+            8,
         );
         let mut rng = StdRng::seed_from_u64(20);
         let mut checked = [0usize; 3];

@@ -36,7 +36,9 @@
 //! checker ([`crate::faults`]) is the same semantics with budget `f`
 //! and the relaxed gathering goal. The ASYNC checker
 //! ([`crate::async_model`]) swaps in single-robot phase-advance actions
-//! over pending-move auxiliary state.
+//! over pending-move auxiliary state. All three are the one
+//! [`ModelChecker`](crate::checker::ModelChecker) over an explorer
+//! built by [`Explorer::new`], the explorer's only constructor.
 //!
 //! Soundness of the exploration (no bad terminal and no fair cycle ⇒
 //! proof, fair cycle ⇒ refutation, stabilizer dedup) is argued in
@@ -1221,33 +1223,7 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     metrics: ExploreMetrics,
 }
 
-impl<'a, A: Algorithm + ?Sized> Explorer<'a, A, CrashSemantics> {
-    /// Builds a crash-semantics explorer for `algo` with the given
-    /// budgets, crash budget and goal predicate, accepting up to 8
-    /// robots (the historical bound; use [`Self::new_for_robots`] for
-    /// wider configurations).
-    ///
-    /// # Panics
-    /// Panics if `budget >= PackedClass::MAX_ROBOTS`: at least one
-    /// robot must stay alive for the goal to be meaningful.
-    #[must_use]
-    pub fn new(algo: &'a A, opts: ExploreOptions, budget: u8, goal: Goal) -> Self {
-        Self::with_semantics(algo, opts, CrashSemantics::new(budget, goal))
-    }
-
-    /// Like [`Self::new`], accepting configurations of up to
-    /// `max_robots` robots (≤ [`PackedClass::MAX_ROBOTS`]).
-    #[must_use]
-    pub fn new_for_robots(
-        algo: &'a A,
-        opts: ExploreOptions,
-        budget: u8,
-        goal: Goal,
-        max_robots: usize,
-    ) -> Self {
-        Self::with_semantics_for_robots(algo, opts, CrashSemantics::new(budget, goal), max_robots)
-    }
-
+impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
     /// The crash budget this explorer was built with.
     #[must_use]
     pub fn budget(&self) -> u8 {
@@ -1277,29 +1253,18 @@ impl<'a, A: Algorithm + ?Sized> Explorer<'a, A, CrashSemantics> {
 
 impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     /// Builds an explorer for `algo` over the given semantics, accepting
-    /// up to 8 robots. This is the historical constructor: its
-    /// equivariance scan (and therefore its dedup decisions and golden
-    /// schedules) are byte-identical to the u8-mask era.
-    #[must_use]
-    pub fn with_semantics(algo: &'a A, opts: ExploreOptions, semantics: S) -> Self {
-        Self::with_semantics_for_robots(algo, opts, semantics, 8)
-    }
-
-    /// Builds an explorer accepting configurations of up to `max_robots`
-    /// robots. The equivariance subgroup is computed over every view
-    /// with up to `max_robots - 1` robots (never fewer than the
-    /// historical 7), so widening can only shrink the group — dedup
-    /// stays sound at every supported count.
+    /// configurations of up to `max_robots` robots. The equivariance
+    /// subgroup is computed over every view with up to
+    /// `max(max_robots, 8) - 1` robots: never fewer than the historical
+    /// 7, so every explorer of up to 8 robots scans (and therefore
+    /// dedups and schedules) exactly as in the u8-mask era, and widening
+    /// can only shrink the group, so dedup stays sound at every
+    /// supported count.
     ///
     /// # Panics
     /// Panics if `max_robots` exceeds [`PackedClass::MAX_ROBOTS`].
     #[must_use]
-    pub fn with_semantics_for_robots(
-        algo: &'a A,
-        opts: ExploreOptions,
-        semantics: S,
-        max_robots: usize,
-    ) -> Self {
+    pub fn new(algo: &'a A, opts: ExploreOptions, semantics: S, max_robots: usize) -> Self {
         assert!(
             max_robots <= PackedClass::MAX_ROBOTS,
             "explorers support at most {} robots",
@@ -1394,8 +1359,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     ///
     /// # Panics
     /// Panics if `initial` is disconnected or holds more robots than
-    /// this explorer was built for (see
-    /// [`Self::with_semantics_for_robots`]).
+    /// this explorer was built for (see [`Self::new`]).
     #[must_use]
     pub fn check(&self, initial: &Configuration) -> ExploreReport {
         self.search(initial, |search| search.run(initial))
@@ -1485,7 +1449,7 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         assert!(
             initial.len() <= self.max_robots,
             "this explorer was built for at most {} robots (got {}); \
-             construct it with new_for_robots / with_semantics_for_robots",
+             build it with a larger max_robots",
             self.max_robots,
             initial.len()
         );
@@ -2780,6 +2744,12 @@ mod tests {
         cfg.is_gathered()
     }
 
+    /// A crash-semantics explorer with crash budget `budget`, the
+    /// paper's gathering goal and the fault-free budgets.
+    fn crash_explorer<A: Algorithm>(algo: &A, budget: u8) -> Explorer<'_, A> {
+        Explorer::new(algo, ExploreOptions::default(), CrashSemantics::new(budget, fsync_goal), 8)
+    }
+
     fn cfg(cells: &[(i32, i32)]) -> Configuration {
         Configuration::new(cells.iter().map(|&(x, y)| Coord::new(x, y)))
     }
@@ -2787,7 +2757,7 @@ mod tests {
     #[test]
     fn budget_zero_has_no_crash_actions() {
         let march = FnAlgorithm::new(1, "march", |_: &View| Some(Dir::E));
-        let explorer = Explorer::new(&march, ExploreOptions::default(), 0, fsync_goal);
+        let explorer = crash_explorer(&march, 0);
         let report = explorer.check(&cfg(&[(0, 0), (2, 0)]));
         let ExploreVerdict::Refuted { schedule, .. } = &report.verdict else {
             panic!("two marchers refute under SSYNC: {:?}", report.verdict);
@@ -2804,7 +2774,7 @@ mod tests {
         // by the crash golden files: 1869 adversary-proof classes vs
         // 11 crash-proof ones.)
         let h = crate::config::hexagon(ORIGIN);
-        let explorer = Explorer::new(&StayAlgorithm, ExploreOptions::default(), 1, fsync_goal);
+        let explorer = crash_explorer(&StayAlgorithm, 1);
         assert_eq!(explorer.check(&h).verdict, ExploreVerdict::Proof);
     }
 
@@ -2817,8 +2787,8 @@ mod tests {
             (!v.neighbor(Dir::E)).then_some(Dir::E)
         });
         let two = cfg(&[(0, 0), (2, 0)]);
-        let zero = Explorer::new(&march, ExploreOptions::default(), 0, fsync_goal);
-        let one = Explorer::new(&march, ExploreOptions::default(), 1, fsync_goal);
+        let zero = crash_explorer(&march, 0);
+        let one = crash_explorer(&march, 1);
         // Without crashes the east robot disconnects the pair.
         assert!(matches!(
             zero.check(&two).verdict,

@@ -22,7 +22,8 @@
 //! coincides exactly with the paper's hexagon (Definition 1), which is
 //! why the fault-free checker is this model's `f = 0` instantiation.
 //!
-//! [`CrashChecker`] classifies an initial class as
+//! [`CrashChecker`], the generic [`ModelChecker`] over [`CrashModel`],
+//! classifies an initial class as
 //! **f-crash-proof** (every fair schedule with at most `f` crashes
 //! gathers the live robots), **refuted** (a minimal replayable
 //! schedule + crash assignment reaches a collision, a disconnection, a
@@ -35,11 +36,11 @@
 //! §10.
 
 use crate::adversary::{AdversaryOptions, Fnv64};
+use crate::checker::{Model, ModelChecker};
 use crate::engine::{self, Execution, Limits, Outcome};
-use crate::explore::{ExploreOptions, Explorer};
+use crate::explore::{CrashSemantics, ExploreOptions};
 use crate::sched::{CrashRound, CrashSchedule};
 use crate::{Algorithm, Configuration};
-use trigrid::transform::PointSymmetry;
 use trigrid::Coord;
 
 pub use crate::explore::{ExploreReport as CrashReport, ExploreVerdict as CrashVerdict};
@@ -194,125 +195,26 @@ pub fn schedule_hash(schedule: &[CrashRound]) -> u64 {
     h.finish()
 }
 
-/// An exhaustive crash-fault adversary checker for one algorithm: the
-/// [`Explorer`] instantiated with crash budget `f` and the
-/// [`relaxed_gathered`] goal.
-///
-/// Construction computes the algorithm's equivariance subgroup once;
-/// reuse one checker across many [`check`](CrashChecker::check) calls.
-pub struct CrashChecker<'a, A: Algorithm + ?Sized> {
-    explorer: Explorer<'a, A>,
-}
+/// The crash-fault adversary as a [`Model`]: the crash semantics with
+/// crash budget `f` and the [`relaxed_gathered`] goal.
+pub enum CrashModel {}
 
-impl<'a, A: Algorithm + ?Sized> CrashChecker<'a, A> {
-    /// Builds a checker for `algo` with the given crash budget and
-    /// search options. The checker accepts configurations of up to 8
-    /// robots; use [`for_robots`](CrashChecker::for_robots) for larger
-    /// spaces.
-    ///
-    /// # Panics
-    /// Panics if `opts.crashes >= PackedClass::MAX_ROBOTS`.
-    #[must_use]
-    pub fn new(algo: &'a A, opts: CrashOptions) -> Self {
-        CrashChecker { explorer: Explorer::new(algo, opts.explore, opts.crashes, relaxed_gathered) }
+impl Model for CrashModel {
+    type Options = CrashOptions;
+    type Semantics = CrashSemantics;
+    type Report = CrashReport;
+
+    fn explorer(opts: CrashOptions) -> (ExploreOptions, CrashSemantics) {
+        (opts.explore, CrashSemantics::new(opts.crashes, relaxed_gathered))
     }
 
-    /// Builds a checker accepting configurations of up to `max_robots`
-    /// robots (at most [`crate::PackedClass::MAX_ROBOTS`]).
-    ///
-    /// # Panics
-    /// Panics if `max_robots` exceeds the packed-key capacity.
-    #[must_use]
-    pub fn for_robots(algo: &'a A, opts: CrashOptions, max_robots: usize) -> Self {
-        CrashChecker {
-            explorer: Explorer::new_for_robots(
-                algo,
-                opts.explore,
-                opts.crashes,
-                relaxed_gathered,
-                max_robots,
-            ),
-        }
-    }
-
-    /// The algorithm's equivariance subgroup.
-    #[must_use]
-    pub fn group(&self) -> &[PointSymmetry] {
-        self.explorer.group()
-    }
-
-    /// The crash budget `f`.
-    #[must_use]
-    pub fn crashes(&self) -> u8 {
-        self.explorer.budget()
-    }
-
-    /// Accepted and ignored: a class's search runs on the calling
-    /// thread, and parallelism belongs to the caller's across-class
-    /// pool (the sweep's `--threads`). Kept so existing callers keep
-    /// compiling.
-    pub fn set_threads(&mut self, _threads: usize) {}
-
-    /// Arms (or clears) the cooperative per-class wall-clock deadline
-    /// (see [`Explorer::set_class_timeout`]).
-    pub fn set_class_timeout(&mut self, timeout: Option<std::time::Duration>) {
-        self.explorer.set_class_timeout(timeout);
-    }
-
-    /// Arms (or clears) the deterministic per-class byte budget (see
-    /// [`Explorer::set_mem_budget`]).
-    pub fn set_mem_budget(&mut self, budget: Option<usize>) {
-        self.explorer.set_mem_budget(budget);
-    }
-
-    /// A point-in-time telemetry snapshot of the underlying explorer:
-    /// phase wall times, class-table size, verdict tallies and BFS shape
-    /// histograms (see [`Explorer::metrics_snapshot`]). Strictly
-    /// out-of-band — verdicts and digests never depend on it.
-    #[must_use]
-    pub fn metrics_snapshot(&self) -> telemetry::Snapshot {
-        self.explorer.metrics_snapshot()
-    }
-
-    /// Classifies `initial` under the exhaustive `f`-crash SSYNC
-    /// adversary.
-    ///
-    /// # Panics
-    /// Panics if `initial` is disconnected or holds more robots than
-    /// the checker was built for (8 by default; see
-    /// [`for_robots`](CrashChecker::for_robots)).
-    #[must_use]
-    pub fn check(&self, initial: &Configuration) -> CrashReport {
-        self.explorer.check(initial)
-    }
-
-    /// Builds the class data a walk from `initial` reads first (see
-    /// [`Explorer::prepare`]); safe to run from a pool.
-    pub fn prepare(&self, initial: &Configuration) {
-        self.explorer.prepare(initial);
-    }
-
-    /// Labels the cell's state graph from `roots` (see
-    /// [`Explorer::label`]), so that [`decide`](CrashChecker::decide)
-    /// can settle them without a search.
-    pub fn label<C: std::borrow::Borrow<Configuration>>(
-        &mut self,
-        roots: impl IntoIterator<Item = C>,
-    ) {
-        self.explorer.label(roots);
-    }
-
-    /// Classifies `initial` exactly as [`check`](CrashChecker::check)
-    /// does, from its label where one applies (see
-    /// [`Explorer::decide`]).
-    ///
-    /// # Panics
-    /// As [`check`](CrashChecker::check).
-    #[must_use]
-    pub fn decide(&self, initial: &Configuration) -> CrashReport {
-        self.explorer.decide(initial)
+    fn report(report: CrashReport) -> CrashReport {
+        report
     }
 }
+
+/// An exhaustive crash-fault adversary checker for one algorithm.
+pub type CrashChecker<'a, A> = ModelChecker<'a, A, CrashModel>;
 
 /// The result of replaying a crash-fault schedule: the execution plus
 /// the final crashed coordinates.

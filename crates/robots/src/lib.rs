@@ -24,8 +24,11 @@
 //!   BFS over `(canonical class, packed auxiliary key)` states with
 //!   stabilizer-subset dedup and one exact fair-cycle decision per
 //!   cyclic SCC (proof or lasso refutation), parameterized by a
-//!   pluggable [`explore::Semantics`]. All three checkers below are
-//!   instantiations.
+//!   pluggable [`explore::Semantics`].
+//! * [`checker`] — the one exhaustive model checker over the explorer,
+//!   [`checker::ModelChecker`], generic over a small
+//!   [`checker::Model`] type per model (its options, semantics and
+//!   goal, and report). The three checkers below are its aliases.
 //! * [`adversary`] — an exhaustive SSYNC adversary model checker
 //!   (crash semantics with budget 0) that classifies an initial class
 //!   as adversary-proof, refuted (with a minimal replayable
@@ -50,6 +53,7 @@
 pub mod adversary;
 mod algorithm;
 pub mod async_model;
+pub mod checker;
 mod config;
 pub mod engine;
 pub mod explore;

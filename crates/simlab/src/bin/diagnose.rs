@@ -16,6 +16,9 @@
 //! checker's telemetry snapshot — per-phase wall times, the class
 //! table's size, frontier peaks — as pretty JSON plus a short human
 //! summary.
+//!
+//! Both modes write through one locked stdout, and a closed reader
+//! (`diagnose --stats | head`) ends the run quietly with exit 0.
 
 use gathering::base::{determine, BaseDecision};
 use gathering::SevenGather;
@@ -23,6 +26,7 @@ use robots::adversary::{AdversaryOptions, Checker};
 use robots::{engine, Algorithm, Configuration, Limits, Outcome, View};
 use simlab::render;
 use std::collections::HashMap;
+use std::io::{self, Write};
 
 /// Parses the value following `flag`, if present.
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
@@ -30,7 +34,7 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 /// `--stats` mode: one class, one check, full telemetry dump.
-fn run_stats(args: &[String]) {
+fn run_stats(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let which = if args.iter().any(|a| a == "paper") { "paper" } else { "verified" };
     let n: usize = flag_value(args, "--n").unwrap_or(7);
     let class: usize = flag_value(args, "--class").unwrap_or(0);
@@ -48,35 +52,44 @@ fn run_stats(args: &[String]) {
     let report = checker.check(&initial);
     let snapshot = checker.metrics_snapshot();
 
-    println!("class {class}/{} (n={n}, {which}): verdict {:?}", classes.len(), report.verdict);
-    println!("classes {} · edges {} · deduped {}", report.classes, report.edges, report.deduped);
+    writeln!(
+        out,
+        "class {class}/{} (n={n}, {which}): verdict {:?}",
+        classes.len(),
+        report.verdict
+    )?;
+    writeln!(
+        out,
+        "classes {} · edges {} · deduped {}",
+        report.classes, report.edges, report.deduped
+    )?;
     let ms = |name: &str| snapshot.counter(name) as f64 / 1e6;
-    println!("phases: A {:.2} ms · D {:.2} ms", ms("explore.phase_a_ns"), ms("explore.phase_d_ns"));
-    println!(
+    let (a, d) = (ms("explore.phase_a_ns"), ms("explore.phase_d_ns"));
+    writeln!(out, "phases: A {a:.2} ms · D {d:.2} ms")?;
+    writeln!(
+        out,
         "class table: {} classes · {:.1} KiB",
         snapshot.counter("explore.classes"),
         snapshot.gauge("explore.class_table_bytes") as f64 / 1024.0
-    );
+    )?;
     if let Some(width) = snapshot.histogram("explore.frontier_width") {
-        println!(
+        writeln!(
+            out,
             "frontier: peak {} · mean {:.1} over {} levels",
             width.max,
             width.mean(),
             width.count
-        );
+        )?;
     }
-    println!("\nsnapshot:");
-    println!("{}", serde_json::to_string_pretty(&snapshot).expect("snapshot serializes"));
+    writeln!(out, "\nsnapshot:")?;
+    writeln!(out, "{}", serde_json::to_string_pretty(&snapshot).expect("snapshot serializes"))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--stats") {
-        run_stats(&args);
-        return;
-    }
+/// Default mode: FSYNC over every seven-robot class, failures clustered
+/// by canonical final configuration.
+fn run_clusters(args: &[String], out: &mut impl Write) -> io::Result<()> {
     let which = args.first().map(String::as_str).unwrap_or("verified");
-    let top: usize = flag_value(&args, "--top").unwrap_or(8);
+    let top: usize = flag_value(args, "--top").unwrap_or(8);
     let algo = match which {
         "paper" => SevenGather::paper(),
         _ => SevenGather::verified(),
@@ -114,17 +127,17 @@ fn main() {
         entry.0 += 1;
     }
 
-    println!("gathered {gathered}/{} ; failure kinds: {outcome_kinds:?}", results.len());
-    println!("{} distinct failure clusters\n", clusters.len());
+    writeln!(out, "gathered {gathered}/{} ; failure kinds: {outcome_kinds:?}", results.len())?;
+    writeln!(out, "{} distinct failure clusters\n", clusters.len())?;
 
     let mut ordered: Vec<(&Configuration, &(usize, Configuration, &'static str))> =
         clusters.iter().collect();
     ordered.sort_by_key(|e| std::cmp::Reverse(e.1 .0));
 
     for (final_cfg, (count, sample_initial, kind)) in ordered.into_iter().take(top) {
-        println!("=== cluster ({kind}) x{count} — final configuration:");
-        print!("{}", render::render_with_margin(final_cfg, 0));
-        println!("per-robot analysis of the final configuration:");
+        writeln!(out, "=== cluster ({kind}) x{count} — final configuration:")?;
+        write!(out, "{}", render::render_with_margin(final_cfg, 0))?;
+        writeln!(out, "per-robot analysis of the final configuration:")?;
         for &p in final_cfg.positions() {
             let v = View::observe(final_cfg, p, 2);
             let b = determine(&v);
@@ -135,10 +148,25 @@ fn main() {
                 BaseDecision::SelfPromotion => "self-promotion".to_string(),
                 BaseDecision::Tie => "tie".to_string(),
             };
-            println!("  robot {p}: {btxt}, move {mv:?}");
+            writeln!(out, "  robot {p}: {btxt}, move {mv:?}")?;
         }
-        println!("sample initial configuration:");
-        print!("{}", render::render_with_margin(sample_initial, 0));
-        println!();
+        writeln!(out, "sample initial configuration:")?;
+        write!(out, "{}", render::render_with_margin(sample_initial, 0))?;
+        writeln!(out)?;
+    }
+    Ok(())
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    let run = if args.iter().any(|a| a == "--stats") { run_stats } else { run_clusters };
+    match run(&args, &mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            eprintln!("diagnose: writing to stdout failed: {e}");
+            std::process::exit(1);
+        }
+        // A closed reader has all the output it wanted.
+        _ => {}
     }
 }

@@ -10,7 +10,9 @@
 //!   [`SchedSpec`] (FSYNC, round-robin, seeded random subsets, or one
 //!   of the exhaustive model checkers: the SSYNC adversary, the
 //!   crash-fault adversary, or the ASYNC phase-interleaving
-//!   adversary);
+//!   adversary). A model-checking cell runs one [`ModelChecker`],
+//!   built and armed with the cell's class deadline and byte budget in
+//!   one place;
 //! * the 3652-class space is split into contiguous **shards**, each
 //!   fanned across the crossbeam-deque **work-stealing pool**
 //!   ([`parallel::par_map`]; the per-class checker runs of the
@@ -63,10 +65,13 @@
 
 use gathering::rules::RuleOptions;
 use gathering::SevenGather;
-use robots::adversary::{self, AdversaryOptions, AdversaryVerdict, Checker, DEFAULT_FAIR_DEPTH};
-use robots::async_model::{AsyncChecker, AsyncOptions, AsyncVerdict};
-use robots::explore::UndecidedReason;
-use robots::faults::{self, CrashChecker, CrashOptions, CrashVerdict};
+use robots::adversary::{
+    self, AdversaryOptions, AdversaryVerdict, Checker, SsyncModel, DEFAULT_FAIR_DEPTH,
+};
+use robots::async_model::{AsyncChecker, AsyncModel, AsyncOptions, AsyncVerdict};
+use robots::checker::{Model, ModelChecker};
+use robots::explore::{CrashSemantics, UndecidedReason};
+use robots::faults::{self, CrashChecker, CrashModel, CrashOptions, CrashVerdict};
 use robots::sched::{RandomSubset, RoundRobin};
 use robots::{engine, sched, Algorithm, Configuration, Limits, Outcome};
 use serde::{Deserialize, Serialize};
@@ -809,138 +814,123 @@ fn row(index: usize, outcome: Outcome, expanded: usize) -> ClassOutcome {
     }
 }
 
-/// The checker of a model-checking cell. [`run_sweep_with`] builds one
-/// per cell and hands it to every shard, so the algorithm's
-/// equivariance group is computed once and every search of the cell
-/// shares one class table: each class's decision data and round table
-/// are computed once per cell, not once per shard. The explorer's
-/// telemetry is cumulative, so each shard record carries the delta
-/// over its own shard.
-enum CellChecker<'a, A: Algorithm + ?Sized> {
-    Adversary(Checker<'a, A>),
-    Crash(CrashChecker<'a, A>),
-    Async(AsyncChecker<'a, A>),
-}
-
-impl<'a, A: Algorithm + ?Sized> CellChecker<'a, A> {
-    /// The checker of `cfg`'s cell (`None` for scheduled cells), with
-    /// the cell's per-class deadline and byte budget armed.
-    fn for_cell(algo: &'a A, cfg: &SweepConfig) -> Option<Self> {
-        let mut checker = Self::for_spec(algo, cfg.sched, cfg.n)?;
-        checker.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
-        checker.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
-        Some(checker)
-    }
-
-    /// Builds the checker for model-checking cells (`None` for
-    /// scheduled cells). `robots` is the cell's robot count; the
-    /// checkers keep their historical 8-robot floor so n <= 7 cells
-    /// stay byte-identical to the pre-parameterised pipeline.
-    fn for_spec(algo: &'a A, spec: SchedSpec, robots: usize) -> Option<Self> {
-        let capacity = robots.max(8);
-        match spec {
-            SchedSpec::Adversary { .. } => {
-                // The state/edge budgets scale with `n` so wide cells
-                // cover their whole connected class space (exactly the
-                // historical defaults for n <= 7).
-                let checker =
-                    Checker::for_robots(algo, AdversaryOptions::for_robots(robots), capacity);
-                Some(CellChecker::Adversary(checker))
-            }
-            SchedSpec::Crash { f, .. } => {
-                // As for the adversary: from n = 8 the caps cover the
-                // whole crash state space, so the cell's labeled graph
-                // fits them.
-                let opts = CrashOptions::for_robots(f, robots);
-                Some(CellChecker::Crash(CrashChecker::for_robots(algo, opts, capacity)))
-            }
-            SchedSpec::LcmAsync { depth } => {
-                let checker = AsyncChecker::for_robots(algo, AsyncOptions::new(depth), capacity);
-                Some(CellChecker::Async(checker))
-            }
-            _ => None,
-        }
-    }
-
-    /// Labels the cell's state graph from the roots `classes` (adversary
-    /// and crash cells; DESIGN.md §19). The roots' class data is built
-    /// through the pool first: the walk itself is sequential, and those
-    /// tables are most of its cost.
-    fn label(&mut self, classes: &[Vec<Coord>], threads: usize) {
-        let root = |cells: &Vec<Coord>| Configuration::new(cells.iter().copied());
-        match self {
-            CellChecker::Adversary(c) => {
-                parallel::par_map(classes, threads, |cells| c.prepare(&root(cells)));
-                c.label(classes.iter().map(root));
-            }
-            CellChecker::Crash(c) => {
-                parallel::par_map(classes, threads, |cells| c.prepare(&root(cells)));
-                c.label(classes.iter().map(root));
-            }
-            CellChecker::Async(_) => {}
-        }
-    }
+/// The checker of a model-checking cell, as the shard engine drives it.
+/// [`run_sweep_with`] builds one per cell ([`cell_checker`]) and hands
+/// it to every shard, so the algorithm's equivariance group is computed
+/// once and every search of the cell shares one class table: each
+/// class's decision data and round table are computed once per cell,
+/// not once per shard. The explorer's telemetry is cumulative, so each
+/// shard record carries the delta over its own shard.
+trait CellChecker: CellTelemetry + Sync {
+    /// Labels the cell's state graph from the roots `classes` before a
+    /// shard checks them (DESIGN.md §19). ASYNC has no cell labels, so
+    /// lcm-async cells keep this default.
+    fn label(&mut self, _classes: &[Vec<Coord>], _threads: usize) {}
 
     /// Checks one class: its row carries the verdict in the cell's
-    /// column and, as `expanded`, the classes (adversary) or states
-    /// (crash, lcm-async) its search explored — for a class decided from
-    /// the cell's labels, the tight BFS's states, or 0 for a proof.
-    fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
-        match self {
-            CellChecker::Adversary(c) => {
-                let report = c.decide(initial);
-                let outcome = outcome_of_verdict(&report.verdict, limits);
-                ClassOutcome {
-                    verdict: Some(report.verdict),
-                    ..row(index, outcome, report.classes)
-                }
-            }
-            CellChecker::Crash(c) => {
-                let report = c.decide(initial);
-                let outcome = outcome_of_crash_verdict(&report.verdict, limits);
-                ClassOutcome { crash: Some(report.verdict), ..row(index, outcome, report.states) }
-            }
-            CellChecker::Async(c) => {
-                let report = c.check(initial);
-                let outcome = outcome_of_async_verdict(&report.verdict, limits);
-                ClassOutcome {
-                    lcm_async: Some(report.verdict),
-                    ..row(index, outcome, report.states)
-                }
-            }
-        }
-    }
+    /// column and, as `expanded`, the states (the adversary report's
+    /// classes) its search explored — for a class decided from the
+    /// cell's labels, the tight BFS's states, or 0 for a proof.
+    fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome;
+}
 
-    /// Arms the cooperative per-class wall-clock deadline on the
-    /// underlying explorer (see [`SweepConfig::class_timeout_ms`]).
-    fn set_class_timeout(&mut self, timeout: Option<Duration>) {
-        match self {
-            CellChecker::Adversary(c) => c.set_class_timeout(timeout),
-            CellChecker::Crash(c) => c.set_class_timeout(timeout),
-            CellChecker::Async(c) => c.set_class_timeout(timeout),
-        }
-    }
+/// What every cell checker reads the same way, whatever its model.
+trait CellTelemetry {
+    /// The explorer's telemetry snapshot (phase times, class-table size,
+    /// verdict tallies, BFS shape), cumulative over every check it ran.
+    fn metrics_snapshot(&self) -> telemetry::Snapshot;
+}
 
-    /// Arms the deterministic per-class byte budget on the underlying
-    /// explorer (see [`SweepConfig::mem_budget_mb`]).
-    fn set_mem_budget(&mut self, budget: Option<usize>) {
-        match self {
-            CellChecker::Adversary(c) => c.set_mem_budget(budget),
-            CellChecker::Crash(c) => c.set_mem_budget(budget),
-            CellChecker::Async(c) => c.set_mem_budget(budget),
-        }
-    }
-
-    /// Telemetry snapshot of the underlying explorer (phase times,
-    /// class-table size, verdict tallies, BFS shape), cumulative over
-    /// every check it ran.
+impl<A: Algorithm + ?Sized, M: Model> CellTelemetry for ModelChecker<'_, A, M> {
     fn metrics_snapshot(&self) -> telemetry::Snapshot {
-        match self {
-            CellChecker::Adversary(c) => c.metrics_snapshot(),
-            CellChecker::Crash(c) => c.metrics_snapshot(),
-            CellChecker::Async(c) => c.metrics_snapshot(),
-        }
+        ModelChecker::metrics_snapshot(self)
     }
+}
+
+/// [`CellChecker::label`] for the adversary and crash cells. The roots'
+/// class data is built through the pool first: the walk itself is
+/// sequential, and those tables are most of its cost.
+fn label_cell<A: Algorithm + ?Sized, M: Model<Semantics = CrashSemantics>>(
+    checker: &mut ModelChecker<'_, A, M>,
+    classes: &[Vec<Coord>],
+    threads: usize,
+) {
+    let root = |cells: &Vec<Coord>| Configuration::new(cells.iter().copied());
+    parallel::par_map(classes, threads, |cells| checker.prepare(&root(cells)));
+    checker.label(classes.iter().map(root));
+}
+
+impl<A: Algorithm + ?Sized> CellChecker for Checker<'_, A> {
+    fn label(&mut self, classes: &[Vec<Coord>], threads: usize) {
+        label_cell(self, classes, threads);
+    }
+
+    fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
+        let report = self.decide(initial);
+        let outcome = outcome_of_verdict(&report.verdict, limits);
+        ClassOutcome { verdict: Some(report.verdict), ..row(index, outcome, report.classes) }
+    }
+}
+
+impl<A: Algorithm + ?Sized> CellChecker for CrashChecker<'_, A> {
+    fn label(&mut self, classes: &[Vec<Coord>], threads: usize) {
+        label_cell(self, classes, threads);
+    }
+
+    fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
+        let report = self.decide(initial);
+        let outcome = outcome_of_crash_verdict(&report.verdict, limits);
+        ClassOutcome { crash: Some(report.verdict), ..row(index, outcome, report.states) }
+    }
+}
+
+impl<A: Algorithm + ?Sized> CellChecker for AsyncChecker<'_, A> {
+    fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
+        let report = self.check(initial);
+        let outcome = outcome_of_async_verdict(&report.verdict, limits);
+        ClassOutcome { lcm_async: Some(report.verdict), ..row(index, outcome, report.states) }
+    }
+}
+
+/// The checker of `cfg`'s cell (`None` for scheduled cells). Its state
+/// and edge caps scale with `cfg.n`, so that wide cells cover their
+/// whole class (and crash) space and the cell's labeled graph fits
+/// them; for n <= 7 they are the historical budgets.
+fn cell_checker<'a, A: Algorithm + ?Sized>(
+    algo: &'a A,
+    cfg: &SweepConfig,
+) -> Option<Box<dyn CellChecker + 'a>> {
+    let n = cfg.n;
+    Some(match cfg.sched {
+        SchedSpec::Adversary { .. } => {
+            armed::<_, SsyncModel>(algo, AdversaryOptions::for_robots(n), cfg)
+        }
+        SchedSpec::Crash { f, .. } => {
+            armed::<_, CrashModel>(algo, CrashOptions::for_robots(f, n), cfg)
+        }
+        SchedSpec::LcmAsync { depth } => {
+            armed::<_, AsyncModel>(algo, AsyncOptions::new(depth), cfg)
+        }
+        _ => return None,
+    })
+}
+
+/// A checker of model `M` for `cfg`'s cell, with the cell's per-class
+/// deadline and byte budget armed. It keeps the historical 8-robot
+/// floor, so n <= 7 cells stay byte-identical to the pre-parameterised
+/// pipeline.
+fn armed<'a, A: Algorithm + ?Sized, M: Model + 'a>(
+    algo: &'a A,
+    opts: M::Options,
+    cfg: &SweepConfig,
+) -> Box<dyn CellChecker + 'a>
+where
+    ModelChecker<'a, A, M>: CellChecker,
+{
+    let mut checker = ModelChecker::<A, M>::for_robots(algo, opts, cfg.n.max(8));
+    checker.set_class_timeout(cfg.class_timeout_ms.map(Duration::from_millis));
+    checker.set_mem_budget(cfg.mem_budget_mb.map(|mb| mb * 1024 * 1024));
+    Box::new(checker)
 }
 
 /// Runs one class under the cell's scheduler and returns its outcome.
@@ -971,8 +961,8 @@ pub fn run_class<A: Algorithm + ?Sized>(
             sched::run_scheduled(initial, algo, &mut s, limits).outcome
         }
         SchedSpec::Adversary { .. } | SchedSpec::Crash { .. } | SchedSpec::LcmAsync { .. } => {
-            let checker =
-                CellChecker::for_spec(algo, spec, initial.len()).expect("model-checking cell");
+            let cfg = SweepConfig { sched: spec, n: initial.len(), ..SweepConfig::default() };
+            let checker = cell_checker(algo, &cfg).expect("model-checking cell");
             checker.run_class(initial, index, limits).outcome
         }
     }
@@ -1296,13 +1286,13 @@ enum ShardProgress {
 /// its record. Without a journal and deadline the whole range runs as
 /// one chunk — byte-identical to the historical single-pass shard.
 /// `algo` and, for model-checking cells, `checker`
-/// ([`CellChecker::for_cell`]) are the cell's.
+/// ([`cell_checker`]) are the cell's.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_inner(
     classes: &[Vec<Coord>],
     cfg: &SweepConfig,
     algo: &SevenGather,
-    mut checker: Option<&mut CellChecker<'_, SevenGather>>,
+    mut checker: Option<&mut (dyn CellChecker + '_)>,
     shard: usize,
     start: usize,
     end: usize,
@@ -1313,7 +1303,7 @@ fn run_shard_inner(
     let limits = cfg.effective_limits();
     // The checker's telemetry is cumulative over the cell, so the
     // shard's reading is the delta from here.
-    let metrics_before = checker.as_deref().map(CellChecker::metrics_snapshot).unwrap_or_default();
+    let metrics_before = checker.as_deref().map(|c| c.metrics_snapshot()).unwrap_or_default();
     let watch = telemetry::Stopwatch::started();
     // Telemetry bracketing: the pool totals are process-global, so the
     // before/after delta attributes stealing activity to this shard
@@ -1438,12 +1428,12 @@ pub fn run_shard(
     end: usize,
 ) -> ShardRecord {
     let algo = cfg.algo.build();
-    let mut checker = CellChecker::for_cell(&algo, cfg);
+    let mut checker = cell_checker(&algo, cfg);
     match run_shard_inner(
         classes,
         cfg,
         &algo,
-        checker.as_mut(),
+        checker.as_deref_mut(),
         shard,
         start,
         end,
@@ -1833,7 +1823,7 @@ pub fn run_sweep_with(
     // One algorithm and one checker for the whole cell: every shard's
     // searches share its class table.
     let algo = cfg.algo.build();
-    let mut checker = CellChecker::for_cell(&algo, cfg);
+    let mut checker = cell_checker(&algo, cfg);
     let deadline = cfg.cell_deadline_secs.map(|s| Instant::now() + Duration::from_secs(s));
 
     let mut records = Vec::with_capacity(ranges.len());
@@ -1869,7 +1859,7 @@ pub fn run_sweep_with(
                     &classes,
                     cfg,
                     &algo,
-                    checker.as_mut(),
+                    checker.as_deref_mut(),
                     shard,
                     start,
                     end,
@@ -1934,21 +1924,13 @@ pub fn find_failure(cfg: &SweepConfig) -> Option<(usize, Outcome)> {
     let classes = polyhex::enumerate_fixed(cfg.n);
     let algo = cfg.algo.build();
     let limits = cfg.effective_limits();
-    let checker = CellChecker::for_cell(&algo, cfg);
+    let checker = cell_checker(&algo, cfg);
     let indexed: Vec<(usize, &Vec<Coord>)> = classes.iter().enumerate().collect();
     parallel::par_find_min(&indexed, cfg.threads, |&(index, cells)| {
         let initial = Configuration::new(cells.iter().copied());
+        // A proof's witness outcome is `Gathered { rounds: 0 }`.
         let outcome = match &checker {
-            Some(checker) => {
-                let result = checker.run_class(&initial, index, limits);
-                let proof = matches!(result.verdict, Some(AdversaryVerdict::Proof))
-                    || matches!(result.crash, Some(CrashVerdict::Proof))
-                    || matches!(result.lcm_async, Some(AsyncVerdict::Proof));
-                if proof {
-                    return None;
-                }
-                result.outcome
-            }
+            Some(checker) => checker.run_class(&initial, index, limits).outcome,
             None => run_class(&initial, &algo, cfg.sched, index, limits),
         };
         (!outcome.is_gathered()).then_some(outcome)
@@ -2719,25 +2701,31 @@ mod tests {
     fn class_timeout_degrades_to_counted_timeout_verdicts() {
         // A zero deadline trips the explorer's first poll, so every
         // class of the cell degrades to Undecided{Timeout} — counted,
-        // not fatal, and visible in the summary tallies.
-        let sched = SchedSpec::Adversary { depth: DEFAULT_FAIR_DEPTH };
-        let cfg = SweepConfig {
-            n: 4,
-            shards: 1,
-            sched,
-            class_timeout_ms: Some(0),
-            ..SweepConfig::default()
-        };
+        // not fatal, and visible in the summary tallies — whichever
+        // model the cell's checker runs.
         let classes = polyhex::enumerate_fixed(4);
-        let record = run_shard(&classes, &cfg, 0, 0, classes.len());
-        assert!(record
-            .results
-            .iter()
-            .all(|r| matches!(r.outcome, Outcome::Undecided { reason: UndecidedReason::Timeout })));
-        let summary = merge_shards(&cfg, std::slice::from_ref(&record)).expect("merges");
-        assert_eq!(summary.undecided, classes.len());
-        let counts = summary.adversary.expect("adversary cells tally verdicts");
-        assert_eq!(counts.undecided, classes.len());
+        for spec in ["adversary", "crash:1", "lcm-async"] {
+            let sched = SchedSpec::parse(spec).expect("known scheduler");
+            let cfg = SweepConfig {
+                n: 4,
+                shards: 1,
+                sched,
+                class_timeout_ms: Some(0),
+                ..SweepConfig::default()
+            };
+            let record = run_shard(&classes, &cfg, 0, 0, classes.len());
+            assert!(
+                record.results.iter().all(|r| matches!(
+                    r.outcome,
+                    Outcome::Undecided { reason: UndecidedReason::Timeout }
+                )),
+                "{spec}: every class times out"
+            );
+            let summary = merge_shards(&cfg, std::slice::from_ref(&record)).expect("merges");
+            assert_eq!(summary.undecided, classes.len(), "{spec}");
+            let counts = summary.adversary.expect("model-checking cells tally verdicts");
+            assert_eq!(counts.undecided, classes.len(), "{spec}");
+        }
     }
 
     #[test]
@@ -2746,38 +2734,39 @@ mod tests {
         // rejects it as useless) trips the first budget poll of every
         // class that reaches one, so the cell degrades to counted
         // Undecided{MemBudget} rows — deterministically, no panic —
-        // and the shard metrics carry the tally.
-        let sched = SchedSpec::Adversary { depth: DEFAULT_FAIR_DEPTH };
-        let cfg = SweepConfig {
-            n: 4,
-            shards: 1,
-            sched,
-            mem_budget_mb: Some(0),
-            ..SweepConfig::default()
-        };
+        // and the shard metrics carry the tally, whichever model the
+        // cell's checker runs.
         let classes = polyhex::enumerate_fixed(4);
-        let record = run_shard(&classes, &cfg, 0, 0, classes.len());
-        let over_budget = record
-            .results
-            .iter()
-            .filter(|r| {
+        for spec in ["adversary", "crash:1", "lcm-async"] {
+            let sched = SchedSpec::parse(spec).expect("known scheduler");
+            let cfg = SweepConfig {
+                n: 4,
+                shards: 1,
+                sched,
+                mem_budget_mb: Some(0),
+                ..SweepConfig::default()
+            };
+            let is_over_budget = |r: &ClassOutcome| {
                 matches!(r.outcome, Outcome::Undecided { reason: UndecidedReason::MemBudget })
-            })
-            .count();
-        assert!(over_budget > 0, "a 1 MiB budget must trip on some n=4 class");
-        let metrics = record.metrics.as_ref().expect("shard metrics present");
-        assert_eq!(metrics.snapshot.counter("sweep.classes_mem_budget"), over_budget as u64);
-        let summary = merge_shards(&cfg, std::slice::from_ref(&record)).expect("merges");
-        assert!(summary.undecided >= over_budget);
+            };
+            let record = run_shard(&classes, &cfg, 0, 0, classes.len());
+            let over_budget = record.results.iter().filter(|r| is_over_budget(r)).count();
+            assert!(over_budget > 0, "{spec}: a zero budget must trip on some n=4 class");
+            let metrics = record.metrics.as_ref().expect("shard metrics present");
+            assert_eq!(
+                metrics.snapshot.counter("sweep.classes_mem_budget"),
+                over_budget as u64,
+                "{spec}"
+            );
+            let summary = merge_shards(&cfg, std::slice::from_ref(&record)).expect("merges");
+            assert!(summary.undecided >= over_budget, "{spec}");
 
-        // The same cell with no budget decides every class: the budget
-        // path never leaks into unbudgeted runs.
-        let unbudgeted = SweepConfig { mem_budget_mb: None, ..cfg };
-        let record = run_shard(&classes, &unbudgeted, 0, 0, classes.len());
-        assert!(record.results.iter().all(|r| !matches!(
-            r.outcome,
-            Outcome::Undecided { reason: UndecidedReason::MemBudget }
-        )));
+            // The same cell with no budget decides every class: the
+            // budget path never leaks into unbudgeted runs.
+            let unbudgeted = SweepConfig { mem_budget_mb: None, ..cfg };
+            let record = run_shard(&classes, &unbudgeted, 0, 0, classes.len());
+            assert!(!record.results.iter().any(is_over_budget), "{spec}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! holding the same classes: each class is added exactly once.
 
 use gathering::SevenGather;
-use robots::explore::{ExploreOptions, ExploreReport, Explorer};
+use robots::explore::{CrashSemantics, ExploreOptions, ExploreReport, Explorer};
 use robots::Configuration;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -27,7 +27,7 @@ fn check_shared(
     threads: usize,
 ) -> (Vec<ExploreReport>, u64) {
     let algo = SevenGather::verified();
-    let explorer = Explorer::new_for_robots(&algo, opts, budget, gathered_goal, 8);
+    let explorer = Explorer::new(&algo, opts, CrashSemantics::new(budget, gathered_goal), 8);
     let next = AtomicUsize::new(0);
     let start = Barrier::new(threads);
     let reports: Vec<Mutex<Option<ExploreReport>>> =
