@@ -17,8 +17,10 @@
 //! table's size, frontier peaks — as pretty JSON plus a short human
 //! summary.
 //!
-//! Both modes write through one locked stdout, and a closed reader
-//! (`diagnose --stats | head`) ends the run quietly with exit 0.
+//! The algorithm (`paper`, or the default `verified`) may stand anywhere
+//! among the flags, in either mode. Both modes write through
+//! [`simlab::write_stdout`], so a closed reader (`diagnose --stats |
+//! head`) ends the run quietly with exit 0.
 
 use gathering::base::{determine, BaseDecision};
 use gathering::SevenGather;
@@ -34,21 +36,21 @@ fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
 }
 
 /// `--stats` mode: one class, one check, full telemetry dump.
-fn run_stats(args: &[String], out: &mut impl Write) -> io::Result<()> {
-    let which = if args.iter().any(|a| a == "paper") { "paper" } else { "verified" };
+fn run_stats(
+    args: &[String],
+    which: &str,
+    algo: &SevenGather,
+    out: &mut impl Write,
+) -> io::Result<()> {
     let n: usize = flag_value(args, "--n").unwrap_or(7);
     let class: usize = flag_value(args, "--class").unwrap_or(0);
-    let algo = match which {
-        "paper" => SevenGather::paper(),
-        _ => SevenGather::verified(),
-    };
     let classes = polyhex::enumerate_fixed(n);
     let Some(cells) = classes.get(class) else {
         eprintln!("class {class} out of range: the n={n} space holds {} classes", classes.len());
         std::process::exit(2);
     };
     let initial = Configuration::new(cells.iter().copied());
-    let checker = Checker::for_robots(&algo, AdversaryOptions::for_robots(n), n.max(8));
+    let checker = Checker::for_robots(algo, AdversaryOptions::for_robots(n), n.max(8));
     let report = checker.check(&initial);
     let snapshot = checker.metrics_snapshot();
 
@@ -87,19 +89,14 @@ fn run_stats(args: &[String], out: &mut impl Write) -> io::Result<()> {
 
 /// Default mode: FSYNC over every seven-robot class, failures clustered
 /// by canonical final configuration.
-fn run_clusters(args: &[String], out: &mut impl Write) -> io::Result<()> {
-    let which = args.first().map(String::as_str).unwrap_or("verified");
+fn run_clusters(args: &[String], algo: &SevenGather, out: &mut impl Write) -> io::Result<()> {
     let top: usize = flag_value(args, "--top").unwrap_or(8);
-    let algo = match which {
-        "paper" => SevenGather::paper(),
-        _ => SevenGather::verified(),
-    };
     let limits = Limits::default();
     let classes = polyhex::enumerate_fixed(7);
 
     let results = parallel::par_map(&classes, 0, |cells| {
         let initial = Configuration::new(cells.iter().copied());
-        engine::run(&initial, &algo, limits)
+        engine::run(&initial, algo, limits)
     });
 
     let mut outcome_kinds: HashMap<&'static str, usize> = HashMap::new();
@@ -159,14 +156,16 @@ fn run_clusters(args: &[String], out: &mut impl Write) -> io::Result<()> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = io::stdout().lock();
-    let run = if args.iter().any(|a| a == "--stats") { run_stats } else { run_clusters };
-    match run(&args, &mut out).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
-            eprintln!("diagnose: writing to stdout failed: {e}");
-            std::process::exit(1);
+    let (which, algo) = if args.iter().any(|a| a == "paper") {
+        ("paper", SevenGather::paper())
+    } else {
+        ("verified", SevenGather::verified())
+    };
+    simlab::write_stdout("diagnose", |out| {
+        if args.iter().any(|a| a == "--stats") {
+            run_stats(&args, which, &algo, out)
+        } else {
+            run_clusters(&args, &algo, out)
         }
-        // A closed reader has all the output it wanted.
-        _ => {}
-    }
+    });
 }

@@ -4,11 +4,15 @@
 //! ```text
 //! cargo run --release -p simlab --bin show_overrides [-- --markdown]
 //! ```
+//!
+//! It writes through [`simlab::write_stdout`], so a closed reader
+//! (`show_overrides | head -1`) ends the run quietly with exit 0.
 
 use gathering::base::{determine, BaseDecision};
 use gathering::overrides::OVERRIDES;
 use gathering::rules;
 use robots::View;
+use std::io::{self, Write};
 use trigrid::{Coord, ORIGIN};
 
 /// Renders the 18-node view with the observer at `*`, robots `●`,
@@ -43,12 +47,13 @@ fn render_view(v: &View, target: Coord) -> String {
     out
 }
 
-fn main() {
-    let markdown = std::env::args().any(|a| a == "--markdown");
-    println!(
+/// Prints every override with its base decision and rendered view.
+fn print_overrides(markdown: bool, out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{} synthesized overrides (view → move); observer '*', robots '●', target '◎':\n",
         OVERRIDES.len()
-    );
+    )?;
     for &(bits, code) in OVERRIDES {
         let v = View::from_bits(2, bits as u64);
         let d = rules::decode_decision(code).expect("overrides always move");
@@ -59,13 +64,19 @@ fn main() {
             BaseDecision::Tie => "tie".into(),
         };
         if markdown {
-            println!("### view `{bits:#07x}` → **{d:?}** ({base})\n\n```text");
-            print!("{}", render_view(&v, d.delta()));
-            println!("```\n");
+            writeln!(out, "### view `{bits:#07x}` → **{d:?}** ({base})\n\n```text")?;
+            write!(out, "{}", render_view(&v, d.delta()))?;
+            writeln!(out, "```\n")?;
         } else {
-            println!("view {bits:#07x} -> {d:?}  ({base})");
-            print!("{}", render_view(&v, d.delta()));
-            println!();
+            writeln!(out, "view {bits:#07x} -> {d:?}  ({base})")?;
+            write!(out, "{}", render_view(&v, d.delta()))?;
+            writeln!(out)?;
         }
     }
+    Ok(())
+}
+
+fn main() {
+    let markdown = std::env::args().any(|a| a == "--markdown");
+    simlab::write_stdout("show_overrides", |out| print_overrides(markdown, out));
 }

@@ -14,9 +14,9 @@
 //!   built and armed with the cell's class deadline and byte budget in
 //!   one place;
 //! * the 3652-class space is split into contiguous **shards**, each
-//!   fanned across the crossbeam-deque **work-stealing pool**
-//!   ([`parallel::par_map`]; the per-class checker runs of the
-//!   model-checking cells are wildly skewed: a proof explores
+//!   fanned across [`parallel::par_map`], whose workers claim one class
+//!   index at a time from a shared counter (the per-class checker runs
+//!   of the model-checking cells are wildly skewed: a proof explores
 //!   thousands of states where a refutation stops at its first bad
 //!   terminal) and persisted as a **record**: the shard's journal of
 //!   framed JSON lines (a header, one line per chunk of
@@ -490,7 +490,7 @@ pub struct ClassOutcome {
 
 /// An out-of-band telemetry reading riding along a shard record or a
 /// merged summary: phase wall times, class-table size, BFS shape
-/// histograms and work-stealing pool activity (see DESIGN.md §16).
+/// histograms and pool activity (see DESIGN.md §16).
 ///
 /// Wall times and pool activity are inherently nondeterministic, so
 /// this wrapper's `PartialEq` deliberately ignores the reading:
@@ -1306,10 +1306,10 @@ fn run_shard_inner(
     let metrics_before = checker.as_deref().map(|c| c.metrics_snapshot()).unwrap_or_default();
     let watch = telemetry::Stopwatch::started();
     // Telemetry bracketing: the pool totals are process-global, so the
-    // before/after delta attributes stealing activity to this shard
+    // before/after delta attributes pool activity to this shard
     // (approximately, if other pool calls run concurrently — metrics
     // are observability, not accounting).
-    let pool_before = parallel::stealing::pool_stats();
+    let pool_before = parallel::pool_stats();
     // The cell's labels grow with the roots this shard still has to
     // check, before its first chunk (DESIGN.md §19).
     let resumed = prior.results.len();
@@ -1384,12 +1384,7 @@ fn run_shard_inner(
     }
     let mut snapshot =
         checker.map(|c| c.metrics_snapshot().delta_since(&metrics_before)).unwrap_or_default();
-    let pool = parallel::stealing::pool_stats().delta_since(&pool_before);
-    snapshot.add_counter("parallel.tasks", pool.tasks);
-    snapshot.add_counter("parallel.steal_batches", pool.steal_batches);
-    snapshot.add_counter("parallel.steal_retries", pool.steal_retries);
-    snapshot.add_counter("parallel.idle_probes", pool.idle_probes);
-    snapshot.add_counter("parallel.serial_calls", pool.serial_calls);
+    snapshot.add_counter("parallel.tasks", parallel::pool_stats().saturating_sub(pool_before));
     snapshot.add_counter("sweep.classes", results.len() as u64);
     snapshot.add_counter("sweep.shard_wall_ns", watch.elapsed_ns());
     let panicked = results.iter().filter(|r| r.panic.is_some()).count() as u64;

@@ -4,8 +4,8 @@
 //! (whose per-class seed derivation must be threading/sharding
 //! invariant) and for the adversary, crash and lcm-async
 //! model-checking cells (whose verdicts and counterexample schedules
-//! must be reproducible no matter how the work-stealing pool
-//! interleaves the classes).
+//! must be reproducible no matter how the executor's workers
+//! interleave the classes).
 
 use simlab::sweep::{
     merge_shards, run_shard, shard_ranges, verdict_digest, ClassOutcome, SchedSpec, ShardRecord,
@@ -58,10 +58,10 @@ fn adversary_records_are_thread_and_shard_invariant() {
 
 #[test]
 fn crash_records_are_thread_and_shard_invariant() {
-    // The acceptance bar for the work-stealing fan-out: crash-cell
+    // The acceptance bar for the parallel fan-out: crash-cell
     // verdicts (including the replayable schedule + crash assignment
     // of every refutation) must be byte-identical between a
-    // single-thread run and any multi-thread/stealing run.
+    // single-thread run and any multi-thread run.
     let sched = SchedSpec::parse("crash:1").expect("known scheduler");
     assert_invariant_across_threads_and_shards(
         SweepConfig { n: 4, sched, ..SweepConfig::default() },
@@ -73,7 +73,7 @@ fn crash_records_are_thread_and_shard_invariant() {
 fn lcm_async_records_are_thread_and_shard_invariant() {
     // The ASYNC checker's verdicts (including the replayable one-hot
     // tick schedule of every refutation) must be byte-identical
-    // between a single-thread run and any multi-thread/stealing run.
+    // between a single-thread run and any multi-thread run.
     let sched = SchedSpec::parse("lcm-async").expect("known scheduler");
     assert_invariant_across_threads_and_shards(
         SweepConfig { n: 4, sched, ..SweepConfig::default() },

@@ -1,6 +1,6 @@
 //! In-tree, dependency-free metrics core for the checker stack.
 //!
-//! The exploration layers (`robots::explore`, the work-stealing pool, the
+//! The exploration layers (`robots::explore`, the parallel executor, the
 //! sweep driver) decide tens of thousands of symmetry classes per cell; this
 //! crate gives them a way to explain *where the time and state growth went*
 //! without ever perturbing the byte-pinned verdict digests. Everything here
@@ -8,7 +8,7 @@
 //!
 //! * **Primitives are lock-free.** [`Counter`], [`Gauge`] and [`Histogram`]
 //!   are relaxed atomics — safe to bump from every worker of the
-//!   work-stealing pool without serializing them. Hot loops are expected to
+//!   parallel executor without serializing them. Hot loops are expected to
 //!   tally into plain `u64` locals and [`Counter::add`] once per batch
 //!   (per-worker sharding), so the instrumented path costs one uncontended
 //!   atomic add per worker per phase, not per event.
