@@ -60,9 +60,9 @@
 //! with the algorithm.
 
 use crate::checker::{Model, ModelChecker};
-use crate::engine::{Limits, Outcome};
+use crate::engine::Outcome;
 use crate::explore::{
-    CrashSemantics, ExploreOptions, ExploreReport, ExploreVerdict, UndecidedReason,
+    self, CrashSemantics, ExploreOptions, ExploreReport, ExploreVerdict, UndecidedReason,
 };
 use crate::sched::{self, CrashRound, ScheduleReplay};
 use crate::{Algorithm, Configuration, Execution};
@@ -247,14 +247,9 @@ pub fn replay<A: Algorithm + ?Sized>(
     let AdversaryVerdict::Refuted { schedule, outcome } = verdict else {
         return None;
     };
-    let max_rounds = match outcome {
-        Outcome::StuckFixpoint { rounds } => rounds + 1,
-        Outcome::StepLimit { rounds } => *rounds,
-        Outcome::Collision { .. } | Outcome::Disconnected { .. } => schedule.len().max(1),
-        _ => schedule.len() + 1,
-    };
+    // Every SSYNC action activates a mover: each is a movement round.
+    let limits = explore::replay_limits(outcome, schedule.len());
     let mut replayer = ScheduleReplay::new(schedule.clone());
-    let limits = Limits { max_rounds, detect_livelock: false };
     Some(sched::run_scheduled(initial, algo, &mut replayer, limits))
 }
 

@@ -25,13 +25,17 @@
 //! tripped). States are `(canonical class, packed pending vector)` — see
 //! [`PackedPending`] — actions are single-robot phase advances, and
 //! every walk (the explorer's, [`run_async`]'s, and the replayer's)
-//! steps through the one [`advance_phase`] successor function. The
-//! explorer reads each move from its class's move table in the
-//! explorer's class table: one entry per `(slot, direction)`, filled
-//! on first read by `advance_phase` on the class's decoded
-//! representative, naming the successor by class id and the mover's
-//! new slot. An edge then costs a table read and a pending-vector
-//! relabelling: no configuration, connectivity flood, key or lock.
+//! steps through the one [`advance_phase`] successor function.
+//! [`AsyncSemantics`] only enumerates a state's phase advances with
+//! their targets ([`Semantics::actions`]); the explorer's one
+//! expansion interns, counts, polls and refutes them as it does the
+//! crash semantics' actions. The enumerator reads each move from its
+//! class's move table in the explorer's class table: one entry per
+//! `(slot, direction)`, filled on first read by `advance_phase` on the
+//! class's decoded representative, naming the successor by class id and
+//! the mover's new slot. An edge then costs a table read and a
+//! pending-vector relabelling: no configuration, connectivity flood,
+//! key or lock.
 //!
 //! Fairness in ASYNC means every robot's phase advances infinitely
 //! often (every robot completes infinitely many LCM cycles); the
@@ -43,8 +47,8 @@ use crate::checker::{Model, ModelChecker};
 use crate::config::{PackedClass, PackedPending};
 use crate::engine::{self, Execution, Limits, Outcome, RoundCollision};
 use crate::explore::{
-    canonical_action, ClassInfo, ClassNode, EdgeCert, ExploreOptions, Explorer, NodeKind, Search,
-    Semantics, MAX_CLASSES,
+    self, canonical_action, edge_cert, ClassInfo, ClassNode, EdgeCert, ExploreOptions, Explorer,
+    NodeKind, Semantics, Target, MAX_CLASSES,
 };
 use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration, View};
@@ -454,131 +458,99 @@ impl Semantics for AsyncSemantics {
         }
     }
 
-    fn intern_root<A: Algorithm + ?Sized>(
-        &self,
-        search: &mut Search<'_, '_, A, Self>,
-        initial: &Configuration,
-    ) -> usize {
-        let id = search.explorer().class_id(initial.canonical_key());
-        let class = search.local_class(id);
-        search.intern_variant(class, PackedPending::IDLE, 0, None).0
+    /// No dense slots: each class's states sit on its chain of pending
+    /// vectors.
+    fn width(&self, _n: usize) -> usize {
+        0
     }
 
-    /// Expands the phase advance of every robot with an action: an idle
-    /// mover captures its decision; a pending robot executes its
-    /// (possibly stale) move, read from the class's move table, and the
-    /// other pendings follow their robots into the successor's slots.
-    /// Rounds count *ticks* — every phase advance is one.
-    fn expand<A: Algorithm + ?Sized>(
+    fn rank(&self, _pending: PackedPending) -> usize {
+        unreachable!("a zero width ranks no pending vector")
+    }
+
+    /// The phase advance of every robot with an action, slot by slot:
+    /// an idle mover captures its decision (a successor in its own
+    /// class); a pending robot executes its (possibly stale) move, read
+    /// from the class's move table, and the other pendings follow their
+    /// robots into the successor's slots. An idle robot deciding to stay
+    /// completes its whole cycle with no effect: a self-loop excluded
+    /// from expansion (fairness gets it for free). The dedup runs before
+    /// the move table is read.
+    #[inline(always)]
+    fn actions<A: Algorithm + ?Sized>(
         &self,
-        search: &mut Search<'_, '_, A, Self>,
-        id: usize,
-        queue: &mut Vec<u32>,
-    ) -> Option<AsyncVerdict> {
-        let (class, pending, rounds) = search.state(id);
-        let node = search.node(class);
-        let info = *node.info();
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        pending: PackedPending,
+        mut visit: impl FnMut(CrashRound, Target<PackedPending>) -> bool,
+    ) -> usize {
+        let node = explorer.node(id);
+        let info = node.info();
         let n = info.robots();
-        let explorer = search.explorer();
-        let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(node.key(), pending)
-        } else {
-            Vec::new()
-        };
-        let moves =
-            if pending.is_idle() { &[][..] } else { move_table(explorer, search.table_id(class)) };
+        let perms = explorer.stabilizer_perms(node.key(), pending);
+        let moves = if pending.is_idle() { &[][..] } else { move_table(explorer, id) };
+        let mut deduped = 0;
         for slot in 0..n {
+            let (dir, look) = match (pending.get(slot), info.decision(slot)) {
+                (Some(dir), _) => (dir, false),
+                (None, Some(dir)) => (dir, true),
+                (None, None) => continue,
+            };
             let action = CrashRound { crash: 0, activate: 1 << slot };
-            match pending.get(slot) {
-                None => {
-                    // Idle. A robot deciding to stay completes its
-                    // whole cycle with no effect: a self-loop excluded
-                    // from expansion (fairness gets it for free).
-                    let Some(dir) = info.decision(slot) else { continue };
-                    if !perms.is_empty() && canonical_action(action, &perms) != action {
-                        search.bump_deduped();
-                        continue;
-                    }
-                    search.bump_edges();
-                    let captured = pending.with(slot, Some(dir));
-                    let (succ, new) =
-                        search.intern_variant(class, captured, rounds + 1, Some((id, action)));
-                    debug_assert_ne!(
-                        search.node_kind(succ),
-                        NodeKind::Stuck,
-                        "a pending state always has an action"
-                    );
-                    if new {
-                        queue.push(succ as u32);
-                    }
-                    search.push_edge(id, action, succ);
-                }
-                Some(dir) => {
-                    if !perms.is_empty() && canonical_action(action, &perms) != action {
-                        search.bump_deduped();
-                        continue;
-                    }
-                    match read_move(explorer, moves, node.key(), slot, dir) {
-                        MoveEntry::Collides => {
-                            // Ends the search, so the representative is
-                            // decoded at most once per search.
-                            let cfg = node.key().unpack();
-                            let Err(collision) =
-                                advance_phase(&cfg, pending, slot, explorer.algorithm())
-                            else {
-                                unreachable!("the move table records a collision");
-                            };
-                            let outcome = Outcome::Collision { round: rounds, collision };
-                            return Some(search.refute(id, action, outcome));
-                        }
-                        MoveEntry::Disconnects => {
-                            search.bump_edges();
-                            let outcome = Outcome::Disconnected { round: rounds + 1 };
-                            return Some(search.refute(id, action, outcome));
-                        }
-                        MoveEntry::Succ { class: to, slot: landed } => {
-                            search.bump_edges();
-                            let remapped = remap_pending(pending, n, slot, landed);
-                            let to = search.local_class(to);
-                            let parent = Some((id, action));
-                            let (succ, new) =
-                                search.intern_variant(to, remapped, rounds + 1, parent);
-                            if new {
-                                if search.node_kind(succ) == NodeKind::Stuck {
-                                    let outcome = Outcome::StuckFixpoint { rounds: rounds + 1 };
-                                    return Some(search.refute(id, action, outcome));
-                                }
-                                queue.push(succ as u32);
-                            }
-                            search.push_edge(id, action, succ);
-                        }
-                    }
-                }
+            if canonical_action(action, &perms) != action {
+                deduped += 1;
+                continue;
             }
-            if search.over_budget() {
-                return Some(search.budget_undecided());
+            // One call site for `visit`, so that it inlines.
+            let target = if look {
+                Target::Succ(id, pending.with(slot, Some(dir)))
+            } else {
+                match read_move(explorer, moves, node.key(), slot, dir) {
+                    MoveEntry::Collides => Target::Collides,
+                    MoveEntry::Disconnects => Target::Disconnects,
+                    MoveEntry::Succ { class, slot: landed } => {
+                        Target::Succ(class, remap_pending(pending, n, slot, landed))
+                    }
+                }
+            };
+            if !visit(action, target) {
+                return deduped;
             }
         }
-        None
+        deduped
     }
 
-    /// Certifies one phase advance. A robot satisfies fairness on the
-    /// edge when its phase advances (finitely many phases ⇒ infinitely
-    /// many completed cycles in a pumped run) or when it is idle at a
-    /// state whose fresh decision for it is *stay* (it can run full
-    /// no-effect cycles at will).
-    fn traverse<A: Algorithm + ?Sized>(
+    /// Decodes the class (a collision ends the search, so at most once
+    /// per search) and takes the exact report from [`advance_phase`].
+    fn collision<A: Algorithm + ?Sized>(
         &self,
-        search: &Search<'_, '_, A, Self>,
-        from: usize,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        pending: PackedPending,
         action: CrashRound,
-        to: usize,
+    ) -> RoundCollision {
+        let cfg = explorer.node(id).key().unpack();
+        let slot = action.activate.trailing_zeros() as usize;
+        let Err(collision) = advance_phase(&cfg, pending, slot, explorer.algorithm()) else {
+            unreachable!("the move table records a collision");
+        };
+        collision
+    }
+
+    /// A robot satisfies fairness on the edge when its phase advances
+    /// (finitely many phases ⇒ infinitely many completed cycles in a
+    /// pumped run) or when it is idle at a state whose fresh decision
+    /// for it is *stay* (it can run full no-effect cycles at will).
+    fn cert(
+        node: &ClassNode,
+        pending: PackedPending,
+        action: CrashRound,
+        to: PackedClass,
     ) -> EdgeCert {
         debug_assert_eq!(action.crash, 0, "ASYNC actions never inject crashes");
         let slot = action.activate.trailing_zeros() as usize;
-        let (class, pending, _) = search.state(from);
-        let info = search.info(class);
-        search.traverse_roles(from, to, |pos| {
+        let info = node.info();
+        edge_cert(node.key(), to, |pos| {
             let mut flags = 1 << slot;
             for i in 0..pos.len() {
                 if pending.get(i).is_none() && info.decision(i).is_none() {
@@ -753,13 +725,7 @@ pub fn replay<A: Algorithm + ?Sized>(
     let AsyncVerdict::Refuted { schedule, outcome } = verdict else {
         return None;
     };
-    let max_rounds = match outcome {
-        Outcome::StuckFixpoint { rounds } => rounds + 1,
-        Outcome::StepLimit { rounds } => *rounds,
-        Outcome::Collision { .. } | Outcome::Disconnected { .. } => schedule.len().max(1),
-        _ => schedule.len() + 1,
-    };
-    let limits = Limits { max_rounds, detect_livelock: false };
+    let limits = explore::replay_limits(outcome, schedule.len());
     Some(run_async_schedule(initial, algo, schedule, limits))
 }
 

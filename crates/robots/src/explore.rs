@@ -8,11 +8,11 @@
 //!    states `(canonical class, crash mask)` with `(crash injection,
 //!    activation subset)` actions;
 //! 2. this layer abstracts the *state and transition shape itself*
-//!    behind the [`Semantics`] trait — a semantics defines the per-state
-//!    adversary actions, the successor function, and the packed
-//!    auxiliary key stored alongside the translation class (a crash
-//!    mask for [`CrashSemantics`]; a per-robot pending-move vector for
-//!    the ASYNC model's
+//!    behind the [`Semantics`] trait — a semantics enumerates each
+//!    state's adversary actions with their targets, and defines the
+//!    packed auxiliary key stored alongside the translation class (a
+//!    crash mask for [`CrashSemantics`]; a per-robot pending-move vector
+//!    for the ASYNC model's
 //!    [`AsyncSemantics`](crate::async_model::AsyncSemantics)).
 //!
 //! The search machinery is shared by every semantics:
@@ -23,10 +23,12 @@
 //!   a proof, DESIGN.md §15); a graph with no cyclic SCC is a proof
 //!   outright;
 //!
-//! plus stabilizer-subset dedup throughout. Only expansion, terminal
-//! classification and the per-edge fairness certificate
-//! ([`Semantics::traverse`]) are instantiation-specific. (The letters
-//! skip B and C to match the telemetry counters
+//! plus stabilizer-subset dedup throughout. Only the action enumeration
+//! ([`Semantics::actions`]), terminal classification and the per-edge
+//! fairness certificate ([`Semantics::cert`]) are
+//! instantiation-specific: one expansion interns every successor,
+//! counts the edges, polls the budgets and refutes, for every
+//! semantics. (The letters skip B and C to match the telemetry counters
 //! `explore.phase_{a,d}_ns`.)
 //!
 //! The SSYNC adversary checker is the crash semantics with budget **0**
@@ -100,13 +102,13 @@
 //! labeled root as a proof, through a tight BFS, or through
 //! [`Explorer::check`] (DESIGN.md §19). The search, the walk and the
 //! tight BFS enumerate actions through one function,
-//! `CrashSemantics::actions`, and decide fair cycles through one
-//! product, `fair_pump`.
+//! [`Semantics::actions`], and decide fair cycles through one product,
+//! `fair_pump`.
 
 mod labels;
 
 use crate::config::PackedClass;
-use crate::engine::{self, Outcome};
+use crate::engine::{self, Limits, Outcome};
 use crate::sched::CrashRound;
 use crate::visited::{FlatKeyIndex, PackedKeyMap};
 use crate::{view, Algorithm, Configuration, View};
@@ -597,9 +599,14 @@ impl<E> ClassTable<E> {
 
 /// A **semantics** of the exploration layer: what a state's auxiliary
 /// key is (packed alongside the interned translation class), which
-/// adversary actions a state offers, what their successors are, and
-/// which robots one edge moves and serves fairly (the certificate the
-/// Phase D product consumes).
+/// adversary actions a state offers and where they lead, and which
+/// robots one edge moves and serves fairly (the certificate the Phase D
+/// product consumes).
+///
+/// A semantics only enumerates: [`Semantics::actions`] hands each
+/// action of a state to a visitor with its [`Target`], and the search
+/// interns the successor, counts the edge, polls the budgets and
+/// refutes the same way for every semantics (DESIGN.md §11).
 ///
 /// Implementations in this crate: [`CrashSemantics`] (SSYNC activation
 /// subsets plus permanent crash injections — the budget-0 case is the
@@ -607,9 +614,9 @@ impl<E> ClassTable<E> {
 /// [`AsyncSemantics`](crate::async_model::AsyncSemantics) (single-robot
 /// LCM phase advances over pending-move state). The trait is public so
 /// the instantiations can live next to their models, but its surface is
-/// an internal extension point of this crate: [`Search`]'s mutation
-/// methods are crate-private, so foreign implementations cannot drive a
-/// search.
+/// an internal extension point of this crate: an enumerator reads its
+/// class's table through the explorer's crate-private accessors, so
+/// foreign implementations cannot supply one.
 pub trait Semantics: Sync + Sized {
     /// The packed per-state auxiliary key stored alongside the class
     /// id. Key equality must coincide with auxiliary-state equality
@@ -620,8 +627,8 @@ pub trait Semantics: Sync + Sized {
 
     /// One entry of the table each class keeps in the explorer's
     /// `ClassTable`, naming successors by class id: a [`RoundStep`] of
-    /// the crash semantics, a single-robot move of ASYNC. Expansion
-    /// builds (or fills) it on first use.
+    /// the crash semantics, a single-robot move of ASYNC. The
+    /// enumerator builds (or fills) it on first use.
     type Entry: Send + Sync;
 
     /// The auxiliary key of an initial state (nothing crashed, every
@@ -653,36 +660,46 @@ pub trait Semantics: Sync + Sized {
     /// goal or stuck.
     fn classify(&self, node: &ClassNode, aux: Self::Aux) -> NodeKind;
 
-    /// Interns the initial state `(initial's class, root aux)` of a
-    /// search and returns its id.
-    fn intern_root<A: Algorithm + ?Sized>(
+    /// State slots per `n`-robot class in a search's dense `(class,
+    /// rank)` index, or 0 to keep each class's states on a chain of aux
+    /// variants instead.
+    fn width(&self, n: usize) -> usize;
+
+    /// The dense slot of `aux` within its class, below
+    /// [`Semantics::width`]; read only when the width is nonzero.
+    fn rank(&self, aux: Self::Aux) -> usize;
+
+    /// Every adversary action of the inner state `(class id, aux)`, in
+    /// the semantics' one expansion order, after the stabilizer dedup,
+    /// which skips every action that is not the least of its orbit.
+    ///
+    /// `visit` sees each kept action with its [`Target`] and returns
+    /// whether to go on. Returns how many actions the dedup skipped
+    /// before the enumeration ended.
+    fn actions<A: Algorithm + ?Sized>(
         &self,
-        search: &mut Search<'_, '_, A, Self>,
-        initial: &Configuration,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        aux: Self::Aux,
+        visit: impl FnMut(CrashRound, Target<Self::Aux>) -> bool,
     ) -> usize;
 
-    /// Expands every adversary action of inner state `id`, interning
-    /// successors and pushing newly discovered inner states onto
-    /// `queue`. Returns a verdict as soon as a bad terminal is reached
-    /// or a search budget is exhausted.
-    fn expand<A: Algorithm + ?Sized>(
+    /// The scalar engine's exact report of `action`, an action of state
+    /// `(class id, aux)` whose [`Target`] is [`Target::Collides`],
+    /// materialized for a refutation outcome (at most once per search:
+    /// a collision ends it).
+    fn collision<A: Algorithm + ?Sized>(
         &self,
-        search: &mut Search<'_, '_, A, Self>,
-        id: usize,
-        queue: &mut Vec<u32>,
-    ) -> Option<ExploreVerdict>;
-
-    /// Concretely traverses the explored edge `from --action--> to`
-    /// once and returns its certificate: where each robot lands and
-    /// which robots satisfy fairness on the edge. Implementations
-    /// build it through `Search::traverse_roles`.
-    fn traverse<A: Algorithm + ?Sized>(
-        &self,
-        search: &Search<'_, '_, A, Self>,
-        from: usize,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        aux: Self::Aux,
         action: CrashRound,
-        to: usize,
-    ) -> EdgeCert;
+    ) -> engine::RoundCollision;
+
+    /// The certificate of the explored crash-free edge `action` out of
+    /// state `(node's class, aux)` into class `to`: where each robot
+    /// lands and which robots satisfy fairness on the edge.
+    fn cert(node: &ClassNode, aux: Self::Aux, action: CrashRound, to: PackedClass) -> EdgeCert;
 }
 
 /// The crash-fault semantics (and, at budget 0, the plain SSYNC
@@ -739,19 +756,10 @@ impl CrashSemantics {
         }
     }
 
-    /// The state slot of crash mask `crashed` within its class.
-    pub(crate) fn rank(&self, crashed: u16) -> usize {
-        usize::from(self.rank[usize::from(crashed)])
-    }
-
-    /// The crash mask of state slot `rank` (the inverse of [`Self::rank`]).
+    /// The crash mask of state slot `rank` (the inverse of
+    /// [`Semantics::rank`]).
     pub(crate) fn mask(&self, rank: usize) -> u16 {
         self.masks[rank]
-    }
-
-    /// State slots per `n`-robot class: R(n, f) = Σ_{k ≤ f} C(n, k).
-    pub(crate) fn width(&self, n: usize) -> usize {
-        usize::from(self.rank[1 << n])
     }
 }
 
@@ -1314,19 +1322,14 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         self.opts.mem_budget = budget;
     }
 
-    /// The semantics this explorer instantiates.
-    pub(crate) fn semantics(&self) -> &S {
-        &self.semantics
-    }
-
     /// The algorithm being checked.
     pub(crate) fn algorithm(&self) -> &'a A {
         self.algo
     }
 
-    /// The out-of-band observability tallies.
-    pub(crate) fn metrics(&self) -> &ExploreMetrics {
-        &self.metrics
+    /// The node of a class id [`Self::class_id`] returned.
+    pub(crate) fn node(&self, id: u32) -> &ClassNode {
+        self.table.node(id)
     }
 
     /// The class table id of `key`'s class, adding the class (and
@@ -1464,8 +1467,11 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     /// state. The class's positions decode onto the stack, and the
     /// stabilizer test compares packed class keys, so non-stabilizing
     /// symmetries (the common case) are rejected without any
-    /// allocation.
+    /// allocation; a trivial subgroup decodes nothing.
     pub(crate) fn stabilizer_perms(&self, key: PackedClass, aux: S::Aux) -> Vec<Vec<usize>> {
+        if self.group.len() == 1 {
+            return Vec::new();
+        }
         let cells = key.cells();
         let positions = &cells[..key.robots()];
         let n = positions.len();
@@ -1552,20 +1558,33 @@ pub(crate) fn canonical_action(action: CrashRound, perms: &[Vec<usize>]) -> Cras
 /// Movement rounds of a schedule: injection-only actions do not count.
 /// (Every ASYNC action activates one robot, so there the count is the
 /// schedule length — one tick per phase advance.)
-fn movement_rounds(schedule: &[CrashRound]) -> usize {
+pub(crate) fn movement_rounds(schedule: &[CrashRound]) -> usize {
     schedule.iter().filter(|a| a.activate != 0).count()
 }
 
+/// The limits every model's `replay` runs a refutation under: enough
+/// rounds to reach its `outcome` after `movement` movement rounds (see
+/// [`movement_rounds`]) and no more, with livelock detection off, so a
+/// lasso replays to its step limit.
+pub(crate) fn replay_limits(outcome: &Outcome, movement: usize) -> Limits {
+    let max_rounds = match outcome {
+        Outcome::StuckFixpoint { rounds } => rounds + 1,
+        Outcome::StepLimit { rounds } => *rounds,
+        Outcome::Collision { .. } | Outcome::Disconnected { .. } => movement.max(1),
+        _ => movement + 1,
+    };
+    Limits { max_rounds, detect_livelock: false }
+}
+
 /// One `check` call's working state: the interned state graph plus the
-/// exploration statistics. [`Semantics`] implementations drive it
-/// through the crate-private mutation surface below.
-pub struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
+/// exploration statistics.
+struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
     explorer: &'c Explorer<'a, A, S>,
     /// The leased storage: state columns, class index, edge pool and
     /// level buffers (see [`SearchScratch`]).
     scratch: SearchScratch<S::Aux>,
     /// State slots per local class in the dense `(class, aux rank)`
-    /// index ([`Self::intern_slot`]); zero for ASYNC, whose states sit
+    /// index ([`Semantics::width`]); zero for ASYNC, whose states sit
     /// on per-class aux-variant chains.
     width: usize,
     edges: usize,
@@ -1588,50 +1607,20 @@ pub struct Search<'c, 'a, A: Algorithm + ?Sized, S: Semantics> {
 const DEADLINE_STRIDE: u32 = 1024;
 
 impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
-    /// The explorer this search runs under.
-    pub(crate) fn explorer(&self) -> &'c Explorer<'a, A, S> {
-        self.explorer
-    }
-
-    /// `(class id, aux, rounds)` of state `id`.
-    pub(crate) fn state(&self, id: usize) -> (u32, S::Aux, usize) {
+    /// `(local class, aux, rounds)` of state `id`.
+    fn state(&self, id: usize) -> (u32, S::Aux, usize) {
         let s = &self.scratch.states;
         (s.class[id], s.aux[id], s.rounds[id] as usize)
     }
 
-    /// The terminal classification of state `id`.
-    pub(crate) fn node_kind(&self, id: usize) -> NodeKind {
-        self.scratch.states.kind[id]
-    }
-
     /// The class table node of local class `class`.
-    pub(crate) fn node(&self, class: u32) -> &'c ClassNode {
+    fn node(&self, class: u32) -> &'c ClassNode {
         self.explorer.table.node(self.scratch.classes[class as usize])
     }
 
     /// The class table id of local class `class`.
-    pub(crate) fn table_id(&self, class: u32) -> u32 {
+    fn table_id(&self, class: u32) -> u32 {
         self.scratch.classes[class as usize]
-    }
-
-    /// The per-class decision data of local class `class`.
-    pub(crate) fn info(&self, class: u32) -> ClassInfo {
-        self.node(class).info
-    }
-
-    /// Counts one expanded transition.
-    pub(crate) fn bump_edges(&mut self) {
-        self.edges += 1;
-    }
-
-    /// Counts one action skipped by the stabilizer reduction.
-    pub(crate) fn bump_deduped(&mut self) {
-        self.deduped += 1;
-    }
-
-    /// Counts `count` actions skipped by the stabilizer reduction.
-    pub(crate) fn add_deduped(&mut self, count: usize) {
-        self.deduped += count;
     }
 
     /// Occupied bytes of the search's live storage, as a **pure
@@ -1643,7 +1632,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// the frozen [`nominal`] ones, so the figure does not follow the
     /// actual layout (BFS level storage is folded in as one entry per
     /// state — every inner state is queued exactly once).
-    pub(crate) fn live_bytes(&self) -> usize {
+    fn live_bytes(&self) -> usize {
         let s = &self.scratch;
         let (classes, states) = (s.classes.len(), s.states.len());
         FlatKeyIndex::nominal_live_bytes(classes)
@@ -1654,7 +1643,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// Whether a search budget is exhausted.
-    pub(crate) fn over_budget(&self) -> bool {
+    fn over_budget(&self) -> bool {
         let opts = &self.explorer.opts;
         self.scratch.states.len() > opts.max_states
             || self.edges > opts.max_edges
@@ -1664,7 +1653,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// The undecided verdict for a tripped BFS budget, recording which
     /// counter exhausted (states before edges before bytes when several
     /// did — the state cap is the one that names the blown search).
-    pub(crate) fn budget_undecided(&self) -> ExploreVerdict {
+    fn budget_undecided(&self) -> ExploreVerdict {
         let reason = if self.scratch.states.len() > self.explorer.opts.max_states {
             UndecidedReason::States
         } else if self.edges > self.explorer.opts.max_edges {
@@ -1680,7 +1669,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// armed (the production default) this is a single `Option`
     /// branch — the clock is never read and verdicts stay purely
     /// counter-budgeted.
-    pub(crate) fn deadline_tripped(&self) -> bool {
+    fn deadline_tripped(&self) -> bool {
         let Some(deadline) = self.deadline else { return false };
         let tick = self.deadline_ticks.get();
         self.deadline_ticks.set(tick.wrapping_add(1));
@@ -1697,7 +1686,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// The undecided verdict for an expired per-class deadline.
-    pub(crate) fn timeout_undecided(&self) -> ExploreVerdict {
+    fn timeout_undecided(&self) -> ExploreVerdict {
         ExploreVerdict::Undecided { reason: UndecidedReason::Timeout }
     }
 
@@ -1705,7 +1694,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// of a state are recorded back-to-back (expansion finishes one
     /// state before the next starts), which is what lets the pool stay
     /// flat.
-    pub(crate) fn push_edge(&mut self, id: usize, action: CrashRound, succ: usize) {
+    fn push_edge(&mut self, id: usize, action: CrashRound, succ: usize) {
         let offset = u32::try_from(self.scratch.edge_pool.len()).expect("fewer than 2^32 edges");
         let states = &mut self.scratch.states;
         if states.edge_len[id] == 0 {
@@ -1727,17 +1716,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         &self.scratch.edge_pool[start..start + s.edge_len[id] as usize]
     }
 
-    /// The refutation that reaches state `id` and then plays `action`
-    /// to `outcome`.
-    pub(crate) fn refute(&self, id: usize, action: CrashRound, outcome: Outcome) -> ExploreVerdict {
-        let mut schedule = self.path_to(id);
-        schedule.push(action);
-        ExploreVerdict::Refuted { schedule, outcome }
-    }
-
     /// The per-edge budget and deadline polls, run after each recorded
     /// edge.
-    pub(crate) fn edge_polls(&self) -> Option<ExploreVerdict> {
+    fn edge_polls(&self) -> Option<ExploreVerdict> {
         if self.over_budget() {
             return Some(self.budget_undecided());
         }
@@ -1747,36 +1728,11 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         None
     }
 
-    /// Appends a new state of local class `class`, classified from the
-    /// class's node, and returns its id.
-    fn push_state(
-        &mut self,
-        class: u32,
-        aux: S::Aux,
-        rounds: usize,
-        parent: Option<(usize, CrashRound)>,
-    ) -> usize {
-        let kind = self.explorer.semantics.classify(self.node(class), aux);
-        let (parent, parent_action) = match parent {
-            Some((p, a)) => (p as u32, pack_action(a)),
-            None => (NO_PARENT, 0),
-        };
-        let id = self.scratch.states.len();
-        self.scratch.states.push(class, aux, rounds as u32, parent, parent_action, kind);
-        id
-    }
-
-    /// Sets the state slots per local class of the dense `(class, aux
-    /// rank)` index; called once, before the root is interned.
-    pub(crate) fn set_width(&mut self, width: usize) {
-        self.width = width;
-    }
-
     /// The local class of class table id `id`, added on first sight —
     /// a sparse-set lookup: `sparse` proposes a local index and
     /// `classes` confirms it. A new local class gets its `width` empty
     /// state slots and an empty aux-variant chain.
-    pub(crate) fn local_class(&mut self, id: u32) -> u32 {
+    fn local_class(&mut self, id: u32) -> u32 {
         let s = &mut self.scratch;
         if let Some(&local) = s.sparse.get(id as usize) {
             if s.classes.get(local as usize) == Some(&id) {
@@ -1794,65 +1750,158 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         local
     }
 
-    /// Interns the state `(class, aux)` whose aux holds dense slot
-    /// `rank` of the class. Returns `(id, newly_inserted)`.
-    pub(crate) fn intern_slot(
-        &mut self,
-        class: u32,
-        rank: usize,
-        aux: S::Aux,
-        rounds: usize,
-        parent: Option<(usize, CrashRound)>,
-    ) -> (usize, bool) {
-        debug_assert!(rank < self.width, "aux rank {rank} outside the class's slots");
-        let slot = class as usize * self.width + rank;
-        let state = self.scratch.slots[slot];
-        if state != NO_STATE {
-            return (state as usize, false);
-        }
-        let id = self.push_state(class, aux, rounds, parent);
-        self.scratch.slots[slot] = id as u32;
-        (id, true)
-    }
-
-    /// Interns the state `(class, aux)` of a local class through the
-    /// class's aux-variant chain (ASYNC). Returns `(id, newly_inserted)`.
-    pub(crate) fn intern_variant(
+    /// Interns the state `(class, aux)` of local class `class`: at the
+    /// aux's dense slot when the semantics ranks auxes
+    /// ([`Semantics::width`]), else on the class's aux-variant chain. A
+    /// new state is classified from the class's node. Returns `(id,
+    /// newly_inserted)`.
+    #[inline(always)]
+    fn intern(
         &mut self,
         class: u32,
         aux: S::Aux,
         rounds: usize,
         parent: Option<(usize, CrashRound)>,
     ) -> (usize, bool) {
-        let mut cur = self.scratch.variant_head[class as usize];
-        while cur != NO_VARIANT {
-            let e = &self.scratch.variant_pool[cur as usize];
-            if e.aux == aux {
-                return (e.state as usize, false);
+        let s = &mut self.scratch;
+        let slot = if self.width > 0 {
+            let rank = self.explorer.semantics.rank(aux);
+            debug_assert!(rank < self.width, "aux rank {rank} outside the class's slots");
+            let slot = class as usize * self.width + rank;
+            if s.slots[slot] != NO_STATE {
+                return (s.slots[slot] as usize, false);
             }
-            cur = e.next;
+            Some(slot)
+        } else {
+            let mut cur = s.variant_head[class as usize];
+            while cur != NO_VARIANT {
+                let e = &s.variant_pool[cur as usize];
+                if e.aux == aux {
+                    return (e.state as usize, false);
+                }
+                cur = e.next;
+            }
+            None
+        };
+        let kind = self.explorer.semantics.classify(self.node(class), aux);
+        let (parent, parent_action) = match parent {
+            Some((p, a)) => (p as u32, pack_action(a)),
+            None => (NO_PARENT, 0),
+        };
+        let s = &mut self.scratch;
+        let id = s.states.len();
+        s.states.push(class, aux, rounds as u32, parent, parent_action, kind);
+        if let Some(slot) = slot {
+            s.slots[slot] = id as u32;
+        } else {
+            let next = s.variant_head[class as usize];
+            s.variant_pool.push(VariantEntry { aux, state: id as u32, next });
+            s.variant_head[class as usize] = (s.variant_pool.len() - 1) as u32;
         }
-        let id = self.push_state(class, aux, rounds, parent);
-        let head = self.scratch.variant_head[class as usize];
-        self.scratch.variant_pool.push(VariantEntry { aux, state: id as u32, next: head });
-        self.scratch.variant_head[class as usize] = (self.scratch.variant_pool.len() - 1) as u32;
         (id, true)
     }
 
-    /// Shared scaffolding of an edge certificate
-    /// ([`Semantics::traverse`]) for the edge `from → to`: see
-    /// [`edge_cert`].
-    pub(crate) fn traverse_roles(
-        &self,
-        from: usize,
-        to: usize,
-        step: impl FnOnce(&mut [Coord]) -> u16,
-    ) -> EdgeCert {
-        edge_cert(self.node(self.state(from).0).key, self.node(self.state(to).0).key, step)
+    /// Interns the initial state `(initial's class, root aux)`; the
+    /// class's robot count fixes the dense slots per class for the
+    /// whole search.
+    fn intern_root(&mut self, initial: &Configuration) -> usize {
+        let semantics = &self.explorer.semantics;
+        self.width = semantics.width(initial.len());
+        let class = self.local_class(self.explorer.class_id(initial.canonical_key()));
+        self.intern(class, semantics.root_aux(), 0, None).0
+    }
+
+    /// Takes `action` from state `id`, `rounds` rounds from the root, to
+    /// its successor `(to, aux)`: counts the edge and interns the
+    /// successor with its parent and rounds (injection-only actions keep
+    /// the round count). Returns the successor's id and whether it is
+    /// new.
+    #[inline(always)]
+    fn step_to(
+        &mut self,
+        id: usize,
+        rounds: usize,
+        action: CrashRound,
+        to: u32,
+        aux: S::Aux,
+    ) -> (usize, bool) {
+        let rounds = rounds + usize::from(action.activate != 0);
+        self.edges += 1;
+        let local = self.local_class(to);
+        self.intern(local, aux, rounds, Some((id, action)))
+    }
+
+    /// The refutation that reaches state `id` and plays the bad `action`
+    /// to `target`: a collision, a disconnection (counted as an edge, as
+    /// the search always has) or a stuck successor, which the caller has
+    /// interned through [`Self::step_to`].
+    fn refute_bad(
+        &mut self,
+        id: usize,
+        action: CrashRound,
+        target: Target<S::Aux>,
+    ) -> ExploreVerdict {
+        let (class, aux, rounds) = self.state(id);
+        let outcome = match target {
+            Target::Collides => {
+                let explorer = self.explorer;
+                let collision =
+                    explorer.semantics.collision(explorer, self.table_id(class), aux, action);
+                Outcome::Collision { round: rounds, collision }
+            }
+            Target::Disconnects => {
+                self.edges += 1;
+                Outcome::Disconnected { round: rounds + 1 }
+            }
+            // Injection-only actions keep the round count.
+            Target::Succ(..) => {
+                Outcome::StuckFixpoint { rounds: rounds + usize::from(action.activate != 0) }
+            }
+        };
+        let mut schedule = self.path_to(id);
+        schedule.push(action);
+        ExploreVerdict::Refuted { schedule, outcome }
+    }
+
+    /// Expands every adversary action of inner state `id`, in the order
+    /// [`Semantics::actions`] enumerates them: interns each successor,
+    /// counts the edge, queues a new inner successor onto `queue` and
+    /// polls the budgets after each recorded edge. Returns a verdict as
+    /// soon as a bad action is reached or a budget is exhausted.
+    ///
+    /// A successor is its class id plus its aux, and its local state is
+    /// found through the search's dense index or its class's aux chain
+    /// — no hash, lock or reference count per edge.
+    fn expand(&mut self, id: usize, queue: &mut Vec<u32>) -> Option<ExploreVerdict> {
+        let (class, aux, rounds) = self.state(id);
+        let explorer = self.explorer;
+        let mut verdict = None;
+        let deduped =
+            explorer.semantics.actions(explorer, self.table_id(class), aux, |action, target| {
+                let Target::Succ(to, aux) = target else {
+                    verdict = Some(self.refute_bad(id, action, target));
+                    return false;
+                };
+                let (succ, new) = self.step_to(id, rounds, action, to, aux);
+                // A search meets a stuck state only as a new one, and stops.
+                if new && self.scratch.states.kind[succ] == NodeKind::Stuck {
+                    verdict = Some(self.refute_bad(id, action, target));
+                    return false;
+                }
+                // An injection-only successor is terminal: never queued.
+                if new && action.activate != 0 {
+                    queue.push(succ as u32);
+                }
+                self.push_edge(id, action, succ);
+                verdict = self.edge_polls();
+                verdict.is_none()
+            });
+        self.deduped += deduped;
+        verdict
     }
 
     /// Actions from the initial state to `id`, via BFS parents.
-    pub(crate) fn path_to(&self, id: usize) -> Vec<CrashRound> {
+    fn path_to(&self, id: usize) -> Vec<CrashRound> {
         let mut actions = Vec::new();
         let mut cur = id;
         loop {
@@ -1868,8 +1917,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     fn run(&mut self, initial: &Configuration) -> ExploreVerdict {
-        let explorer = self.explorer;
-        let root = explorer.semantics().intern_root(self, initial);
+        let root = self.intern_root(initial);
         if self.scratch.states.kind[root] == NodeKind::Stuck {
             return ExploreVerdict::Refuted {
                 schedule: Vec::new(),
@@ -1887,7 +1935,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         // historical single-queue FIFO order exactly. The phase timers
         // and level tallies around the loop are write-only telemetry;
         // they never influence the walk.
-        let metrics = self.explorer.metrics();
+        let metrics = &self.explorer.metrics;
         let watch = telemetry::Stopwatch::started();
         let mut found: Option<ExploreVerdict> = None;
         let mut levels = std::mem::take(&mut self.scratch.levels);
@@ -1907,8 +1955,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                 if self.scratch.states.kind[id] != NodeKind::Inner {
                     continue;
                 }
-                let explorer = self.explorer;
-                if let Some(verdict) = explorer.semantics().expand(self, id, &mut levels) {
+                if let Some(verdict) = self.expand(id, &mut levels) {
                     found = Some(verdict);
                     break 'levels;
                 }
@@ -2038,7 +2085,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// `(state, slot → role assignment)` pairs.
     ///
     /// Every SCC-internal edge gets its certificate
-    /// ([`Semantics::traverse`]): the induced slot permutation plus the
+    /// ([`Semantics::cert`]): the induced slot permutation plus the
     /// slots whose occupant satisfies fairness on that edge. The
     /// reachable product from `(scc[0], identity)` is strongly
     /// connected — closed walks at a state induce a sub*group* of slot
@@ -2056,17 +2103,18 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// would need deduped actions to stitch a concrete schedule and is
     /// reported undecided instead of guessed.
     fn product_fair_cycle(&self, scc: &[usize]) -> ProductOutcome {
-        let n = self.info(self.scratch.states.class[scc[0]]).robots();
-        let semantics = self.explorer.semantics();
+        let n = self.node(self.scratch.states.class[scc[0]]).info.robots();
         let edges: Vec<Vec<ProductEdge>> = scc
             .iter()
             .map(|&u| {
+                let (class, aux, _) = self.state(u);
                 self.edges_of(u)
                     .iter()
                     .filter_map(|e| {
                         let to = e.to as usize;
                         let tidx = scc.binary_search(&to).ok()?;
-                        let cert = semantics.traverse(self, u, unpack_action(e.action), to);
+                        let to = self.node(self.state(to).0).key;
+                        let cert = S::cert(self.node(class), aux, unpack_action(e.action), to);
                         Some(ProductEdge { action: e.action, to: tidx as u32, cert })
                     })
                     .collect()
@@ -2419,30 +2467,20 @@ fn next_affordable(cur: u16, live: u16, avail: u32) -> u16 {
     next
 }
 
-/// The scalar engine's exact report of a colliding activation of
-/// `node`'s class, materialized for a refutation outcome (at most once
-/// per search: a collision ends it).
-fn collision(node: &ClassNode, mask: u16) -> engine::RoundCollision {
-    let cfg = node.key.unpack();
-    let masked = engine::mask_moves(&node.info.moves, mask);
-    engine::check_moves(&cfg, &masked[..cfg.len()])
-        .expect_err("the round table records a collision")
-}
-
-/// Where one adversary action of a crash-semantics state leads
-/// ([`CrashSemantics::actions`]). A colliding or disconnecting action is
+/// Where one adversary action of a state leads
+/// ([`Semantics::actions`]). A colliding or disconnecting action is
 /// *bad*: reaching it refutes. So is an action into a stuck state, a
 /// property of the successor state itself ([`Semantics::classify`]):
 /// the search learns it when it interns the state, the cell walk when
 /// it visits it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Target {
-    /// The successor state `(class id, crash mask)`. Injection-only
+pub enum Target<Aux> {
+    /// The successor state `(class id, aux)`. Crash injection-only
     /// actions lead to a terminal one, of their own class.
-    Succ(u32, u16),
-    /// The activation collides.
+    Succ(u32, Aux),
+    /// The action collides.
     Collides,
-    /// The activation disconnects the swarm.
+    /// The action disconnects the swarm.
     Disconnects,
 }
 
@@ -2450,7 +2488,7 @@ impl RoundStep {
     /// Where this step leads after the crash set `after`: crashed robots
     /// never move, so their slot bits follow them into the successor's
     /// order.
-    fn target(self, after: u16) -> Target {
+    fn target(self, after: u16) -> Target<u16> {
         match self.kind {
             engine::RoundKind::Collides => Target::Collides,
             engine::RoundKind::Disconnects => Target::Disconnects,
@@ -2464,151 +2502,6 @@ impl RoundStep {
                 Target::Succ(self.succ, aux)
             }
         }
-    }
-}
-
-impl CrashSemantics {
-    /// Every adversary action of the inner state `(class id, crashed)`,
-    /// in the one expansion order that the per-class search, the cell
-    /// walk and the tight BFS share (DESIGN.md §19): affordable crash
-    /// sets of the live robots ascending; within each, the class's
-    /// round-table steps that spare every crashed robot (the nonzero
-    /// submasks of the surviving movers, ascending), or the injection
-    /// alone when it leaves no live mover; then the stabilizer dedup,
-    /// which skips every action that is not the least of its orbit.
-    ///
-    /// `visit` sees each kept action with its [`Target`] and returns
-    /// whether to go on. Returns how many actions the dedup skipped
-    /// before the enumeration ended.
-    pub(crate) fn actions<A: Algorithm + ?Sized>(
-        &self,
-        explorer: &Explorer<'_, A, Self>,
-        id: u32,
-        crashed: u16,
-        mut visit: impl FnMut(CrashRound, Target) -> bool,
-    ) -> usize {
-        let node = explorer.table.node(id);
-        let steps = explorer.round_steps(id);
-        let perms = if explorer.group().len() > 1 {
-            explorer.stabilizer_perms(node.key, crashed)
-        } else {
-            Vec::new()
-        };
-        let skipped =
-            |action: CrashRound| !perms.is_empty() && canonical_action(action, &perms) != action;
-        let live = ((1u16 << node.info.robots()) - 1) & !crashed;
-        let avail = u32::from(self.budget.saturating_sub(crashed.count_ones() as u8));
-        let mut deduped = 0;
-        let mut crash: u16 = 0;
-        loop {
-            let after = crashed | crash;
-            // The injection froze every remaining mover: a single
-            // injection-only action to a terminal variant of this class.
-            // `crash` is nonzero then — an inner state has a live mover.
-            let frozen = node.info.movers & !after == 0;
-            let mut next = 0;
-            loop {
-                // One call site for `visit`, so that it inlines.
-                let (action, target) = if frozen {
-                    if next > 0 {
-                        break;
-                    }
-                    next = 1;
-                    (CrashRound { crash, activate: 0 }, Target::Succ(id, after))
-                } else {
-                    let Some(&step) = steps.get(next) else { break };
-                    next += 1;
-                    if step.mask & after != 0 {
-                        continue;
-                    }
-                    let action = CrashRound { crash, activate: step.mask };
-                    (action, step.target(after))
-                };
-                if skipped(action) {
-                    deduped += 1;
-                } else if !visit(action, target) {
-                    return deduped;
-                }
-            }
-            crash = next_affordable(crash, live, avail);
-            if crash == 0 {
-                return deduped;
-            }
-        }
-    }
-
-    /// The certificate of the crash-free edge that activates `activate`
-    /// out of state `(node's class, crashed)` into class `to`: the
-    /// activated movers step, and a slot is flagged when its robot
-    /// moves, decides to stay (a free activation), or is crashed —
-    /// crashed robots are exempt from fairness, so never activating
-    /// them is legitimate.
-    pub(crate) fn cert(node: &ClassNode, crashed: u16, activate: u16, to: PackedClass) -> EdgeCert {
-        let moves = node.info.moves;
-        edge_cert(node.key, to, |pos| {
-            let mut flags = crashed;
-            for (slot, p) in pos.iter_mut().enumerate() {
-                match moves[slot] {
-                    None => flags |= 1 << slot,
-                    Some(dir) if activate & (1 << slot) != 0 => {
-                        *p = p.step(dir);
-                        flags |= 1 << slot;
-                    }
-                    Some(_) => {}
-                }
-            }
-            flags
-        })
-    }
-}
-
-impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
-    /// Takes `action` from state `id`, `rounds` rounds from the root, to
-    /// its successor `(to, aux)`: counts the edge and interns the
-    /// successor with its parent and rounds (injection-only actions keep
-    /// the round count). Returns the successor's id and whether it is
-    /// new.
-    pub(crate) fn step_to(
-        &mut self,
-        id: usize,
-        rounds: usize,
-        action: CrashRound,
-        to: u32,
-        aux: u16,
-    ) -> (usize, bool) {
-        let rounds = rounds + usize::from(action.activate != 0);
-        self.bump_edges();
-        let local = self.local_class(to);
-        let rank = self.explorer.semantics.rank(aux);
-        self.intern_slot(local, rank, aux, rounds, Some((id, action)))
-    }
-
-    /// The refutation that reaches state `id` and plays the bad `action`
-    /// to `target`: a collision, a disconnection (counted as an edge, as
-    /// the search always has) or a stuck successor, which the caller has
-    /// interned through [`Self::step_to`].
-    pub(crate) fn refute_bad(
-        &mut self,
-        id: usize,
-        action: CrashRound,
-        target: Target,
-    ) -> ExploreVerdict {
-        let (class, _, rounds) = self.state(id);
-        let outcome = match target {
-            Target::Collides => {
-                let collision = collision(self.node(class), action.activate);
-                Outcome::Collision { round: rounds, collision }
-            }
-            Target::Disconnects => {
-                self.bump_edges();
-                Outcome::Disconnected { round: rounds + 1 }
-            }
-            // Injection-only actions keep the round count.
-            Target::Succ(..) => {
-                Outcome::StuckFixpoint { rounds: rounds + usize::from(action.activate != 0) }
-            }
-        };
-        self.refute(id, action, outcome)
     }
 }
 
@@ -2666,71 +2559,107 @@ impl Semantics for CrashSemantics {
         }
     }
 
-    /// The root `(class, no crash)`; the class's robot count fixes the
-    /// dense slots per class, R(n, f), for the whole search.
-    fn intern_root<A: Algorithm + ?Sized>(
+    /// R(n, f) = Σ_{k ≤ f} C(n, k): one slot per affordable crash mask.
+    fn width(&self, n: usize) -> usize {
+        usize::from(self.rank[1 << n])
+    }
+
+    fn rank(&self, crashed: u16) -> usize {
+        usize::from(self.rank[usize::from(crashed)])
+    }
+
+    /// The one expansion order that the per-class search, the cell
+    /// walk and the tight BFS share (DESIGN.md §19): affordable crash
+    /// sets of the live robots ascending; within each, the class's
+    /// round-table steps that spare every crashed robot (the nonzero
+    /// submasks of the surviving movers, ascending), or the injection
+    /// alone when it leaves no live mover.
+    fn actions<A: Algorithm + ?Sized>(
         &self,
-        search: &mut Search<'_, '_, A, Self>,
-        initial: &Configuration,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        crashed: u16,
+        mut visit: impl FnMut(CrashRound, Target<u16>) -> bool,
     ) -> usize {
-        search.set_width(self.width(initial.len()));
-        let id = search.explorer().class_id(initial.canonical_key());
-        let class = search.local_class(id);
-        search.intern_slot(class, 0, 0, 0, None).0
+        let node = explorer.table.node(id);
+        let steps = explorer.round_steps(id);
+        let perms = explorer.stabilizer_perms(node.key, crashed);
+        let live = ((1u16 << node.info.robots()) - 1) & !crashed;
+        let avail = u32::from(self.budget.saturating_sub(crashed.count_ones() as u8));
+        let mut deduped = 0;
+        let mut crash: u16 = 0;
+        loop {
+            let after = crashed | crash;
+            // The injection froze every remaining mover: a single
+            // injection-only action to a terminal variant of this class.
+            // `crash` is nonzero then — an inner state has a live mover.
+            let frozen = node.info.movers & !after == 0;
+            let mut next = 0;
+            loop {
+                // One call site for `visit`, so that it inlines.
+                let (action, target) = if frozen {
+                    if next > 0 {
+                        break;
+                    }
+                    next = 1;
+                    (CrashRound { crash, activate: 0 }, Target::Succ(id, after))
+                } else {
+                    let Some(&step) = steps.get(next) else { break };
+                    next += 1;
+                    if step.mask & after != 0 {
+                        continue;
+                    }
+                    let action = CrashRound { crash, activate: step.mask };
+                    (action, step.target(after))
+                };
+                if canonical_action(action, &perms) != action {
+                    deduped += 1;
+                } else if !visit(action, target) {
+                    return deduped;
+                }
+            }
+            crash = next_affordable(crash, live, avail);
+            if crash == 0 {
+                return deduped;
+            }
+        }
     }
 
-    /// Expands every adversary action of inner state `id`, in the order
-    /// `CrashSemantics::actions` enumerates them, and returns a
-    /// refutation as soon as a bad action is reached.
-    ///
-    /// Each edge is read from the class table: a successor is its class
-    /// id plus the crash mask carried over, and its local state sits at
-    /// `(local class, mask rank)` in the search's dense index — no hash,
-    /// lock or reference count per edge.
-    fn expand<A: Algorithm + ?Sized>(
+    fn collision<A: Algorithm + ?Sized>(
         &self,
-        search: &mut Search<'_, '_, A, Self>,
-        id: usize,
-        queue: &mut Vec<u32>,
-    ) -> Option<ExploreVerdict> {
-        let (class, crashed, rounds) = search.state(id);
-        let explorer = search.explorer();
-        let mut verdict = None;
-        let deduped = self.actions(explorer, search.table_id(class), crashed, |action, target| {
-            let Target::Succ(to, aux) = target else {
-                verdict = Some(search.refute_bad(id, action, target));
-                return false;
-            };
-            let (succ, new) = search.step_to(id, rounds, action, to, aux);
-            // A search meets a stuck state only as a new one, and stops.
-            if new && search.node_kind(succ) == NodeKind::Stuck {
-                verdict = Some(search.refute_bad(id, action, target));
-                return false;
-            }
-            // An injection-only successor is terminal: never queued.
-            if new && action.activate != 0 {
-                queue.push(succ as u32);
-            }
-            search.push_edge(id, action, succ);
-            verdict = search.edge_polls();
-            verdict.is_none()
-        });
-        search.add_deduped(deduped);
-        verdict
-    }
-
-    /// Certifies one edge through `CrashSemantics::cert`.
-    fn traverse<A: Algorithm + ?Sized>(
-        &self,
-        search: &Search<'_, '_, A, Self>,
-        from: usize,
+        explorer: &Explorer<'_, A, Self>,
+        id: u32,
+        _crashed: u16,
         action: CrashRound,
-        to: usize,
-    ) -> EdgeCert {
+    ) -> engine::RoundCollision {
+        let node = explorer.table.node(id);
+        let cfg = node.key.unpack();
+        let masked = engine::mask_moves(&node.info.moves, action.activate);
+        engine::check_moves(&cfg, &masked[..cfg.len()])
+            .expect_err("the round table records a collision")
+    }
+
+    /// The activated movers step, and a slot is flagged when its robot
+    /// moves, decides to stay (a free activation), or is crashed —
+    /// crashed robots are exempt from fairness, so never activating
+    /// them is legitimate.
+    fn cert(node: &ClassNode, crashed: u16, action: CrashRound, to: PackedClass) -> EdgeCert {
         debug_assert_eq!(action.crash, 0, "cycles never cross a crash level");
-        let (class, crashed, _) = search.state(from);
-        let to = search.node(search.state(to).0).key;
-        Self::cert(search.node(class), crashed, action.activate, to)
+        let moves = node.info.moves;
+        edge_cert(node.key, to, |pos| {
+            let mut flags = crashed;
+            for (slot, p) in pos.iter_mut().enumerate() {
+                match moves[slot] {
+                    None => flags |= 1 << slot,
+                    Some(dir) if action.activate & (1 << slot) != 0 => {
+                        *p = p.step(dir);
+                        flags |= 1 << slot;
+                    }
+                    Some(_) => {}
+                }
+            }
+            flags
+        })
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The classes of a crash or SSYNC-adversary cell share one state
 //! graph: the states `(class, crash mask)` over the explorer's class
-//! table, with the edges [`CrashSemantics::actions`] enumerates. A
+//! table, with the edges [`Semantics::actions`] enumerates. A
 //! per-class search re-explores its root's part of that graph. Instead,
 //! [`Explorer::label`] walks the graph once from a range of roots and
 //! labels every state it reaches with
@@ -329,7 +329,7 @@ impl<A: Algorithm + ?Sized> Walk<'_, '_, A> {
                     let mut out = Vec::new();
                     self.internal_edges(members, u, |action, i, to| {
                         let to = explorer.table.node(to).key;
-                        let cert = CrashSemantics::cert(node, crashed, action.activate, to);
+                        let cert = CrashSemantics::cert(node, crashed, action, to);
                         out.push(ProductEdge { action: pack_action(action), to: i as u32, cert });
                     });
                     out
@@ -506,8 +506,8 @@ impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
     /// root's shortest paths to a bad state. Level `k` holds only states
     /// at distance `dist - k`; their successors in action order join
     /// level `k + 1` when they are at distance `dist - k - 1`, with
-    /// parents and rounds recorded as [`Semantics::expand`] records
-    /// them. Every tight parent of a tight state is in the full BFS's
+    /// parents and rounds recorded as [`Search::expand`] records them.
+    /// Every tight parent of a tight state is in the full BFS's
     /// level before it, so tight states keep their full-BFS order and
     /// parents, and the first bad action of the first level-`dist`
     /// state is the full BFS's refutation.
@@ -519,7 +519,7 @@ impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
     ) -> ExploreVerdict {
         let explorer = self.explorer;
         let semantics = &explorer.semantics;
-        let root = semantics.intern_root(self, initial);
+        let root = self.intern_root(initial);
         let metrics = &explorer.metrics;
         let watch = telemetry::Stopwatch::started();
         let mut levels = std::mem::take(&mut self.scratch.levels);
@@ -560,7 +560,7 @@ impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
                         found = Some(self.refute_bad(id, action, target));
                         false
                     });
-                self.add_deduped(deduped);
+                self.deduped += deduped;
                 if found.is_some() {
                     break 'levels;
                 }

@@ -38,7 +38,7 @@
 use crate::adversary::{AdversaryOptions, Fnv64};
 use crate::checker::{Model, ModelChecker};
 use crate::engine::{self, Execution, Limits, Outcome};
-use crate::explore::{CrashSemantics, ExploreOptions};
+use crate::explore::{self, CrashSemantics, ExploreOptions};
 use crate::sched::{CrashRound, CrashSchedule};
 use crate::{Algorithm, Configuration};
 use trigrid::Coord;
@@ -341,14 +341,7 @@ pub fn replay<A: Algorithm + ?Sized>(
     let CrashVerdict::Refuted { schedule, outcome } = verdict else {
         return None;
     };
-    let movement = schedule.iter().filter(|a| a.activate != 0).count();
-    let max_rounds = match outcome {
-        Outcome::StuckFixpoint { rounds } => rounds + 1,
-        Outcome::StepLimit { rounds } => *rounds,
-        Outcome::Collision { .. } | Outcome::Disconnected { .. } => movement.max(1),
-        _ => movement + 1,
-    };
-    let limits = Limits { max_rounds, detect_livelock: false };
+    let limits = explore::replay_limits(outcome, explore::movement_rounds(schedule));
     Some(run_crash_schedule(initial, algo, &CrashSchedule::new(schedule.clone()), limits))
 }
 

@@ -18,7 +18,9 @@
 //! summary.
 //!
 //! The algorithm (`paper`, or the default `verified`) may stand anywhere
-//! among the flags, in either mode. Both modes write through
+//! among the flags, in either mode. Any other argument, a value that is
+//! not a number, or an `--n` above [`MAX_SWEEP_N`] prints the usage to
+//! stderr and exits 2 before anything runs. Both modes write through
 //! [`simlab::write_stdout`], so a closed reader (`diagnose --stats |
 //! head`) ends the run quietly with exit 0.
 
@@ -27,23 +29,63 @@ use gathering::SevenGather;
 use robots::adversary::{AdversaryOptions, Checker};
 use robots::{engine, Algorithm, Configuration, Limits, Outcome, View};
 use simlab::render;
+use simlab::sweep::MAX_SWEEP_N;
 use std::collections::HashMap;
 use std::io::{self, Write};
 
-/// Parses the value following `flag`, if present.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).and_then(|s| s.parse().ok())
+/// The command line, parsed.
+struct Args {
+    /// Whether `paper` was given (else the verified rules run).
+    paper: bool,
+    /// Whether `--stats` was given.
+    stats: bool,
+    /// `--top N`: clusters printed (default 8).
+    top: usize,
+    /// `--n N`: the robot count of `--stats` (default 7).
+    n: usize,
+    /// `--class I`: the class of `--stats` (default 0).
+    class: usize,
+}
+
+/// Parses the arguments; `Err` says why the first bad one is rejected.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { paper: false, stats: false, top: 8, n: 7, class: 0 };
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let mut number = |flag: &str| {
+            let value = rest.next().ok_or_else(|| format!("{flag} takes a value"))?;
+            value.parse().map_err(|_| format!("{flag} takes a number, not {value:?}"))
+        };
+        match arg.as_str() {
+            "paper" => parsed.paper = true,
+            "verified" => {}
+            "--stats" => parsed.stats = true,
+            "--top" => parsed.top = number("--top")?,
+            "--n" => parsed.n = number("--n")?,
+            "--class" => parsed.class = number("--class")?,
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if parsed.n > MAX_SWEEP_N {
+        return Err(format!("--n {} is above the largest robot count, {MAX_SWEEP_N}", parsed.n));
+    }
+    Ok(parsed)
+}
+
+/// Prints `msg` and the usage to stderr, and exits with the usage code 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: diagnose [paper|verified] [--top N]\n\
+         \x20      diagnose --stats [--n N] [--class I] [paper|verified]"
+    );
+    std::process::exit(2);
 }
 
 /// `--stats` mode: one class, one check, full telemetry dump.
-fn run_stats(
-    args: &[String],
-    which: &str,
-    algo: &SevenGather,
-    out: &mut impl Write,
-) -> io::Result<()> {
-    let n: usize = flag_value(args, "--n").unwrap_or(7);
-    let class: usize = flag_value(args, "--class").unwrap_or(0);
+fn run_stats(args: &Args, algo: &SevenGather, out: &mut impl Write) -> io::Result<()> {
+    let Args { n, class, .. } = *args;
+    let which = if args.paper { "paper" } else { "verified" };
     let classes = polyhex::enumerate_fixed(n);
     let Some(cells) = classes.get(class) else {
         eprintln!("class {class} out of range: the n={n} space holds {} classes", classes.len());
@@ -89,8 +131,7 @@ fn run_stats(
 
 /// Default mode: FSYNC over every seven-robot class, failures clustered
 /// by canonical final configuration.
-fn run_clusters(args: &[String], algo: &SevenGather, out: &mut impl Write) -> io::Result<()> {
-    let top: usize = flag_value(args, "--top").unwrap_or(8);
+fn run_clusters(top: usize, algo: &SevenGather, out: &mut impl Write) -> io::Result<()> {
     let limits = Limits::default();
     let classes = polyhex::enumerate_fixed(7);
 
@@ -155,17 +196,14 @@ fn run_clusters(args: &[String], algo: &SevenGather, out: &mut impl Write) -> io
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (which, algo) = if args.iter().any(|a| a == "paper") {
-        ("paper", SevenGather::paper())
-    } else {
-        ("verified", SevenGather::verified())
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|msg| usage_error(&msg));
+    let algo = if args.paper { SevenGather::paper() } else { SevenGather::verified() };
     simlab::write_stdout("diagnose", |out| {
-        if args.iter().any(|a| a == "--stats") {
-            run_stats(&args, which, &algo, out)
+        if args.stats {
+            run_stats(&args, &algo, out)
         } else {
-            run_clusters(&args, &algo, out)
+            run_clusters(args.top, &algo, out)
         }
     });
 }

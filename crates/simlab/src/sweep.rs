@@ -549,21 +549,6 @@ pub struct ShardRecord {
 }
 
 impl ShardRecord {
-    /// Whether this record is a complete, consistent result for
-    /// `shard` of the given sweep cell.
-    #[must_use]
-    pub fn matches(&self, cfg: &SweepConfig, shard: usize, start: usize, end: usize) -> bool {
-        self.algo == cfg.algo.name()
-            && self.sched == cfg.sched.name()
-            && self.robots == cfg.n
-            && self.max_rounds == cfg.limits.max_rounds
-            && self.shard == shard
-            && self.shards == cfg.shards
-            && self.start == start
-            && self.end == end
-            && self.validate_results(cfg).is_ok()
-    }
-
     /// Deep per-record validation of the result rows: the range must
     /// tile exactly (right length, consecutive indices) and every row
     /// must carry exactly the verdict column the cell's scheduler
@@ -2775,7 +2760,7 @@ mod tests {
             let classes = polyhex::enumerate_fixed(4);
             let mut record = run_shard(&classes, &cfg, 0, 0, classes.len());
             record.results[5] = panicked_outcome(5, sched, "injected".into());
-            assert!(record.matches(&cfg, 0, 0, classes.len()), "{spec}: row stays consistent");
+            assert!(record.validate_results(&cfg).is_ok(), "{spec}: row stays consistent");
             let summary =
                 merge_shards(&cfg, std::slice::from_ref(&record)).expect("poisoned row merges");
             assert!(summary.undecided >= 1, "{spec}: the panicked class is counted");

@@ -1,7 +1,8 @@
 //! The report binaries, run into a pipe whose reader has gone away (as
 //! in `diagnose --stats | head`), must exit quietly with status 0, not
 //! panic on the failed write; and `diagnose` must read its algorithm
-//! wherever it stands among the flags.
+//! wherever it stands among the flags, and reject what it does not
+//! know.
 
 use std::process::{Command, Stdio};
 
@@ -46,5 +47,26 @@ fn diagnose_reads_the_algorithm_in_any_argument_order() {
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(output.status.success(), "{args:?}: exit status {}", output.status);
         assert!(stdout.contains("gathered 883/3652"), "{args:?}: stdout:\n{stdout}");
+    }
+}
+
+#[test]
+fn diagnose_rejects_what_it_does_not_know() {
+    // Each used to run the verified rules and exit 0. A rejection
+    // exits 2 before any class runs, with the usage on stderr only.
+    for args in [
+        &["papr", "--top", "0"][..],
+        &["--frobnicate", "--top", "0"],
+        &["--top", "x"],
+        &["--stats", "--n", "11"],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_diagnose"))
+            .args(args)
+            .output()
+            .expect("diagnose runs to the end");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(output.stdout.is_empty(), "{args:?}: stdout is not empty");
+        assert!(stderr.contains("usage: diagnose"), "{args:?}: stderr:\n{stderr}");
     }
 }

@@ -16,6 +16,10 @@
 //! DESIGN.md §7, and nothing else holds their `check` results still
 //! from one build to the next.
 //!
+//! Two rows arm a byte budget on the shared checker. The memory drill
+//! hashes verdicts only, so these rows are what hold still where a
+//! search polls its budgets.
+//!
 //! The n = 8 rows are release-only (`cargo test --release`).
 
 use gathering::SevenGather;
@@ -41,18 +45,23 @@ fn crash_row(r: faults::CrashReport) -> Row {
     ((r.states, r.edges, r.deduped), kind, hash)
 }
 
-/// The summed work of `algo`'s `n`-robot cell under `sched`
-/// (`adversary`, `crash:1` or `lcm-async`), with the sweep's checker
-/// construction and one checker shared by the whole cell, and an FNV
-/// digest of every class's verdict kind and schedule hash in class
-/// order.
-fn cell_work<A: Algorithm + ?Sized>(algo: &A, n: usize, sched: &str) -> (Work, u64) {
+/// Every class's row of `algo`'s `n`-robot cell under `sched`
+/// (`adversary`, `crash:1` or `lcm-async`), in class order, with the
+/// sweep's checker construction, one checker shared by the whole cell
+/// and the byte budget `mem_budget` armed on it.
+fn cell_rows<A: Algorithm + ?Sized>(
+    algo: &A,
+    n: usize,
+    sched: &str,
+    mem_budget: Option<usize>,
+) -> Vec<Row> {
     let classes = polyhex::enumerate_fixed(n);
     let initial = |cells: &Vec<trigrid::Coord>| Configuration::new(cells.iter().copied());
     let capacity = n.max(8);
-    let rows: Vec<Row> = match sched {
+    match sched {
         "adversary" => {
-            let checker = Checker::for_robots(algo, AdversaryOptions::for_robots(n), capacity);
+            let mut checker = Checker::for_robots(algo, AdversaryOptions::for_robots(n), capacity);
+            checker.set_mem_budget(mem_budget);
             parallel::par_map(&classes, 0, |cells| {
                 let r = checker.check(&initial(cells));
                 let (kind, hash) = match &r.verdict {
@@ -66,23 +75,46 @@ fn cell_work<A: Algorithm + ?Sized>(algo: &A, n: usize, sched: &str) -> (Work, u
             })
         }
         "crash:1" => {
-            let checker = CrashChecker::for_robots(algo, CrashOptions::new(1, 0), capacity);
+            let mut checker = CrashChecker::for_robots(algo, CrashOptions::new(1, 0), capacity);
+            checker.set_mem_budget(mem_budget);
             parallel::par_map(&classes, 0, |cells| crash_row(checker.check(&initial(cells))))
         }
         "lcm-async" => {
-            let checker = AsyncChecker::for_robots(algo, AsyncOptions::default(), capacity);
+            let mut checker = AsyncChecker::for_robots(algo, AsyncOptions::default(), capacity);
+            checker.set_mem_budget(mem_budget);
             parallel::par_map(&classes, 0, |cells| crash_row(checker.check(&initial(cells))))
         }
         other => panic!("no work pin for {other}"),
-    };
+    }
+}
+
+/// The summed work of `rows`.
+fn total(rows: &[Row]) -> Work {
+    rows.iter().fold((0, 0, 0), |w, &((states, edges, deduped), _, _)| {
+        (w.0 + states, w.1 + edges, w.2 + deduped)
+    })
+}
+
+/// The summed work of `algo`'s unbudgeted `n`-robot cell under `sched`,
+/// and an FNV digest of every class's verdict kind and schedule hash in
+/// class order.
+fn cell_work<A: Algorithm + ?Sized>(algo: &A, n: usize, sched: &str) -> (Work, u64) {
+    let rows = cell_rows(algo, n, sched, None);
     let mut digest = Fnv64::new();
-    let mut work = (0, 0, 0);
-    for &((states, edges, deduped), kind, hash) in &rows {
-        work = (work.0 + states, work.1 + edges, work.2 + deduped);
+    for &(_, kind, hash) in &rows {
         digest.write(kind);
         digest.write_all(&hash.to_le_bytes());
     }
-    (work, digest.finish())
+    (total(&rows), digest.finish())
+}
+
+/// The summed work and the undecided count of `algo`'s `n`-robot cell
+/// under `sched` with a 4 KiB byte budget. A search polls the budget
+/// after every edge it records, so where it stops — and so the work a
+/// budget-stopped class reports — moves with the poll sites.
+fn budgeted_work<A: Algorithm + ?Sized>(algo: &A, n: usize, sched: &str) -> (Work, usize) {
+    let rows = cell_rows(algo, n, sched, Some(4 << 10));
+    (total(&rows), rows.iter().filter(|&&(_, kind, _)| kind == 2).count())
 }
 
 #[test]
@@ -116,6 +148,18 @@ fn n8_crash_work_is_pinned() {
 #[cfg_attr(debug_assertions, ignore = "n = 8 cells are release-only; run cargo test --release")]
 fn n8_async_work_is_pinned() {
     assert_eq!(cell_work(&SevenGather::verified(), 8, "lcm-async").0, (2_315_018, 4_441_421, 0));
+}
+
+#[test]
+fn n6_async_budget_polls_are_pinned() {
+    let work = budgeted_work(&SevenGather::verified(), 6, "lcm-async");
+    assert_eq!(work, ((35_941, 52_163, 0), 372));
+}
+
+#[test]
+fn n6_crash_budget_polls_are_pinned() {
+    let work = budgeted_work(&SevenGather::verified(), 6, "crash:1");
+    assert_eq!(work, ((11_797, 15_086, 0), 32));
 }
 
 /// Asserts `algo`'s cells at n = 1..=5 under adversary, crash:1 and
