@@ -99,9 +99,9 @@
 //! without searching them: [`Explorer::label`] walks the cell's state
 //! graph once and labels each state with its distance to a refuting
 //! action and whether it is doomed, and [`Explorer::decide`] settles a
-//! labeled root as a proof, through a tight BFS, or through
-//! [`Explorer::check`] (DESIGN.md §19). The search, the walk and the
-//! tight BFS enumerate actions through one function,
+//! labeled root as a proof, through a tight BFS, or through the search
+//! restricted to doomed states (DESIGN.md §19). The search, the walk and
+//! the tight BFS enumerate actions through one function,
 //! [`Semantics::actions`], and decide fair cycles through one product,
 //! `fair_pump`.
 
@@ -1138,8 +1138,12 @@ pub(crate) struct ExploreMetrics {
     pub(crate) decided_graph_proof: telemetry::Counter,
     /// Classes [`Explorer::decide`] refuted by a tight BFS.
     pub(crate) decided_tight_bfs: telemetry::Counter,
-    /// Classes [`Explorer::decide`] sent to the per-class search.
+    /// Classes [`Explorer::decide`] sent to the per-class search because
+    /// the labels do not apply.
     pub(crate) decided_search: telemetry::Counter,
+    /// Classes [`Explorer::decide`] sent to the search over their
+    /// doomed states: the Phase-D refutations.
+    pub(crate) decided_doomed_search: telemetry::Counter,
     /// Classes [`Explorer::decide`] refuted as stuck at the root.
     pub(crate) decided_stuck_root: telemetry::Counter,
     /// States the cell walks labeled ([`Explorer::label`]).
@@ -1177,6 +1181,7 @@ impl ExploreMetrics {
         s.add_counter("explore.decided.graph_proof", self.decided_graph_proof.get());
         s.add_counter("explore.decided.tight_bfs", self.decided_tight_bfs.get());
         s.add_counter("explore.decided.search", self.decided_search.get());
+        s.add_counter("explore.decided.doomed_search", self.decided_doomed_search.get());
         s.add_counter("explore.decided.stuck_root", self.decided_stuck_root.get());
         s.add_counter("explore.graph_states", self.graph_states.get());
         s.add_counter("explore.graph_edges", self.graph_edges.get());
@@ -1365,11 +1370,12 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
     /// this explorer was built for (see [`Self::new`]).
     #[must_use]
     pub fn check(&self, initial: &Configuration) -> ExploreReport {
-        self.search(initial, |search| search.run(initial))
+        self.search(initial, |search| search.run(initial, |_, _| true))
     }
 
     /// Runs `run` on a fresh search with a leased scratch, and reports
-    /// it: [`Self::check`]'s search, or a labeled root's tight BFS.
+    /// it: [`Self::check`]'s search, or a labeled root's tight BFS or
+    /// filtered search.
     fn search<'c>(
         &'c self,
         initial: &Configuration,
@@ -1864,15 +1870,22 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// Expands every adversary action of inner state `id`, in the order
-    /// [`Semantics::actions`] enumerates them: interns each successor,
-    /// counts the edge, queues a new inner successor onto `queue` and
-    /// polls the budgets after each recorded edge. Returns a verdict as
-    /// soon as a bad action is reached or a budget is exhausted.
+    /// [`Semantics::actions`] enumerates them: interns each successor
+    /// `(class id, aux)` that `keep` accepts, counts the edge, queues a
+    /// new inner successor onto `queue` and polls the budgets after each
+    /// recorded edge. A successor `keep` rejects is neither interned nor
+    /// counted. Returns a verdict as soon as a bad action is reached or a
+    /// budget is exhausted.
     ///
     /// A successor is its class id plus its aux, and its local state is
     /// found through the search's dense index or its class's aux chain
     /// — no hash, lock or reference count per edge.
-    fn expand(&mut self, id: usize, queue: &mut Vec<u32>) -> Option<ExploreVerdict> {
+    fn expand(
+        &mut self,
+        id: usize,
+        queue: &mut Vec<u32>,
+        keep: impl Fn(u32, S::Aux) -> bool,
+    ) -> Option<ExploreVerdict> {
         let (class, aux, rounds) = self.state(id);
         let explorer = self.explorer;
         let mut verdict = None;
@@ -1882,6 +1895,9 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                     verdict = Some(self.refute_bad(id, action, target));
                     return false;
                 };
+                if !keep(to, aux) {
+                    return true;
+                }
                 let (succ, new) = self.step_to(id, rounds, action, to, aux);
                 // A search meets a stuck state only as a new one, and stops.
                 if new && self.scratch.states.kind[succ] == NodeKind::Stuck {
@@ -1916,7 +1932,15 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         actions
     }
 
-    fn run(&mut self, initial: &Configuration) -> ExploreVerdict {
+    /// Decides the root `initial`: a stuck root at once, then Phase A
+    /// and Phase D over the states `keep` accepts (see [`Self::expand`]).
+    /// [`Explorer::check`] keeps every state; a labeled doomed root
+    /// drops the clean ones, which changes no verdict (DESIGN.md §19).
+    fn run(
+        &mut self,
+        initial: &Configuration,
+        keep: impl Fn(u32, S::Aux) -> bool,
+    ) -> ExploreVerdict {
         let root = self.intern_root(initial);
         if self.scratch.states.kind[root] == NodeKind::Stuck {
             return ExploreVerdict::Refuted {
@@ -1955,7 +1979,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                 if self.scratch.states.kind[id] != NodeKind::Inner {
                     continue;
                 }
-                if let Some(verdict) = self.expand(id, &mut levels) {
+                if let Some(verdict) = self.expand(id, &mut levels, &keep) {
                     found = Some(verdict);
                     break 'levels;
                 }

@@ -12,12 +12,14 @@
 //! * `doomed`: the state reaches a bad state, or a cyclic SCC that
 //!   Phase D does not rule out.
 //!
-//! [`Explorer::decide`] then settles a root from its label alone: a
-//! root that is not doomed is a proof, with no search; a root with a
-//! finite `dist` is refuted by the tight BFS, which expands only the
-//! states on its shortest paths to a bad state and yields the full
-//! BFS's schedule; a stuck root is refuted at once; every other root
-//! (the Phase-D refutations) runs [`Explorer::check`].
+//! [`Explorer::decide`] then settles a root from its label: a root that
+//! is not doomed is a proof, with no search; a root with a finite
+//! `dist` is refuted by the tight BFS, which expands only the states on
+//! its shortest paths to a bad state and yields the full BFS's
+//! schedule; a stuck root is refuted at once; every other root (the
+//! Phase-D refutations) runs the per-class search restricted to doomed
+//! states, which neither interns nor counts a clean successor and
+//! yields [`Explorer::check`]'s verdict.
 //!
 //! The walk is one iterative Tarjan pass (Tarjan, SIAM J. Comput.
 //! 1972). A state's label doubles as its "done" mark, and the Tarjan
@@ -78,8 +80,9 @@ pub(crate) struct CellLabels {
 }
 
 impl CellLabels {
-    /// The label of `slot`.
-    fn get(&self, slot: usize) -> u16 {
+    /// The label of state `(class, crashed)`.
+    fn of(&self, semantics: &CrashSemantics, class: u32, crashed: u16) -> u16 {
+        let slot = class as usize * self.width + semantics.rank(crashed);
         self.slots.get(slot).copied().unwrap_or(UNLABELED)
     }
 }
@@ -459,8 +462,10 @@ impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
     /// Classifies `initial` exactly as [`Self::check`] does, deciding it
     /// from its label when a walk ([`Self::label`]) reached it and the
     /// labels apply: a proof with no search, a refutation by the tight
-    /// BFS (the same schedule and outcome, from fewer states), or a stuck
-    /// root. Every other class runs [`Self::check`].
+    /// BFS (the same schedule and outcome, from fewer states), a stuck
+    /// root, or a doomed root with no distance, whose search skips every
+    /// clean successor (the same verdict, from fewer states). A class the
+    /// labels do not decide runs [`Self::check`].
     ///
     /// # Panics
     /// Panics if `initial` is disconnected or holds more robots than
@@ -468,19 +473,18 @@ impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
     #[must_use]
     pub fn decide(&self, initial: &Configuration) -> ExploreReport {
         self.assert_checkable(initial);
-        let m = &self.metrics;
-        let labels = &self.labels;
-        let width = self.semantics.width(initial.len());
+        let (m, labels, semantics) = (&self.metrics, &self.labels, &self.semantics);
+        let width = semantics.width(initial.len());
         if labels.overflowed || labels.width != width || !self.labels_apply() {
             m.decided_search.inc();
             return self.check(initial);
         }
         let id = self.class_id(initial.canonical_key());
-        if self.semantics.classify(self.table.node(id), 0) == NodeKind::Stuck {
+        if semantics.classify(self.table.node(id), 0) == NodeKind::Stuck {
             m.decided_stuck_root.inc();
             return self.check(initial);
         }
-        let dist = labels.get(id as usize * width);
+        let dist = labels.of(semantics, id, 0);
         if dist == CLEAN {
             m.decided_graph_proof.inc();
             m.verdict_proof.inc();
@@ -491,12 +495,18 @@ impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
                 deduped: 0,
             };
         }
-        if dist >= DOOMED {
-            m.decided_search.inc();
-            return self.check(initial);
+        if dist < DOOMED {
+            m.decided_tight_bfs.inc();
+            return self.search(initial, |search| search.tight_bfs(initial, labels, dist));
         }
-        m.decided_tight_bfs.inc();
-        self.search(initial, |search| search.tight_bfs(initial, labels, dist))
+        // A clean state reaches only clean states, so dropping them keeps
+        // every doomed state's BFS parent, every doomed SCC and Tarjan's
+        // order among them: Phase D stitches the same lasso (DESIGN.md
+        // §19, point 6).
+        m.decided_doomed_search.inc();
+        self.search(initial, |search| {
+            search.run(initial, |to, crashed| labels.of(semantics, to, crashed) != CLEAN)
+        })
     }
 }
 
@@ -541,8 +551,7 @@ impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
                     semantics.actions(explorer, self.table_id(class), crashed, |action, target| {
                         if let Target::Succ(to, aux) = target {
                             if let Some(want) = want {
-                                let slot = to as usize * labels.width + semantics.rank(aux);
-                                if labels.get(slot) == want {
+                                if labels.of(semantics, to, aux) == want {
                                     if let (succ, true) = self.step_to(id, rounds, action, to, aux)
                                     {
                                         levels.push(succ as u32);

@@ -814,8 +814,9 @@ trait CellChecker: CellTelemetry + Sync {
 
     /// Checks one class: its row carries the verdict in the cell's
     /// column and, as `expanded`, the states (the adversary report's
-    /// classes) its search explored — for a class decided from the
-    /// cell's labels, the tight BFS's states, or 0 for a proof.
+    /// classes) its decision interned — for a class decided from the
+    /// cell's labels, the tight BFS's states, the states of the search
+    /// over its doomed states, or 0 for a proof.
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome;
 }
 

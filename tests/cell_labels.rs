@@ -3,16 +3,17 @@
 //! A crash or SSYNC-adversary cell labels its state graph once
 //! (`label`) and then settles each class from its label (`decide`): a
 //! proof with no search, a refutation by the tight BFS, a stuck root,
-//! or, for the Phase-D refutations, the per-class search itself
-//! (DESIGN.md §19). These tests pin that `decide` after `label` returns
-//! exactly what `check` returns — verdict, schedule and outcome — on
-//! every class of the small cells, on two symmetric rules that send the
-//! stabilizer dedup and Phase D's ε-edge pass through the walk, and
-//! that the guard sends every class to `check` when a cap or a byte
-//! budget could bind. The decision-path counters are pinned too.
+//! or, for the Phase-D refutations, the per-class search over the
+//! root's doomed states only (DESIGN.md §19). These tests pin that
+//! `decide` after `label` returns exactly what `check` returns —
+//! verdict, schedule and outcome — on every class of the small cells
+//! and of the n = 8 crash:1 and adversary cells, on two symmetric rules
+//! that send the stabilizer dedup and Phase D's ε-edge pass through the
+//! walk and the doomed search, and that the guard sends every class to
+//! `check` when a cap or a byte budget could bind. The decision-path
+//! counters are pinned too.
 //!
-//! The n = 7 equivalence and the n = 8 counters are release-only
-//! (`cargo test --release`).
+//! The n = 7 and n = 8 tests are release-only (`cargo test --release`).
 
 use gathering::SevenGather;
 use robots::adversary::{AdversaryOptions, AdversaryVerdict, Checker};
@@ -26,16 +27,17 @@ fn roots(n: usize) -> Vec<Configuration> {
     polyhex::enumerate_fixed(n).into_iter().map(Configuration::new).collect()
 }
 
-/// The four decision-path counters, read through `counter`: graph
-/// proofs, tight BFS refutations, per-class searches and stuck roots.
-fn paths(counter: impl Fn(&str) -> u64) -> [u64; 4] {
-    ["graph_proof", "tight_bfs", "search", "stuck_root"]
+/// The five decision-path counters, read through `counter`: graph
+/// proofs, tight BFS refutations, unlabeled searches, stuck roots and
+/// doomed searches (the Phase-D refutations).
+fn paths(counter: impl Fn(&str) -> u64) -> [u64; 5] {
+    ["graph_proof", "tight_bfs", "search", "stuck_root", "doomed_search"]
         .map(|path| counter(&format!("explore.decided.{path}")))
 }
 
 /// Labels every `n`-robot class under the crash budget `f`, then asserts
 /// `decide` equals `check` on each; returns the decision-path counters.
-fn crash_cell_matches<A: Algorithm + ?Sized>(algo: &A, n: usize, f: u8) -> [u64; 4] {
+fn crash_cell_matches<A: Algorithm + ?Sized>(algo: &A, n: usize, f: u8) -> [u64; 5] {
     let roots = roots(n);
     let opts = CrashOptions::for_robots(f, n);
     let plain = CrashChecker::for_robots(algo, opts, n.max(8));
@@ -59,7 +61,7 @@ fn crash_cell_matches<A: Algorithm + ?Sized>(algo: &A, n: usize, f: u8) -> [u64;
 }
 
 /// [`crash_cell_matches`] for the SSYNC adversary.
-fn adversary_cell_matches<A: Algorithm + ?Sized>(algo: &A, n: usize) -> [u64; 4] {
+fn adversary_cell_matches<A: Algorithm + ?Sized>(algo: &A, n: usize) -> [u64; 5] {
     let roots = roots(n);
     let opts = AdversaryOptions::for_robots(n);
     let plain = Checker::for_robots(algo, opts, n.max(8));
@@ -96,9 +98,18 @@ fn labeled_checks_equal_plain_checks_up_to_six_robots() {
 #[cfg_attr(debug_assertions, ignore = "n = 7 cells are release-only; run cargo test --release")]
 fn labeled_checks_equal_plain_checks_at_seven_robots() {
     let algo = SevenGather::verified();
-    assert_eq!(adversary_cell_matches(&algo, 7), [1869, 0, 1783, 0]);
-    assert_eq!(crash_cell_matches(&algo, 7, 1), [11, 3641, 0, 0]);
+    assert_eq!(adversary_cell_matches(&algo, 7), [1869, 0, 0, 0, 1783]);
+    assert_eq!(crash_cell_matches(&algo, 7, 1), [11, 3641, 0, 0, 0]);
     crash_cell_matches(&algo, 7, 2);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "n = 8 cells are release-only; run cargo test --release")]
+fn labeled_checks_equal_plain_checks_at_eight_robots() {
+    // The 1347 and 3063 Phase-D refutations take the doomed search.
+    let algo = SevenGather::verified();
+    assert_eq!(crash_cell_matches(&algo, 8, 1), [5349, 9986, 0, 7, 1347]);
+    assert_eq!(adversary_cell_matches(&algo, 8), [8573, 5046, 0, 7, 3063]);
 }
 
 #[test]
@@ -120,8 +131,9 @@ fn symmetric_rules_take_the_labeled_path_exactly() {
             crash_cell_matches(algo, n, 2);
         }
     }
-    // Not vacuous: at n = 3 `spin` dedups actions, and its walk decides a
-    // cyclic SCC through Phase D.
+    // Not vacuous: at n = 3 `spin` dedups actions, its walk decides a
+    // cyclic SCC through Phase D, and its Phase-D refutations take the
+    // doomed search, which dedups too.
     let roots = roots(3);
     let mut checker = Checker::for_robots(&spin, AdversaryOptions::for_robots(3), 8);
     checker.label(&roots);
@@ -130,6 +142,7 @@ fn symmetric_rules_take_the_labeled_path_exactly() {
     }
     let snapshot = checker.metrics_snapshot();
     assert!(snapshot.counter("explore.graph_products") > 0, "a product runs in the walk");
+    assert_eq!(paths(|name| snapshot.counter(name))[4], 9, "Phase-D refutations search doomed");
     assert!(snapshot.counter("explore.deduped") > 0, "the stabilizer dedup fires");
 }
 
@@ -159,7 +172,7 @@ fn a_graph_past_the_state_cap_sends_every_class_to_the_search() {
     }
     assert!(undecided > 0, "the cap must bind on some class for this test to mean anything");
     let snapshot = labeled.metrics_snapshot();
-    assert_eq!(paths(|name| snapshot.counter(name)), [0, 0, roots.len() as u64, 0]);
+    assert_eq!(paths(|name| snapshot.counter(name)), [0, 0, roots.len() as u64, 0, 0]);
 }
 
 #[test]
@@ -184,11 +197,11 @@ fn an_armed_byte_budget_sends_every_class_to_the_search() {
     assert!(over > 0, "the budget must bind on some class for this test to mean anything");
     let snapshot = labeled.metrics_snapshot();
     assert_eq!(snapshot.counter("explore.graph_states"), 0, "an armed budget walks nothing");
-    assert_eq!(paths(|name| snapshot.counter(name)), [0, 0, roots.len() as u64, 0]);
+    assert_eq!(paths(|name| snapshot.counter(name)), [0, 0, roots.len() as u64, 0, 0]);
 }
 
 /// The decision-path counters of a full sweep cell.
-fn sweep_paths(n: usize, sched: &str) -> [u64; 4] {
+fn sweep_paths(n: usize, sched: &str) -> [u64; 5] {
     let sched = SchedSpec::parse(sched).expect("known scheduler");
     let cfg = SweepConfig { n, sched, ..SweepConfig::default() };
     let dir = std::env::temp_dir().join(format!(
@@ -207,13 +220,13 @@ fn sweep_paths(n: usize, sched: &str) -> [u64; 4] {
 
 #[test]
 fn seven_robot_cells_take_pinned_decision_paths() {
-    assert_eq!(sweep_paths(7, "crash:1"), [11, 3641, 0, 0]);
-    assert_eq!(sweep_paths(7, "adversary"), [1869, 0, 1783, 0]);
+    assert_eq!(sweep_paths(7, "crash:1"), [11, 3641, 0, 0, 0]);
+    assert_eq!(sweep_paths(7, "adversary"), [1869, 0, 0, 0, 1783]);
 }
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "n = 8 cells are release-only; run cargo test --release")]
 fn eight_robot_cells_take_pinned_decision_paths() {
-    assert_eq!(sweep_paths(8, "crash:1"), [5349, 9986, 1347, 7]);
-    assert_eq!(sweep_paths(8, "adversary"), [8573, 5046, 3063, 7]);
+    assert_eq!(sweep_paths(8, "crash:1"), [5349, 9986, 0, 7, 1347]);
+    assert_eq!(sweep_paths(8, "adversary"), [8573, 5046, 0, 7, 3063]);
 }
