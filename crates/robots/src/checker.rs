@@ -8,6 +8,12 @@
 //! is built from, the semantics and goal they describe, and the report
 //! a check returns. Every check runs the explorer's own monomorphized
 //! code, so a checker adds nothing to a verdict.
+//!
+//! [`ModelChecker::check`] is the one per-class query of every model. A
+//! checker over the crash semantics can first label its cell's state
+//! graph ([`ModelChecker::label`]); `check` then settles the roots a walk
+//! reached from their labels, with the plain search's verdicts
+//! (DESIGN.md §19).
 
 use crate::explore::{CrashSemantics, ExploreOptions, ExploreReport, Explorer, Semantics};
 use crate::{Algorithm, Configuration};
@@ -135,19 +141,9 @@ impl<A: Algorithm + ?Sized, M: Model<Semantics = CrashSemantics>> ModelChecker<'
     }
 
     /// Labels the cell's state graph from `roots` (see
-    /// [`Explorer::label`]), so that [`decide`](Self::decide) can
-    /// settle them without a search.
+    /// [`Explorer::label`]), so that [`check`](Self::check) can settle
+    /// them from their labels.
     pub fn label<C: Borrow<Configuration>>(&mut self, roots: impl IntoIterator<Item = C>) {
         self.explorer.label(roots);
-    }
-
-    /// Classifies `initial` exactly as [`check`](Self::check) does, from
-    /// its label where one applies (see [`Explorer::decide`]).
-    ///
-    /// # Panics
-    /// As [`check`](Self::check).
-    #[must_use]
-    pub fn decide(&self, initial: &Configuration) -> M::Report {
-        M::report(self.explorer.decide(initial))
     }
 }

@@ -98,12 +98,13 @@
 //! For the crash semantics the explorer can also decide classes
 //! without searching them: [`Explorer::label`] walks the cell's state
 //! graph once and labels each state with its distance to a refuting
-//! action and whether it is doomed, and [`Explorer::decide`] settles a
-//! labeled root as a proof, through a tight BFS, or through the search
-//! restricted to doomed states (DESIGN.md §19). The search, the walk and
-//! the tight BFS enumerate actions through one function,
-//! [`Semantics::actions`], and decide fair cycles through one product,
-//! `fair_pump`.
+//! action and whether it is doomed, and [`Explorer::check`] settles a
+//! labeled root as a proof, through the tight BFS, or through the search
+//! restricted to doomed states (DESIGN.md §19). The tight BFS and the
+//! doomed search are the one search with a filter on the successors it
+//! keeps. The search and the walk enumerate actions through one
+//! function, [`Semantics::actions`], and decide fair cycles through one
+//! product, `fair_pump`.
 
 mod labels;
 
@@ -1071,7 +1072,7 @@ pub(crate) fn edge_cert(
 /// with telemetry enabled, disabled, or absent (see DESIGN.md §16).
 #[derive(Default)]
 pub(crate) struct ExploreMetrics {
-    /// `check` calls completed.
+    /// Searches completed: every [`Explorer::check`] but a graph proof.
     pub(crate) checks: telemetry::Counter,
     /// Interned states, summed over checks.
     pub(crate) states: telemetry::Counter,
@@ -1113,9 +1114,6 @@ pub(crate) struct ExploreMetrics {
     pub(crate) undecided_timeout: telemetry::Counter,
     /// Undecided verdicts attributed to the byte budget.
     pub(crate) undecided_mem_budget: telemetry::Counter,
-    /// Undecided verdicts attributed to a caught per-class panic
-    /// (tallied by the sweep layer's degradation, never by `check`).
-    pub(crate) undecided_panicked: telemetry::Counter,
     /// Classes added to the explorer's `ClassTable` (so the counter
     /// reads the table's size).
     pub(crate) classes: telemetry::Counter,
@@ -1133,18 +1131,21 @@ pub(crate) struct ExploreMetrics {
     /// Peak heap bytes reserved by one whole check (class index +
     /// visited + frontier + edge pool).
     pub(crate) peak_bytes: telemetry::Gauge,
-    /// Classes [`Explorer::decide`] proved from their label, with no
+    /// Classes [`Explorer::check`] proved from their label, with no
     /// search.
     pub(crate) decided_graph_proof: telemetry::Counter,
-    /// Classes [`Explorer::decide`] refuted by a tight BFS.
+    /// Classes [`Explorer::check`] refuted by the tight BFS: the search
+    /// kept to the root's shortest paths to a bad state.
     pub(crate) decided_tight_bfs: telemetry::Counter,
-    /// Classes [`Explorer::decide`] sent to the per-class search because
-    /// the labels do not apply.
+    /// Classes [`Explorer::check`] sent to the plain search: no walk
+    /// reached the root, or the labels do not apply (an armed deadline
+    /// or byte budget, a walk past a cap, or a semantics that no walk
+    /// labels, such as ASYNC).
     pub(crate) decided_search: telemetry::Counter,
-    /// Classes [`Explorer::decide`] sent to the search over their
+    /// Classes [`Explorer::check`] sent to the search over their
     /// doomed states: the Phase-D refutations.
     pub(crate) decided_doomed_search: telemetry::Counter,
-    /// Classes [`Explorer::decide`] refuted as stuck at the root.
+    /// Classes [`Explorer::check`] refuted as stuck at the root.
     pub(crate) decided_stuck_root: telemetry::Counter,
     /// States the cell walks labeled ([`Explorer::label`]).
     pub(crate) graph_states: telemetry::Counter,
@@ -1176,7 +1177,6 @@ impl ExploreMetrics {
         s.add_counter("explore.undecided.fair_depth", self.undecided_product.get());
         s.add_counter("explore.undecided.timeout", self.undecided_timeout.get());
         s.add_counter("explore.undecided.mem_budget", self.undecided_mem_budget.get());
-        s.add_counter("explore.undecided.panicked", self.undecided_panicked.get());
         s.add_counter("explore.classes", self.classes.get());
         s.add_counter("explore.decided.graph_proof", self.decided_graph_proof.get());
         s.add_counter("explore.decided.tight_bfs", self.decided_tight_bfs.get());
@@ -1229,7 +1229,7 @@ pub struct Explorer<'a, A: Algorithm + ?Sized, S: Semantics = CrashSemantics> {
     /// Depth is bounded by the number of concurrent `check` calls.
     scratch: std::sync::Mutex<Vec<SearchScratch<S::Aux>>>,
     /// The labels of the cell's state graph, grown by
-    /// [`Explorer::label`] and read by [`Explorer::decide`] (crash
+    /// [`Explorer::label`] and read by [`Explorer::check`] (crash
     /// semantics only; DESIGN.md §19).
     labels: labels::CellLabels,
     /// Out-of-band observability tallies (see [`ExploreMetrics`]).
@@ -1362,26 +1362,12 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
         self.table.table(id, || build(self.table.node(id)))
     }
 
-    /// Classifies `initial` under the exhaustive adversary of this
-    /// instantiation.
-    ///
-    /// # Panics
-    /// Panics if `initial` is disconnected or holds more robots than
-    /// this explorer was built for (see [`Self::new`]).
-    #[must_use]
-    pub fn check(&self, initial: &Configuration) -> ExploreReport {
-        self.search(initial, |search| search.run(initial, |_, _| true))
-    }
-
     /// Runs `run` on a fresh search with a leased scratch, and reports
-    /// it: [`Self::check`]'s search, or a labeled root's tight BFS or
-    /// filtered search.
+    /// it: one of [`Self::check`]'s searches.
     fn search<'c>(
         &'c self,
-        initial: &Configuration,
         run: impl FnOnce(&mut Search<'c, 'a, A, S>) -> ExploreVerdict,
     ) -> ExploreReport {
-        self.assert_checkable(initial);
         // Lease a scratch from the pool (cleared on return, so a
         // leased buffer is always empty) instead of growing a fresh
         // one: across the ~77k classes of a sweep cell this is the
@@ -1435,7 +1421,8 @@ impl<'a, A: Algorithm + ?Sized, S: Semantics> Explorer<'a, A, S> {
                     UndecidedReason::FairDepth => m.undecided_product.inc(),
                     UndecidedReason::Timeout => m.undecided_timeout.inc(),
                     UndecidedReason::MemBudget => m.undecided_mem_budget.inc(),
-                    UndecidedReason::Panicked => m.undecided_panicked.inc(),
+                    // Only the sweep's panic isolation builds this reason.
+                    UndecidedReason::Panicked => {}
                 }
             }
         }
@@ -1934,12 +1921,15 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
 
     /// Decides the root `initial`: a stuck root at once, then Phase A
     /// and Phase D over the states `keep` accepts (see [`Self::expand`]).
-    /// [`Explorer::check`] keeps every state; a labeled doomed root
-    /// drops the clean ones, which changes no verdict (DESIGN.md §19).
+    /// `keep(level, class id, aux)` sees each successor with the BFS
+    /// level of the state that expands it. [`Explorer::check`]'s plain
+    /// search keeps every state; a labeled root keeps its doomed states,
+    /// or only those on its shortest paths to a bad state, which changes
+    /// no verdict (DESIGN.md §19).
     fn run(
         &mut self,
         initial: &Configuration,
-        keep: impl Fn(u32, S::Aux) -> bool,
+        keep: impl Fn(usize, u32, S::Aux) -> bool,
     ) -> ExploreVerdict {
         let root = self.intern_root(initial);
         if self.scratch.states.kind[root] == NodeKind::Stuck {
@@ -1965,7 +1955,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         let mut levels = std::mem::take(&mut self.scratch.levels);
         levels.clear();
         levels.push(root as u32);
-        let mut lo = 0usize;
+        let (mut lo, mut level) = (0usize, 0usize);
         'levels: while lo < levels.len() {
             let hi = levels.len();
             if self.deadline_passed_now() {
@@ -1974,12 +1964,13 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
             }
             metrics.levels.inc();
             metrics.frontier_width.record((hi - lo) as u64);
+            let kept = |to, aux| keep(level, to, aux);
             for i in lo..hi {
                 let id = levels[i] as usize;
                 if self.scratch.states.kind[id] != NodeKind::Inner {
                     continue;
                 }
-                if let Some(verdict) = self.expand(id, &mut levels, &keep) {
+                if let Some(verdict) = self.expand(id, &mut levels, kept) {
                     found = Some(verdict);
                     break 'levels;
                 }
@@ -1989,6 +1980,7 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
                 }
             }
             lo = hi;
+            level += 1;
         }
         self.scratch.levels = levels;
         watch.flush(&metrics.phase_a_ns);
@@ -2072,8 +2064,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     }
 
     /// Phase D: the complete fair-cycle decision. Each cyclic SCC is
-    /// decided exactly on the role-tracking product automaton
-    /// (DESIGN.md §15):
+    /// decided exactly on the role-tracking product automaton over
+    /// `(state, slot → role assignment)` pairs (DESIGN.md §15):
     ///
     /// * a reachable product structure covering every role yields a
     ///   stitched refutation lasso;
@@ -2081,32 +2073,8 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     ///   proves no fair schedule can stay in the SCC forever, and once
     ///   every SCC is ruled out, every fair schedule reaches a (good)
     ///   terminal: proof;
-    /// * only a product overflow (or the symmetric corner case noted in
-    ///   [`Search::product_fair_cycle`]) stays undecided.
-    fn decide_fair_product(&self) -> ExploreVerdict {
-        for scc in self.cyclic_sccs() {
-            if self.deadline_passed_now() {
-                return self.timeout_undecided();
-            }
-            match self.product_fair_cycle(&scc) {
-                ProductOutcome::Refuted(verdict) => return verdict,
-                ProductOutcome::NoFairCycle => {}
-                ProductOutcome::Undecided => {
-                    // An expired deadline surfaces here as an aborted
-                    // product sweep; attribute it honestly instead of
-                    // blaming the product cap.
-                    if self.deadline_passed_now() {
-                        return self.timeout_undecided();
-                    }
-                    return ExploreVerdict::Undecided { reason: UndecidedReason::FairDepth };
-                }
-            }
-        }
-        ExploreVerdict::Proof
-    }
-
-    /// Decides one cyclic SCC on the product automaton over
-    /// `(state, slot → role assignment)` pairs.
+    /// * a product overflow, a failed stitch, or coverage only under
+    ///   stabilizer relabelings stays undecided.
     ///
     /// Every SCC-internal edge gets its certificate
     /// ([`Semantics::cert`]): the induced slot permutation plus the
@@ -2126,39 +2094,55 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
     /// asymmetric corner — coverage complete only *with* ε-edges —
     /// would need deduped actions to stitch a concrete schedule and is
     /// reported undecided instead of guessed.
-    fn product_fair_cycle(&self, scc: &[usize]) -> ProductOutcome {
-        let n = self.node(self.scratch.states.class[scc[0]]).info.robots();
-        let edges: Vec<Vec<ProductEdge>> = scc
-            .iter()
-            .map(|&u| {
-                let (class, aux, _) = self.state(u);
-                self.edges_of(u)
-                    .iter()
-                    .filter_map(|e| {
-                        let to = e.to as usize;
-                        let tidx = scc.binary_search(&to).ok()?;
-                        let to = self.node(self.state(to).0).key;
-                        let cert = S::cert(self.node(class), aux, unpack_action(e.action), to);
-                        Some(ProductEdge { action: e.action, to: tidx as u32, cert })
-                    })
-                    .collect()
-            })
-            .collect();
-        let eps = || {
-            scc.iter()
+    fn decide_fair_product(&self) -> ExploreVerdict {
+        for scc in self.cyclic_sccs() {
+            if self.deadline_passed_now() {
+                return self.timeout_undecided();
+            }
+            let n = self.node(self.scratch.states.class[scc[0]]).info.robots();
+            let edges: Vec<Vec<ProductEdge>> = scc
+                .iter()
                 .map(|&u| {
                     let (class, aux, _) = self.state(u);
-                    self.explorer.stabilizer_slots(self.node(class).key, aux)
+                    self.edges_of(u)
+                        .iter()
+                        .filter_map(|e| {
+                            let to = e.to as usize;
+                            let tidx = scc.binary_search(&to).ok()?;
+                            let to = self.node(self.state(to).0).key;
+                            let cert = S::cert(self.node(class), aux, unpack_action(e.action), to);
+                            Some(ProductEdge { action: e.action, to: tidx as u32, cert })
+                        })
+                        .collect()
                 })
-                .collect()
-        };
-        match fair_pump(&edges, eps, n, || self.deadline_tripped()) {
-            Pump::Fair(mut product) => self
-                .stitch_product_cycle(scc[0], &mut product, (1u16 << n) - 1)
-                .map_or(ProductOutcome::Undecided, ProductOutcome::Refuted),
-            Pump::NoFairCycle => ProductOutcome::NoFairCycle,
-            Pump::Undecided => ProductOutcome::Undecided,
+                .collect();
+            let eps = || {
+                scc.iter()
+                    .map(|&u| {
+                        let (class, aux, _) = self.state(u);
+                        self.explorer.stabilizer_slots(self.node(class).key, aux)
+                    })
+                    .collect()
+            };
+            let stitched = match fair_pump(&edges, eps, n, || self.deadline_tripped()) {
+                Pump::NoFairCycle => continue,
+                Pump::Fair(mut product) => {
+                    self.stitch_product_cycle(scc[0], &mut product, (1u16 << n) - 1)
+                }
+                Pump::Undecided => None,
+            };
+            if let Some(verdict) = stitched {
+                return verdict;
+            }
+            // An expired deadline surfaces here as an aborted product
+            // sweep; attribute it honestly instead of blaming the product
+            // cap.
+            if self.deadline_passed_now() {
+                return self.timeout_undecided();
+            }
+            return ExploreVerdict::Undecided { reason: UndecidedReason::FairDepth };
         }
+        ExploreVerdict::Proof
     }
 
     /// Stitches an accepting product structure into a refutation lasso:
@@ -2176,17 +2160,6 @@ impl<'c, 'a, A: Algorithm + ?Sized, S: Semantics> Search<'c, 'a, A, S> {
         let rounds = movement_rounds(&schedule);
         Some(ExploreVerdict::Refuted { schedule, outcome: Outcome::StepLimit { rounds } })
     }
-}
-
-/// Outcome of the per-SCC product decision of Phase D.
-enum ProductOutcome {
-    /// A covering product structure was stitched into a lasso.
-    Refuted(ExploreVerdict),
-    /// No fair schedule can stay inside this SCC forever.
-    NoFairCycle,
-    /// The product overflowed its caps, or coverage held only under
-    /// stabilizer relabelings (no concrete schedule available).
-    Undecided,
 }
 
 /// Phase D's decision on one cyclic SCC, before any schedule is
@@ -2592,8 +2565,8 @@ impl Semantics for CrashSemantics {
         usize::from(self.rank[usize::from(crashed)])
     }
 
-    /// The one expansion order that the per-class search, the cell
-    /// walk and the tight BFS share (DESIGN.md §19): affordable crash
+    /// The one expansion order that the per-class search and the cell
+    /// walk share (DESIGN.md §19): affordable crash
     /// sets of the live robots ascending; within each, the class's
     /// round-table steps that spare every crashed robot (the nonzero
     /// submasks of the surviving movers, ascending), or the injection

@@ -12,14 +12,15 @@
 //! * `doomed`: the state reaches a bad state, or a cyclic SCC that
 //!   Phase D does not rule out.
 //!
-//! [`Explorer::decide`] then settles a root from its label: a root that
+//! [`Explorer::check`] then settles a root from its label: a root that
 //! is not doomed is a proof, with no search; a root with a finite
-//! `dist` is refuted by the tight BFS, which expands only the states on
-//! its shortest paths to a bad state and yields the full BFS's
-//! schedule; a stuck root is refuted at once; every other root (the
-//! Phase-D refutations) runs the per-class search restricted to doomed
+//! `dist` is refuted by the tight BFS, the search kept to the states on
+//! its shortest paths to a bad state, which yields the full BFS's
+//! schedule; a stuck root is refuted at once; every other doomed root
+//! (the Phase-D refutations) runs the search restricted to doomed
 //! states, which neither interns nor counts a clean successor and
-//! yields [`Explorer::check`]'s verdict.
+//! yields the plain search's verdict. A root no walk reached runs the
+//! plain search.
 //!
 //! The walk is one iterative Tarjan pass (Tarjan, SIAM J. Comput.
 //! 1972). A state's label doubles as its "done" mark, and the Tarjan
@@ -35,11 +36,11 @@
 //! edge caps: a search from a labeled root interns a subset of the
 //! walked states and edges (a bad state keeps its edges up to its bad
 //! action, as the search does). The walk stops as soon as a cap would
-//! be passed, and the cell then checks every class.
+//! be passed, and every class then runs the plain search.
 
 use super::{
     fair_pump, pack_action, CrashSemantics, ExploreReport, ExploreVerdict, Explorer, NodeKind,
-    ProductEdge, Pump, Search, Semantics, Target,
+    ProductEdge, Pump, Semantics, Target,
 };
 use crate::sched::CrashRound;
 use crate::visited::PackedKeyMap;
@@ -80,9 +81,9 @@ pub(crate) struct CellLabels {
 }
 
 impl CellLabels {
-    /// The label of state `(class, crashed)`.
-    fn of(&self, semantics: &CrashSemantics, class: u32, crashed: u16) -> u16 {
-        let slot = class as usize * self.width + semantics.rank(crashed);
+    /// The label of state `(class, aux)`.
+    fn of<S: Semantics>(&self, semantics: &S, class: u32, aux: S::Aux) -> u16 {
+        let slot = class as usize * self.width + semantics.rank(aux);
         self.slots.get(slot).copied().unwrap_or(UNLABELED)
     }
 }
@@ -401,15 +402,8 @@ impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
         }
     }
 
-    /// Whether labels may decide classes: no deadline and no byte
-    /// budget is armed, so a per-class search could trip only a state
-    /// or edge cap, and the walk checks those.
-    fn labels_apply(&self) -> bool {
-        self.opts.class_timeout.is_none() && self.opts.mem_budget.is_none()
-    }
-
     /// Labels every state reachable from `roots` (in their order) that
-    /// no earlier call labeled, so that [`Self::decide`] can settle them
+    /// no earlier call labeled, so that [`Self::check`] can settle them
     /// (DESIGN.md §19). Does nothing while a deadline or a byte budget
     /// is armed, or once a walk has passed the state or edge cap.
     ///
@@ -458,126 +452,99 @@ impl<A: Algorithm + ?Sized> Explorer<'_, A, CrashSemantics> {
         self.labels = labels;
         watch.flush(&m.graph_ns);
     }
+}
 
-    /// Classifies `initial` exactly as [`Self::check`] does, deciding it
-    /// from its label when a walk ([`Self::label`]) reached it and the
-    /// labels apply: a proof with no search, a refutation by the tight
-    /// BFS (the same schedule and outcome, from fewer states), a stuck
-    /// root, or a doomed root with no distance, whose search skips every
-    /// clean successor (the same verdict, from fewer states). A class the
-    /// labels do not decide runs [`Self::check`].
+impl<A: Algorithm + ?Sized, S: Semantics> Explorer<'_, A, S> {
+    /// Whether labels may decide classes: no deadline and no byte
+    /// budget is armed, so a per-class search could trip only a state
+    /// or edge cap, and the walk checks those.
+    fn labels_apply(&self) -> bool {
+        self.opts.class_timeout.is_none() && self.opts.mem_budget.is_none()
+    }
+
+    /// Classifies `initial` under the exhaustive adversary of this
+    /// instantiation.
+    ///
+    /// A root that a walk ([`Self::label`]) reached, while the labels
+    /// apply, is settled from its label (DESIGN.md §19): a proof with no
+    /// search; a refutation by the tight BFS, the search kept to the
+    /// root's shortest paths to a bad state (the same schedule and
+    /// outcome, from fewer states); a stuck root; or a doomed root with
+    /// no distance, whose search skips every clean successor (the same
+    /// verdict, from fewer states). Every other root runs the plain
+    /// search, as every ASYNC root does: no walk labels that semantics.
     ///
     /// # Panics
     /// Panics if `initial` is disconnected or holds more robots than
-    /// this explorer was built for.
+    /// this explorer was built for (see [`Self::new`]).
     #[must_use]
-    pub fn decide(&self, initial: &Configuration) -> ExploreReport {
+    pub fn check(&self, initial: &Configuration) -> ExploreReport {
         self.assert_checkable(initial);
         let (m, labels, semantics) = (&self.metrics, &self.labels, &self.semantics);
-        let width = semantics.width(initial.len());
-        if labels.overflowed || labels.width != width || !self.labels_apply() {
-            m.decided_search.inc();
-            return self.check(initial);
-        }
-        let id = self.class_id(initial.canonical_key());
-        if semantics.classify(self.table.node(id), 0) == NodeKind::Stuck {
-            m.decided_stuck_root.inc();
-            return self.check(initial);
-        }
-        let dist = labels.of(semantics, id, 0);
-        if dist == CLEAN {
-            m.decided_graph_proof.inc();
-            m.verdict_proof.inc();
-            return ExploreReport {
-                verdict: ExploreVerdict::Proof,
-                states: 0,
-                edges: 0,
-                deduped: 0,
-            };
-        }
-        if dist < DOOMED {
-            m.decided_tight_bfs.inc();
-            return self.search(initial, |search| search.tight_bfs(initial, labels, dist));
-        }
-        // A clean state reaches only clean states, so dropping them keeps
-        // every doomed state's BFS parent, every doomed SCC and Tarjan's
-        // order among them: Phase D stitches the same lasso (DESIGN.md
-        // §19, point 6).
-        m.decided_doomed_search.inc();
-        self.search(initial, |search| {
-            search.run(initial, |to, crashed| labels.of(semantics, to, crashed) != CLEAN)
-        })
-    }
-}
-
-impl<A: Algorithm + ?Sized> Search<'_, '_, A, CrashSemantics> {
-    /// The tight BFS of a root at finite distance `dist` (DESIGN.md
-    /// §19): the search's Phase A restricted to the states on the
-    /// root's shortest paths to a bad state. Level `k` holds only states
-    /// at distance `dist - k`; their successors in action order join
-    /// level `k + 1` when they are at distance `dist - k - 1`, with
-    /// parents and rounds recorded as [`Search::expand`] records them.
-    /// Every tight parent of a tight state is in the full BFS's
-    /// level before it, so tight states keep their full-BFS order and
-    /// parents, and the first bad action of the first level-`dist`
-    /// state is the full BFS's refutation.
-    fn tight_bfs(
-        &mut self,
-        initial: &Configuration,
-        labels: &CellLabels,
-        dist: u16,
-    ) -> ExploreVerdict {
-        let explorer = self.explorer;
-        let semantics = &explorer.semantics;
-        let root = self.intern_root(initial);
-        let metrics = &explorer.metrics;
-        let watch = telemetry::Stopwatch::started();
-        let mut levels = std::mem::take(&mut self.scratch.levels);
-        levels.clear();
-        levels.push(root as u32);
-        let mut lo = 0;
-        let mut found = None;
-        'levels: for level in 0..=dist {
-            let hi = levels.len();
-            metrics.levels.inc();
-            metrics.frontier_width.record((hi - lo) as u64);
-            // The distance a successor needs to join the next level (the
-            // last level's states are bad: they refute instead).
-            let want = (level < dist).then(|| dist - level - 1);
-            for i in lo..hi {
-                let id = levels[i] as usize;
-                let (class, crashed, rounds) = self.state(id);
-                let deduped =
-                    semantics.actions(explorer, self.table_id(class), crashed, |action, target| {
-                        if let Target::Succ(to, aux) = target {
-                            if let Some(want) = want {
-                                if labels.of(semantics, to, aux) == want {
-                                    if let (succ, true) = self.step_to(id, rounds, action, to, aux)
-                                    {
-                                        levels.push(succ as u32);
-                                    }
-                                }
-                                return true;
-                            }
-                            // The last level's states are bad: a successor
-                            // is a bad action only if it is stuck.
-                            if semantics.classify(explorer.table.node(to), aux) != NodeKind::Stuck {
-                                return true;
-                            }
-                            self.step_to(id, rounds, action, to, aux);
-                        }
-                        found = Some(self.refute_bad(id, action, target));
-                        false
-                    });
-                self.deduped += deduped;
-                if found.is_some() {
-                    break 'levels;
-                }
+        let root = semantics.root_aux();
+        // Width 0 means no walk labeled this explorer. It is tested on its
+        // own because ASYNC's `Semantics::width` is 0 as well, and no
+        // ASYNC aux has a rank.
+        let live = labels.width != 0
+            && labels.width == semantics.width(initial.len())
+            && !labels.overflowed
+            && self.labels_apply();
+        let plain = || self.search(|search| search.run(initial, |_, _, _| true));
+        let label = if live {
+            let id = self.class_id(initial.canonical_key());
+            if semantics.classify(self.table.node(id), root) == NodeKind::Stuck {
+                m.decided_stuck_root.inc();
+                return plain();
             }
-            lo = hi;
+            labels.of(semantics, id, root)
+        } else {
+            UNLABELED
+        };
+        match label {
+            UNLABELED => {
+                m.decided_search.inc();
+                plain()
+            }
+            CLEAN => {
+                m.decided_graph_proof.inc();
+                m.verdict_proof.inc();
+                ExploreReport { verdict: ExploreVerdict::Proof, states: 0, edges: 0, deduped: 0 }
+            }
+            // A clean state reaches only clean states, so dropping them
+            // keeps every doomed state's BFS parent, every doomed SCC and
+            // Tarjan's order among them: Phase D stitches the same lasso
+            // (DESIGN.md §19, point 6).
+            DOOMED => {
+                m.decided_doomed_search.inc();
+                self.search(|search| {
+                    search.run(initial, |_, to, aux| labels.of(semantics, to, aux) != CLEAN)
+                })
+            }
+            // The tight BFS (DESIGN.md §19, point 2): level `k < dist`
+            // keeps the successors at distance `dist - k - 1`, and level
+            // `dist`, whose states are bad, only a stuck one. Every tight
+            // parent of a tight state is in the full BFS's level before
+            // it, so tight states keep their full-BFS order and parents,
+            // and the first bad action of the first level-`dist` state is
+            // the full BFS's refutation.
+            dist => {
+                m.decided_tight_bfs.inc();
+                let dist = usize::from(dist);
+                self.search(|search| {
+                    let verdict = search.run(initial, |level, to, aux| {
+                        if level < dist {
+                            usize::from(labels.of(semantics, to, aux)) == dist - level - 1
+                        } else {
+                            semantics.classify(self.table.node(to), aux) == NodeKind::Stuck
+                        }
+                    });
+                    assert!(
+                        matches!(verdict, ExploreVerdict::Refuted { .. }),
+                        "a root at a finite distance refutes at that level"
+                    );
+                    verdict
+                })
+            }
         }
-        self.scratch.levels = levels;
-        watch.flush(&metrics.phase_a_ns);
-        found.expect("a root at a finite distance refutes at that level")
     }
 }

@@ -812,10 +812,11 @@ trait CellChecker: CellTelemetry + Sync {
     /// lcm-async cells keep this default.
     fn label(&mut self, _classes: &[Vec<Coord>], _threads: usize) {}
 
-    /// Checks one class: its row carries the verdict in the cell's
-    /// column and, as `expanded`, the states (the adversary report's
-    /// classes) its decision interned — for a class decided from the
-    /// cell's labels, the tight BFS's states, the states of the search
+    /// Checks one class through the checker's one query, `check`, which
+    /// settles a root a walk reached from the cell's labels: the row
+    /// carries the verdict in the cell's column and, as `expanded`, the
+    /// states (the adversary report's classes) the check interned — for
+    /// a labeled class, the tight BFS's states, the states of the search
     /// over its doomed states, or 0 for a proof.
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome;
 }
@@ -852,7 +853,7 @@ impl<A: Algorithm + ?Sized> CellChecker for Checker<'_, A> {
     }
 
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
-        let report = self.decide(initial);
+        let report = self.check(initial);
         let outcome = outcome_of_verdict(&report.verdict, limits);
         ClassOutcome { verdict: Some(report.verdict), ..row(index, outcome, report.classes) }
     }
@@ -864,7 +865,7 @@ impl<A: Algorithm + ?Sized> CellChecker for CrashChecker<'_, A> {
     }
 
     fn run_class(&self, initial: &Configuration, index: usize, limits: Limits) -> ClassOutcome {
-        let report = self.decide(initial);
+        let report = self.check(initial);
         let outcome = outcome_of_crash_verdict(&report.verdict, limits);
         ClassOutcome { crash: Some(report.verdict), ..row(index, outcome, report.states) }
     }
