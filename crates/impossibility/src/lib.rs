@@ -21,7 +21,8 @@
 //!   counterexample class from the full 3652 and add it. If the DFS
 //!   exhausts the tree, **no algorithm exists** — impossibility proved
 //!   (UNSAT on a subset of required instances is sound for UNSAT on all
-//!   of them);
+//!   of them). [`prove_impossibility`] runs it over every table or,
+//!   under [`Symmetry::Mirror`], over the mirror-symmetric ones;
 //! * [`replay`] — mechanical checks of the witnesses used by the
 //!   paper's own proof (the Fig. 5 forced-stay configurations, the
 //!   Fig. 12/13 livelock cycles, the deadlock configurations).
@@ -36,7 +37,8 @@
 //! treats *any* disconnection as terminal, exactly as the case analysis
 //! of §III does ("a collision occurs or the configuration becomes
 //! unconnected"). The `simlab` crate's `experiments` binary prints the
-//! related measurement (E12: relaxed initial connectivity).
+//! related measurement (E12: relaxed initial connectivity), and its
+//! `impossibility_proof` binary runs the proof.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,5 +48,5 @@ pub mod search;
 pub mod sim;
 pub mod table;
 
-pub use search::{prove_impossibility, prove_impossibility_symmetric, Certificate, SearchStats};
+pub use search::{prove_impossibility, Certificate, SearchStats, Symmetry};
 pub use table::RuleTable;

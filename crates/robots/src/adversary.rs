@@ -9,8 +9,9 @@
 //!
 //! * [`AdversaryVerdict::Proof`] — *every* fair SSYNC schedule gathers,
 //! * [`AdversaryVerdict::Refuted`] — some schedule provably does not;
-//!   the verdict carries a minimal activation schedule replayable
-//!   through [`sched::run_scheduled`] (see [`replay`]),
+//!   the verdict carries a minimal activation schedule, which [`replay`]
+//!   runs through the crash replayer [`faults::run_crash_schedule`]
+//!   with crash-free rounds,
 //! * [`AdversaryVerdict::Undecided`] — a search budget tripped before
 //!   either verdict was certified (see [`UndecidedReason`]).
 //!
@@ -64,7 +65,8 @@ use crate::engine::Outcome;
 use crate::explore::{
     self, CrashSemantics, ExploreOptions, ExploreReport, ExploreVerdict, UndecidedReason,
 };
-use crate::sched::{self, CrashRound, ScheduleReplay};
+use crate::faults;
+use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration, Execution};
 use serde::{Deserialize, Serialize};
 
@@ -125,8 +127,8 @@ pub enum AdversaryVerdict {
     /// A concrete schedule refutes gathering. `schedule[r]` is the
     /// activation bitmask of round `r` (bit `i` = the `i`-th robot in
     /// row-major order of the round's configuration). `outcome` is what
-    /// replaying the schedule through [`sched::run_scheduled`] ends
-    /// with: a collision, a disconnection, a stuck fixpoint, or — for a
+    /// replaying the schedule through [`replay`] ends with: a
+    /// collision, a disconnection, a stuck fixpoint, or — for a
     /// fair non-gathering cycle — [`Outcome::StepLimit`] after the
     /// recorded lasso.
     Refuted {
@@ -236,8 +238,11 @@ pub fn schedule_hash(schedule: &[u16]) -> u64 {
 }
 
 /// Replays a [`AdversaryVerdict::Refuted`] schedule through
-/// [`sched::run_scheduled`]; returns `None` for other verdicts. The
-/// replayed execution must end with exactly the verdict's `outcome`.
+/// [`faults::run_crash_schedule`], each mask a round that crashes
+/// nobody; returns `None` for other verdicts. The replayed execution
+/// must end with exactly the verdict's `outcome`. With no crash the
+/// replayer's goal is [`Configuration::is_gathered`], and every SSYNC
+/// action activates a mover, so each mask is one movement round.
 #[must_use]
 pub fn replay<A: Algorithm + ?Sized>(
     initial: &Configuration,
@@ -247,10 +252,10 @@ pub fn replay<A: Algorithm + ?Sized>(
     let AdversaryVerdict::Refuted { schedule, outcome } = verdict else {
         return None;
     };
-    // Every SSYNC action activates a mover: each is a movement round.
     let limits = explore::replay_limits(outcome, schedule.len());
-    let mut replayer = ScheduleReplay::new(schedule.clone());
-    Some(sched::run_scheduled(initial, algo, &mut replayer, limits))
+    let rounds: Vec<CrashRound> =
+        schedule.iter().map(|&activate| CrashRound { crash: 0, activate }).collect();
+    Some(faults::run_crash_schedule(initial, algo, &rounds, limits).execution)
 }
 
 /// The SSYNC adversary as a [`Model`]: the crash semantics with crash

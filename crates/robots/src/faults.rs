@@ -39,7 +39,7 @@ use crate::adversary::{AdversaryOptions, Fnv64};
 use crate::checker::{Model, ModelChecker};
 use crate::engine::{self, Execution, Limits, Outcome};
 use crate::explore::{self, CrashSemantics, ExploreOptions};
-use crate::sched::{CrashRound, CrashSchedule};
+use crate::sched::CrashRound;
 use crate::{Algorithm, Configuration};
 use trigrid::Coord;
 
@@ -236,7 +236,9 @@ pub struct CrashExecution {
 /// ([`engine::step_moves`]). Each recorded round first lands its crash
 /// injections (freezing those robots' coordinates forever), then
 /// activates the recorded non-crashed robots; rounds beyond the
-/// schedule activate every live robot. The run terminates with
+/// schedule crash nobody and activate every live robot. Crashed robots
+/// never activate again — they keep occupying their node and appearing
+/// in views. The run terminates with
 ///
 /// * [`Outcome::Gathered`] / [`Outcome::StuckFixpoint`] when no live
 ///   robot would move even under full activation (the goal is
@@ -245,11 +247,14 @@ pub struct CrashExecution {
 /// * [`Outcome::StepLimit`] after `limits.max_rounds` *movement*
 ///   rounds — injection-only rounds and rounds that move nobody do not
 ///   advance the counter (matching the explorer's round bookkeeping).
+///
+/// [`crate::adversary::replay`] runs SSYNC refutations here as
+/// crash-free schedules.
 #[must_use]
 pub fn run_crash_schedule<A: Algorithm + ?Sized>(
     initial: &Configuration,
     algo: &A,
-    schedule: &CrashSchedule,
+    schedule: &[CrashRound],
     limits: Limits,
 ) -> CrashExecution {
     assert!(
@@ -277,13 +282,10 @@ pub fn run_crash_schedule<A: Algorithm + ?Sized>(
         if rounds >= limits.max_rounds {
             break Outcome::StepLimit { rounds: limits.max_rounds };
         }
-        let entry = schedule.rounds().get(next).copied();
+        // Beyond the schedule: no more crashes, everyone live acts.
+        let beyond = CrashRound { crash: 0, activate: u16::MAX };
+        let CrashRound { crash, activate } = schedule.get(next).copied().unwrap_or(beyond);
         next += 1;
-        let (crash, activate) = match entry {
-            Some(action) => (action.crash, action.activate),
-            // Beyond the schedule: no more crashes, everyone live acts.
-            None => (0, u16::MAX),
-        };
         for (i, &p) in cfg.positions().iter().enumerate() {
             if crash & (1 << i) != 0 && !frozen.contains(&p) {
                 frozen.push(p);
@@ -342,7 +344,7 @@ pub fn replay<A: Algorithm + ?Sized>(
         return None;
     };
     let limits = explore::replay_limits(outcome, explore::movement_rounds(schedule));
-    Some(run_crash_schedule(initial, algo, &CrashSchedule::new(schedule.clone()), limits))
+    Some(run_crash_schedule(initial, algo, schedule, limits))
 }
 
 #[cfg(test)]
@@ -408,7 +410,7 @@ mod tests {
         // disconnects the pair.
         let march = FnAlgorithm::new(1, "march", |_: &View| Some(Dir::E));
         let two = cfg(&[(0, 0), (2, 0)]);
-        let schedule = CrashSchedule::new(vec![CrashRound { crash: 0b01, activate: 0b10 }]);
+        let schedule = [CrashRound { crash: 0b01, activate: 0b10 }];
         let limits = Limits { max_rounds: 10, detect_livelock: false };
         let run = run_crash_schedule(&two, &march, &schedule, limits);
         assert_eq!(run.execution.outcome, Outcome::Disconnected { round: 1 });
@@ -426,11 +428,26 @@ mod tests {
             (!v.neighbor(Dir::E)).then_some(Dir::E)
         });
         let pair = cfg(&[(0, 0), (2, 0)]);
-        let schedule = CrashSchedule::new(vec![CrashRound { crash: 0b10, activate: 0 }]);
+        let schedule = [CrashRound { crash: 0b10, activate: 0 }];
         let limits = Limits { max_rounds: 10, detect_livelock: false };
         let run = run_crash_schedule(&pair, &march, &schedule, limits);
         assert_eq!(run.execution.outcome, Outcome::Gathered { rounds: 0 });
         assert_eq!(run.crashed, vec![Coord::new(2, 0)]);
+    }
+
+    #[test]
+    fn replay_runs_the_recorded_masks_then_activates_every_robot() {
+        // A NE diagonal marching east when clear: round 0 moves robot 0,
+        // round 1 robots 1 and 2, and past the schedule every robot.
+        let march = FnAlgorithm::new(1, "march-if-clear", |v: &View| {
+            (!v.neighbor(Dir::E)).then_some(Dir::E)
+        });
+        let schedule = [0b001, 0b110].map(|activate| CrashRound { crash: 0, activate });
+        let limits = Limits { max_rounds: 3, detect_livelock: false };
+        let run = run_crash_schedule(&cfg(&[(0, 0), (1, 1), (2, 2)]), &march, &schedule, limits);
+        assert_eq!(run.execution.outcome, Outcome::StepLimit { rounds: 3 });
+        let moved = [[(2, 0), (1, 1), (2, 2)], [(2, 0), (3, 1), (4, 2)], [(4, 0), (5, 1), (6, 2)]];
+        assert_eq!(run.execution.trace.expect("trace recorded")[1..], moved.map(|c| cfg(&c)));
     }
 
     #[test]

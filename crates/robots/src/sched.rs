@@ -18,9 +18,9 @@
 //! shared engine loop — the scheduler layer adds only activation
 //! masking, never its own collision semantics.
 //!
-//! The crash-fault model records richer schedules: [`CrashSchedule`]
-//! carries per-round crash injections alongside activations and is
-//! replayed by [`crate::faults::run_crash_schedule`].
+//! The model checkers record refutation schedules as [`CrashRound`]s,
+//! replayed by [`crate::faults::run_crash_schedule`] (SSYNC and
+//! crash-fault) and [`crate::async_model::run_async_schedule`] (ASYNC).
 
 use crate::engine::{Execution, Limits};
 use crate::{engine, Algorithm, Configuration};
@@ -108,50 +108,6 @@ impl Scheduler for RandomSubset {
     }
 }
 
-/// Replays a recorded activation schedule: round `r` activates exactly
-/// the robots whose bit is set in `masks[r]` (bit `i` = the `i`-th robot
-/// in row-major order of the current configuration — the same indexing
-/// every [`Scheduler`] uses). Rounds beyond the recorded schedule
-/// activate everyone.
-///
-/// This is how the adversary model checker's counterexample schedules
-/// are replayed through [`run_scheduled`].
-pub struct ScheduleReplay {
-    masks: Vec<u16>,
-}
-
-impl ScheduleReplay {
-    /// Wraps a recorded mask sequence.
-    #[must_use]
-    pub fn new(masks: Vec<u16>) -> Self {
-        ScheduleReplay { masks }
-    }
-
-    /// Number of recorded rounds.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.masks.len()
-    }
-
-    /// Whether the schedule is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.masks.is_empty()
-    }
-}
-
-impl Scheduler for ScheduleReplay {
-    fn select(&mut self, round: usize, n: usize) -> Vec<bool> {
-        match self.masks.get(round) {
-            Some(&mask) => (0..n).map(|i| mask & (1 << i) != 0).collect(),
-            None => vec![true; n],
-        }
-    }
-    fn name(&self) -> &str {
-        "replay"
-    }
-}
-
 /// One round of a crash-fault schedule: the adversary first
 /// *permanently crashes* the robots in `crash`, then activates the
 /// robots in `activate`. Both masks use the standard scheduler
@@ -168,51 +124,6 @@ pub struct CrashRound {
     pub crash: u16,
     /// Robots activated this round (crashed robots are ignored).
     pub activate: u16,
-}
-
-/// A replayable crash-fault schedule: the per-round crash injections
-/// and activations recorded by the crash-model explorer
-/// ([`crate::faults`]). Rounds beyond the recorded schedule activate
-/// every non-crashed robot; crashed robots never activate again —
-/// they keep occupying their node and appearing in views.
-///
-/// This is to [`crate::faults::replay`] what [`ScheduleReplay`] is to
-/// the fault-free adversary checker.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct CrashSchedule {
-    rounds: Vec<CrashRound>,
-}
-
-impl CrashSchedule {
-    /// Wraps a recorded action sequence.
-    #[must_use]
-    pub fn new(rounds: Vec<CrashRound>) -> Self {
-        CrashSchedule { rounds }
-    }
-
-    /// The recorded actions, in round order.
-    #[must_use]
-    pub fn rounds(&self) -> &[CrashRound] {
-        &self.rounds
-    }
-
-    /// Number of recorded rounds (including injection-only rounds).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rounds.len()
-    }
-
-    /// Whether the schedule is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rounds.is_empty()
-    }
-
-    /// Total number of robots the schedule crashes.
-    #[must_use]
-    pub fn crash_count(&self) -> u32 {
-        self.rounds.iter().map(|r| r.crash.count_ones()).sum()
-    }
 }
 
 /// Runs `algo` from `initial` under the given activation scheduler.

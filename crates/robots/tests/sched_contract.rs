@@ -137,18 +137,6 @@ fn fullsync_livelock_detection_matches_the_engine() {
 }
 
 #[test]
-fn replay_scheduler_reproduces_recorded_masks_then_promotes_to_full() {
-    use robots::sched::ScheduleReplay;
-    let mut replay = ScheduleReplay::new(vec![0b001, 0b110]);
-    assert_eq!(replay.len(), 2);
-    assert!(!replay.is_empty());
-    assert_eq!(replay.select(0, 3), vec![true, false, false]);
-    assert_eq!(replay.select(1, 3), vec![false, true, true]);
-    // Beyond the recorded schedule: everyone, every round.
-    assert_eq!(replay.select(2, 3), vec![true, true, true]);
-}
-
-#[test]
 fn random_subset_scheduled_runs_are_reproducible() {
     // Same seed ⇒ bit-identical execution, including the final
     // configuration, for a nontrivial multi-robot run.

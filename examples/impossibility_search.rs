@@ -1,18 +1,25 @@
-//! Experiment E3/E4: Theorem 1 — visibility range 1 is not enough.
+//! Experiment E4: Theorem 1 — visibility range 1 is not enough.
 //!
-//! By default replays the paper's §III proof witnesses mechanically
-//! (fast); with `--full` runs the complete machine proof (exhaustive
-//! CEGIS search over every visibility-1 rule table — minutes to hours).
+//! Replays the paper's §III proof witnesses mechanically (fast). The
+//! complete machine proof (experiment E3: the exhaustive CEGIS search
+//! over every visibility-1 rule table — minutes to hours) is the
+//! `impossibility_proof` binary.
 //!
 //! ```text
-//! cargo run --release --example impossibility_search [-- --full]
+//! cargo run --release --example impossibility_search
+//! cargo run --release -p simlab --bin impossibility_proof [-- --budget N] [--symmetric]
 //! ```
+//!
+//! It takes no arguments: any argument (such as the old `--full`)
+//! prints where the machine proof is and exits 2.
 
 use impossibility::replay;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-
+    if std::env::args().len() > 1 {
+        eprintln!("usage: impossibility_search (no arguments; the machine proof is the impossibility_proof binary)");
+        std::process::exit(2);
+    }
     println!("== mechanical replay of the paper's §III witnesses ==\n");
 
     let base = replay::base_hypothesis();
@@ -40,16 +47,7 @@ fn main() {
         }
     }
 
-    if full {
-        println!("\n== full machine proof (exhaustive search) ==");
-        let cert = impossibility::prove_impossibility(u64::MAX, true);
-        println!(
-            "THEOREM 1 VERIFIED: UNSAT with a core of {} classes ({} DFS nodes, {} simulations)",
-            cert.core_classes.len(),
-            cert.stats.nodes,
-            cert.stats.simulations
-        );
-    } else {
-        println!("\n(run with --full for the complete exhaustive impossibility proof)");
-    }
+    println!(
+        "\n(the complete machine proof: cargo run --release -p simlab --bin impossibility_proof)"
+    );
 }

@@ -33,8 +33,12 @@
 //!   with `cargo run --release --example exhaustive_verification` —
 //!   3652/3652 classes gather.
 //! * **Theorem 1** (negative): with visibility range 1 no collision-free
-//!   algorithm exists. Reproduce with
-//!   `cargo run --release --example impossibility_search`.
+//!   algorithm exists. The machine proof is
+//!   `cargo run --release -p simlab --bin impossibility_proof` (minutes
+//!   to hours; add `-- --symmetric` for the mirror-symmetric
+//!   restriction, proved in microseconds), and
+//!   `cargo run --release --example impossibility_search` replays the
+//!   paper's §III witnesses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

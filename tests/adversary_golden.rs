@@ -3,8 +3,8 @@
 //! * Debug tier: the verdicts (kind + counterexample schedule hash) of
 //!   a fixed 65-class subset of the 3652-class space are pinned by
 //!   `tests/golden/adversary-verified-subset.json`, and every refuted
-//!   verdict is replayed through `run_scheduled` to its recorded
-//!   outcome.
+//!   verdict is replayed through `adversary::replay` (the crash
+//!   replayer with crash-free rounds) to its recorded outcome.
 //! * Release tier: the full 3652-class classification is re-derived
 //!   and pinned — verdict tallies plus an FNV digest over every
 //!   per-class verdict and schedule —
