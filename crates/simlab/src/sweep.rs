@@ -958,8 +958,12 @@ pub fn run_class<A: Algorithm + ?Sized>(
 /// Default classes-per-chunk between journal checkpoints (and cell
 /// deadline polls) while a shard computes. Small enough that a kill
 /// loses one chunk — milliseconds of work in the n = 8 and n = 9 cells,
-/// whose classes check in tens of microseconds on average — and large
-/// enough that journal appends are noise next to the checking itself.
+/// whose classes check in tens of microseconds on average. Appends are
+/// not free: they run on the calling thread between two pool calls.
+/// Since the workers encode their own rows, the caller only joins,
+/// frames and writes them, which takes 11–14 ms of the n = 8 crash:1
+/// sweep's ~0.25 s on a 2-vCPU VM (`sweep.journal_ns`, summed over its
+/// 8 shards); encoding the rows there took 52–72 ms, about a fifth.
 pub const DEFAULT_JOURNAL_CHUNK: usize = 64;
 
 /// FNV-1a over a byte string, via the same hasher the verdict digests
@@ -1051,12 +1055,19 @@ impl JournalHeader {
 }
 
 /// One completed chunk of classes, appended to the journal after the
-/// chunk's results are in hand.
+/// chunk's results are in hand (written by [`entry_json`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct JournalEntry {
     start: usize,
     end: usize,
     results: Vec<ClassOutcome>,
+}
+
+/// The JSON of the [`JournalEntry`] for classes `start..end` whose
+/// results are already encoded, one `serde_json::to_string` per row:
+/// byte for byte the entry's own encoding, without encoding a row again.
+fn entry_json(start: usize, end: usize, rows: &[String]) -> String {
+    format!("{{\"start\":{start},\"end\":{end},\"results\":[{}]}}", rows.join(","))
 }
 
 /// Last line of a completed journal: the shard's telemetry reading.
@@ -1152,11 +1163,6 @@ impl JournalWriter {
         let file = std::fs::OpenOptions::new().append(true).open(path)?;
         file.set_len(valid_len)?;
         Ok(JournalWriter { file, path: path.to_path_buf() })
-    }
-
-    fn append_entry(&mut self, entry: &JournalEntry) -> io::Result<()> {
-        let json = serde_json::to_string(entry).map_err(io::Error::other)?;
-        self.append_line(&json, true)
     }
 
     fn append_line(&mut self, json: &str, failpoint: bool) -> io::Result<()> {
@@ -1338,12 +1344,17 @@ fn run_shard_inner(
         eprintln!("  shard {shard}: journal resumes {} of {} classes", results.len(), end - start);
     }
     let header = JournalHeader::for_cell(cfg, shard, start, end);
+    let opening = telemetry::Stopwatch::started();
     let mut writer = match out_dir.map(|dir| cfg.journal_path(dir, shard)) {
         Some(path) if !results.is_empty() => Some(JournalWriter::resume(&path, prior.valid_len)?),
         Some(path) => Some(JournalWriter::create(&path, &header)?),
         None => None,
     };
-    let chunk = if writer.is_some() || deadline.is_some() {
+    // The caller's serial share of journaling: opening the journal,
+    // then building, framing and writing each entry line.
+    let mut journal_ns = opening.elapsed_ns();
+    let journaling = writer.is_some();
+    let chunk = if journaling || deadline.is_some() {
         cfg.journal_chunk.unwrap_or(DEFAULT_JOURNAL_CHUNK).max(1)
     } else {
         (end - start).max(1)
@@ -1358,15 +1369,25 @@ fn run_shard_inner(
         // order-preserved records under every schedule.
         let base = cursor - start;
         let indexed: Vec<(usize, &Vec<Coord>)> = classes[cursor..cend].iter().enumerate().collect();
-        let entry = JournalEntry {
-            start: cursor,
-            end: cend,
-            results: parallel::par_map(&indexed, cfg.threads, |&(o, c)| run_one(base + o, c)),
-        };
-        if let Some(w) = writer.as_mut() {
-            w.append_entry(&entry)?;
+        // The worker that checks a row also encodes it, so the serial
+        // commit below only joins the chunk's rows into one line.
+        let checked = parallel::par_map(&indexed, cfg.threads, |&(o, c)| {
+            let row = run_one(base + o, c);
+            let json = journaling.then(|| serde_json::to_string(&row));
+            (row, json)
+        });
+        let mut rows = Vec::with_capacity(checked.len());
+        for (row, json) in checked {
+            results.push(row);
+            if let Some(json) = json {
+                rows.push(json.map_err(io::Error::other)?);
+            }
         }
-        results.extend(entry.results);
+        if let Some(w) = writer.as_mut() {
+            let watch = telemetry::Stopwatch::started();
+            w.append_line(&entry_json(cursor, cend, &rows), true)?;
+            journal_ns += watch.elapsed_ns();
+        }
         cursor = cend;
     }
     let mut snapshot =
@@ -1374,6 +1395,7 @@ fn run_shard_inner(
     snapshot.add_counter("parallel.tasks", parallel::pool_stats().saturating_sub(pool_before));
     snapshot.add_counter("sweep.classes", results.len() as u64);
     snapshot.add_counter("sweep.shard_wall_ns", watch.elapsed_ns());
+    snapshot.add_counter("sweep.journal_ns", journal_ns);
     let panicked = results.iter().filter(|r| r.panic.is_some()).count() as u64;
     let timed_out = results
         .iter()
@@ -2452,8 +2474,7 @@ mod tests {
         let header = JournalHeader::for_cell(&cfg, 0, 0, classes.len());
         let mut writer =
             JournalWriter::create(&cfg.journal_path(&dir, 0), &header).expect("create");
-        let entry = JournalEntry { start: 0, end: classes.len(), results: record.results.clone() };
-        writer.append_entry(&entry).expect("append");
+        append_rows(&mut writer, 0, &record.results);
         let footer = JournalFooter { metrics: record.metrics.clone().expect("shard metrics") };
         writer.publish(&footer, &cfg.shard_path(&dir, 0)).expect("publish");
 
@@ -2580,6 +2601,120 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Appends `rows` as the journal entry of the classes from `start`
+    /// on, encoded as a journaling shard encodes them.
+    fn append_rows(writer: &mut JournalWriter, start: usize, rows: &[ClassOutcome]) {
+        let encoded: Vec<String> =
+            rows.iter().map(|r| serde_json::to_string(r).expect("rows serialize")).collect();
+        writer.append_line(&entry_json(start, start + rows.len(), &encoded), true).expect("append");
+    }
+
+    /// `serde_json::to_string` streams `x` through `write_json`; it must
+    /// write what the `Value` path writes, and the text must read back
+    /// as the same value.
+    fn assert_streams_like_its_value<T>(x: &T)
+    where
+        T: Serialize + for<'de> Deserialize<'de>,
+    {
+        let streamed = serde_json::to_string(x).expect("serializes");
+        let value = serde_json::to_value(x).expect("converts");
+        assert_eq!(streamed, serde_json::to_string(&value).expect("serializes"));
+        assert_eq!(serde_json::from_str::<serde_json::Value>(&streamed).expect("parses"), value);
+        let typed: T = serde_json::from_str(&streamed).expect("reads back as its type");
+        assert_eq!(serde_json::to_string(&typed).expect("serializes"), streamed);
+    }
+
+    #[test]
+    fn streaming_json_matches_the_value_path() {
+        let classes = polyhex::enumerate_fixed(5);
+        let mut rows = Vec::new();
+        let mut summaries = Vec::new();
+        for (algo, sched) in [
+            ("verified", "adversary"),
+            ("verified", "crash:1"),
+            ("verified", "lcm-async"),
+            ("verified", "fsync"),
+            ("paper", "fsync"),
+        ] {
+            let algo = AlgoSpec::parse(algo).expect("known algorithm");
+            let sched = SchedSpec::parse(sched).expect("known scheduler");
+            let cfg = SweepConfig { n: 5, shards: 1, algo, sched, ..SweepConfig::default() };
+            let record = run_shard(&classes, &cfg, 0, 0, classes.len());
+            let header = JournalHeader::for_cell(&cfg, 0, 0, classes.len());
+            assert_streams_like_its_value(&header);
+            let mut metrics = record.metrics.clone().expect("shard metrics");
+            metrics.snapshot.add_gauge("test.gauge", 3);
+            assert!(!metrics.snapshot.counters.is_empty());
+            assert_streams_like_its_value(&JournalFooter { metrics });
+            summaries.push(merge_shards(&cfg, std::slice::from_ref(&record)).expect("merges"));
+            for reason in [
+                UndecidedReason::States,
+                UndecidedReason::Edges,
+                UndecidedReason::FairDepth,
+                UndecidedReason::Timeout,
+                UndecidedReason::MemBudget,
+            ] {
+                // This cell's panic row, turned undecided under `reason`.
+                let mut row = panicked_outcome(0, sched, String::new());
+                row.outcome = Outcome::Undecided { reason };
+                row.panic = None;
+                row.verdict = row.verdict.map(|_| AdversaryVerdict::Undecided { reason });
+                row.crash = row.crash.map(|_| CrashVerdict::Undecided { reason });
+                row.lcm_async = row.lcm_async.map(|_| AsyncVerdict::Undecided { reason });
+                rows.push(row);
+            }
+            rows.push(panicked_outcome(1, sched, "bööm: \"quoted\"\n\t¬ℵ 😀\u{1}\\".into()));
+            rows.extend(record.results);
+        }
+        let verdict_kinds = |r: &ClassOutcome| {
+            let v = serde_json::to_value(r).expect("converts");
+            let kind = |column: &str| match v.get(column) {
+                Some(serde_json::Value::Str(unit)) => unit.clone(),
+                Some(serde_json::Value::Map(tagged)) => tagged[0].0.clone(),
+                _ => String::new(),
+            };
+            format!("{}/{}/{}", kind("verdict"), kind("crash"), kind("lcm_async"))
+        };
+        // Each verdict column carries proofs, refutations with their
+        // schedules and undecided rows.
+        let kinds: std::collections::BTreeSet<String> = rows.iter().map(verdict_kinds).collect();
+        for kind in ["Proof", "Refuted", "Undecided"] {
+            for column in [format!("{kind}//"), format!("/{kind}/"), format!("//{kind}")] {
+                assert!(kinds.contains(&column), "{column} missing from {kinds:?}");
+            }
+        }
+        for row in &rows {
+            assert_streams_like_its_value(row);
+        }
+        for summary in &summaries {
+            assert_streams_like_its_value(summary);
+        }
+        let mut table = impossibility::RuleTable::with_forced_stays();
+        table.assign(0b10_1010, 3);
+        assert_streams_like_its_value(&table);
+    }
+
+    #[test]
+    fn entry_lines_from_row_encodings_equal_the_encoded_entry() {
+        // Every verdict column, and a panic row, in one entry.
+        let classes = polyhex::enumerate_fixed(4);
+        for sched in ["adversary", "crash:1", "lcm-async", "fsync"] {
+            let sched = SchedSpec::parse(sched).expect("known scheduler");
+            let cfg = SweepConfig { n: 4, shards: 1, sched, ..SweepConfig::default() };
+            let mut results = run_shard(&classes, &cfg, 0, 0, classes.len()).results;
+            results[3] = panicked_outcome(3, sched, "bööm \"quoted\"\n😀".into());
+            let encoded: Vec<String> =
+                results.iter().map(|r| serde_json::to_string(r).expect("serializes")).collect();
+            let entry = JournalEntry { start: 0, end: results.len(), results };
+            assert_eq!(
+                entry_json(entry.start, entry.end, &encoded),
+                serde_json::to_string(&entry).expect("serializes"),
+                "{}",
+                sched.name()
+            );
+        }
+    }
+
     #[test]
     fn journal_round_trips_and_drops_torn_tails() {
         let dir = temp_sweep_dir("journal");
@@ -2591,18 +2726,8 @@ mod tests {
         let header = JournalHeader::for_cell(&cfg, 0, 0, classes.len());
         {
             let mut w = JournalWriter::create(&path, &header).expect("create");
-            w.append_entry(&JournalEntry {
-                start: 0,
-                end: 10,
-                results: full.results[..10].to_vec(),
-            })
-            .expect("append");
-            w.append_entry(&JournalEntry {
-                start: 10,
-                end: 20,
-                results: full.results[10..20].to_vec(),
-            })
-            .expect("append");
+            append_rows(&mut w, 0, &full.results[..10]);
+            append_rows(&mut w, 10, &full.results[10..20]);
         }
         let prefix = read_journal(&path, &cfg, 0, 0, classes.len());
         assert_eq!(prefix.results.len(), 20);
@@ -2643,7 +2768,7 @@ mod tests {
         let header = JournalHeader::for_cell(&cfg, 0, 0, classes.len());
         {
             let mut w = JournalWriter::create(&path, &header).expect("create");
-            w.append_entry(&JournalEntry { start: 0, end: 8, results: head }).expect("append");
+            append_rows(&mut w, 0, &head);
         }
         let outcome = run_sweep(&cfg, &dir, true, |_, _, _| {}).expect("resumed run");
         assert_eq!(

@@ -237,6 +237,47 @@ fn torn_record_is_quarantined_and_recomputed_on_resume() {
 }
 
 #[test]
+fn a_record_with_an_out_of_range_integer_is_quarantined_on_resume() {
+    let args = ["--algo", "verified", "--sched", "crash:1", "--n", "5", "--shards", "2"];
+    let dir = temp_dir("huge-int");
+    let clean = sweep(&dir, &args, None);
+    assert!(clean.status.success(), "clean run: {}", stderr_of(&clean));
+    let cfg = SweepConfig { n: 5, ..cell("crash:1", 2) };
+    let baseline = summary_sans_metrics(&cfg.summary_path(&dir));
+    assert_eq!(lookup(&baseline, "digest"), &serde_json::Value::Str("e5bea3a5a7103297".into()));
+
+    // A hand edit puts 2^64 into shard 0's first row and re-frames the
+    // line, so only the JSON reader stands between it and the digest.
+    let victim = cfg.shard_path(&dir, 0);
+    let text = std::fs::read_to_string(&victim).expect("record exists");
+    let mut lines: Vec<String> = text.lines().map(String::from).collect();
+    let json = lines[1].splitn(3, ':').nth(2).expect("framed entry line");
+    let (head, tail) = json.split_once("\"expanded\":").expect("rows record their work");
+    let digits = tail.find(|c: char| !c.is_ascii_digit()).expect("the row goes on");
+    let patched = format!("{head}\"expanded\":18446744073709551616{}", &tail[digits..]);
+    let mut fnv = robots::adversary::Fnv64::new();
+    fnv.write_all(patched.as_bytes());
+    lines[1] = format!("{}:{:016x}:{patched}", patched.len(), fnv.finish());
+    std::fs::write(&victim, lines.join("\n") + "\n").expect("patch the record");
+
+    let mut resume_args: Vec<&str> = args.to_vec();
+    resume_args.push("--resume");
+    let resumed = sweep(&dir, &resume_args, None);
+    assert!(resumed.status.success(), "resume recovers: {}", stderr_of(&resumed));
+    assert!(
+        stderr_of(&resumed).contains("quarantined"),
+        "the quarantine is announced: {}",
+        stderr_of(&resumed)
+    );
+    assert!(
+        PathBuf::from(format!("{}.corrupt", victim.display())).exists(),
+        "the patched record is preserved as *.corrupt for triage"
+    );
+    assert_eq!(baseline, summary_sans_metrics(&cfg.summary_path(&dir)));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn kill_between_journal_fsync_and_rename_resumes_every_class() {
     let args = ["--algo", "verified", "--sched", "adversary", "--n", "4", "--shards", "2"];
     let clean_dir = temp_dir("rename-clean");
